@@ -132,7 +132,9 @@ def _run_mc(args, runner, expected_kind: str) -> int:
         raise ValidationError(
             f"config kind is {config.kind!r}, expected {expected_kind!r}")
     reps = args.reps if args.reps is not None else config.reps
-    seed = args.seed if args.seed is not None else (config.seed or DEFAULT_SEED)
+    seed = args.seed if args.seed is not None else config.seed
+    if seed is None:
+        seed = DEFAULT_SEED
     _echo_config({
         "config_file": args.config_file, "kind": config.kind, "cells": len(config.cells),
         "reps": reps, "seed": seed, "threads": args.threads, "format": args.format,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.signal import lfilter
 
 from .errors import DegenerateSpectrum, InvalidSpec
@@ -31,6 +30,8 @@ SIGMA1 = np.array([[1.0, 0.0], [0.0, 0.25]])
 SIGMA2 = np.array([[1.0, -0.4], [-0.4, 0.25]])
 
 EIGENGAP_RTOL = 1e-12  # relative gap below which the top eigenvalue is not simple
+POWER_RTOL = 1e-14  # relative eigen-residual at which the power iteration stops
+POWER_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,53 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     return {"y": y[keep], "X": X[keep], "f_true": f[keep]}
 
 
+def _power_top_eigenvector(A: np.ndarray):
+    """Certified top eigenvector of a symmetric PSD matrix, or None.
+
+    Power iteration from the column of A with the largest diagonal, stopped
+    once the residual r = Av - theta v of the Rayleigh quotient theta is at
+    most POWER_RTOL * theta.  The result is accepted only if the top
+    eigenvalue is provably simple: v is an exact eigenvector of A - (rv' + vr'),
+    a perturbation of 2-norm |r| whose other eigenvalues have squared sum
+    |A|_F^2 - theta^2 - 2|r|^2, so by Weyl's inequality
+    lambda_2 <= sqrt(|A|_F^2 - theta^2 - 2|r|^2) + |r| and
+    theta - |r| <= lambda_1 <= theta + |r|.  Acceptance therefore implies
+    lambda_1 - lambda_2 > EIGENGAP_RTOL * lambda_1, the condition the exact
+    path checks.  None means "not converged or not certified".
+    """
+    v = A[:, np.argmax(np.diagonal(A))]
+    size = np.linalg.norm(v)
+    if not size > 0.0:
+        return None
+    v = v / size
+    for _ in range(POWER_MAX_ITER):
+        w = A @ v
+        theta = v @ w
+        r = np.linalg.norm(w - theta * v)
+        if r <= POWER_RTOL * theta:
+            break
+        v = w / np.linalg.norm(w)
+    else:
+        return None
+    frob2 = np.vdot(A, A)
+    lam2_up = np.sqrt(max(0.0, frob2 - theta * theta - 2.0 * r * r)) + r
+    if theta - lam2_up - r > EIGENGAP_RTOL * (theta + r):
+        return v
+    return None
+
+
+def _exact_top_eigenvector(A: np.ndarray) -> np.ndarray:
+    """Top eigenvector by a dense solver; raises DegenerateSpectrum if not simple."""
+    from scipy.linalg import eigh
+
+    n = A.shape[0]
+    vals, vecs = eigh(A, subset_by_index=[n - 2, n - 1])
+    top = vals[-1]
+    if top <= 0.0 or (top - vals[0]) <= EIGENGAP_RTOL * top:
+        raise DegenerateSpectrum("top eigenvalue not simple to working precision")
+    return vecs[:, -1]
+
+
 def estimate_factor(X) -> np.ndarray:
     """Leading principal component of a T x N panel, one factor assumed.
 
@@ -240,6 +288,14 @@ def estimate_factor(X) -> np.ndarray:
     eigenvector of the outer-product matrix X X' / (T N), so the factor has
     unit sample variance, with its sign fixed to correlate non-negatively
     with the panel's first column.
+
+    The eigenvector of the smaller of the two Gram matrices comes from a
+    power iteration that stops at a relative eigen-residual of POWER_RTOL.
+    It is kept only when a residual bound certifies that the top eigenvalue
+    is simple (see _power_top_eigenvector).  Otherwise, e.g. for a
+    pure-noise panel or a tied spectrum, the dense eigensolver
+    (scipy.linalg.eigh) computes the top pair exactly and makes the
+    degeneracy decision.
 
     Raises DegenerateSpectrum when the top eigenvalue is not simple to
     working precision (the direction is then not identified).
@@ -249,23 +305,17 @@ def estimate_factor(X) -> np.ndarray:
         raise ValueError("X must be a T x N panel with T >= 2 and N >= 2")
     T, N = X.shape
     Xd = X - X.mean(axis=0)
-    # Eigendecompose the smaller of the two Gram matrices; the non-zero
-    # spectra coincide and the eigenvectors map through Xd.
+    # Use the smaller of the two Gram matrices; the non-zero spectra
+    # coincide and the eigenvectors map through Xd.
+    A = (Xd.T @ Xd) / (T * N) if N < T else (Xd @ Xd.T) / (T * N)
+    v = _power_top_eigenvector(A)
+    if v is None:
+        v = _exact_top_eigenvector(A)
     if N < T:
-        A = (Xd.T @ Xd) / (T * N)
-        vals, vecs = eigh(A, subset_by_index=[N - 2, N - 1])
-        top = vals[-1]
-        if top <= 0.0 or (top - vals[0]) <= EIGENGAP_RTOL * top:
-            raise DegenerateSpectrum("top eigenvalue not simple to working precision")
-        f = Xd @ vecs[:, -1]
+        f = Xd @ v
         f /= np.linalg.norm(f)
     else:
-        A = (Xd @ Xd.T) / (T * N)
-        vals, vecs = eigh(A, subset_by_index=[T - 2, T - 1])
-        top = vals[-1]
-        if top <= 0.0 or (top - vals[0]) <= EIGENGAP_RTOL * top:
-            raise DegenerateSpectrum("top eigenvalue not simple to working precision")
-        f = vecs[:, -1]
+        f = v
     f = f * np.sqrt(T)
     if f @ X[:, 0] < 0.0:
         f = -f

@@ -16,6 +16,7 @@ flagged unreliable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -90,6 +91,12 @@ def _forecast_error_pair(y, extra, h: int, k0: int):
     return e1, e2
 
 
+@functools.cache
+def _critical_value(level: float) -> float:
+    """One-sided standard-normal critical value at the nominal level."""
+    return float(norm.ppf(1.0 - level))
+
+
 def run_replication(cell: McCell, rep_id: int, base_seed: int) -> RepOutcome:
     """One replication; deterministic in (cell, rep_id, base_seed)."""
     stream = RngStream(base_seed, rep_id)
@@ -106,7 +113,7 @@ def run_replication(cell: McCell, rep_id: int, base_seed: int) -> RepOutcome:
     e1, e2 = _forecast_error_pair(y, extra, dgp.h, k0)
     fes = ForecastErrorSet(e1, e2, h=dgp.h, k0=k0)
     result = encompassing_test(fes, SplitSpec(cell.mu0), cell.hac)
-    reject = result.statistic > float(norm.ppf(1.0 - cell.level))
+    reject = result.statistic > _critical_value(cell.level)
     return RepOutcome(reject=bool(reject), statistic=result.statistic)
 
 
@@ -170,7 +177,7 @@ def _summarize(cells, reps, base_seed, rejects, failures, kind) -> McReport:
     for cell, r, f in zip(cells, rejects, failures):
         done = reps - f
         freq = r / done if done > 0 else float("nan")
-        se = math.sqrt(freq * (1.0 - freq) / reps) if done > 0 else float("nan")
+        se = math.sqrt(freq * (1.0 - freq) / done) if done > 0 else float("nan")
         out.append(
             CellResult(
                 label=cell.label or f"mu0={cell.mu0:g}",

@@ -132,6 +132,20 @@ class TestMcCommands:
         assert code == 2
         assert "size" in err
 
+    def test_config_seed_zero_is_used(self, capsys, tmp_path):
+        config = tmp_path / "size.yaml"
+        config.write_text(textwrap.dedent(TINY_SIZE_CONFIG).replace("seed: 7", "seed: 0"))
+        code, out, _ = run_cli(capsys, "mc-size", str(config), "--format", "json")
+        assert code == 0
+        assert " seed=0 " in out.splitlines()[0]
+        code, explicit, _ = run_cli(capsys, "mc-size", str(config), "--seed", "0",
+                                    "--format", "json")
+        assert code == 0
+        assert _table_body(out) == _table_body(explicit)
+        code, default, _ = run_cli(capsys, "mc-size", str(config), "--seed", "20240817",
+                                   "--format", "json")
+        assert _table_body(out) != _table_body(default)
+
     def test_reps_override(self, capsys, tmp_path):
         config = tmp_path / "size.yaml"
         config.write_text(textwrap.dedent(TINY_SIZE_CONFIG))

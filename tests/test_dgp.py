@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import splitenc.dgp as dgp_module
 from _oracles import ma_autocov_theory
 from splitenc.dgp import (
     SIGMA1,
@@ -134,16 +137,41 @@ class TestDgp2:
             Dgp2Spec(T=100, N=10, alpha1=1.0)
 
 
+def _exact_only(X):
+    """estimate_factor with the power iteration switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dgp_module, "_power_top_eigenvector", lambda A: None)
+        return estimate_factor(X)
+
+
+def _count_exact_calls(monkeypatch):
+    """Record the matrix shape of every call to the dense eigensolver path."""
+    calls = []
+    exact = dgp_module._exact_top_eigenvector
+
+    def spy(A):
+        calls.append(A.shape)
+        return exact(A)
+
+    monkeypatch.setattr(dgp_module, "_exact_top_eigenvector", spy)
+    return calls
+
+
 class TestEstimateFactor:
-    def test_exact_rank_one_recovery(self, rng):
+    def test_exact_rank_one_recovery(self, rng, monkeypatch):
         f = rng.standard_normal(60)
         lam = rng.standard_normal(15)
+        calls = _count_exact_calls(monkeypatch)
         f_hat = estimate_factor(np.outer(f, lam))
+        assert calls == []  # certified on the power-iteration path
         corr = np.corrcoef(f_hat, f)[0, 1]
         assert abs(abs(corr) - 1.0) < 1e-10
 
-    def test_unit_variance_normalization(self, rng):
-        f_hat = estimate_factor(rng.standard_normal((200, 200)))
+    def test_unit_variance_normalization(self, rng, monkeypatch):
+        X = rng.standard_normal((200, 200))
+        calls = _count_exact_calls(monkeypatch)
+        f_hat = estimate_factor(X)
+        assert calls == [(200, 200)]  # pure noise: no certified eigengap
         assert_allclose(np.mean(f_hat**2), 1.0, rtol=1e-12)
 
     def test_sign_convention(self, rng):
@@ -168,7 +196,7 @@ class TestEstimateFactor:
             corrs.append(abs(np.corrcoef(f_hat, out["f_true"])[0, 1]))
         assert np.mean(corrs) > 0.90
 
-    def test_degenerate_spectrum(self):
+    def test_degenerate_spectrum(self, monkeypatch):
         # two orthogonal mean-zero rank-one pieces of identical strength: the
         # leading eigenvalue is not simple, so the direction is unidentified
         f1 = np.array([1.0, -1.0, 1.0, -1.0])
@@ -176,8 +204,29 @@ class TestEstimateFactor:
         a = np.array([1.0, 0.0, 1.0, 0.0])
         b = np.array([0.0, 1.0, 0.0, -1.0])
         X = np.outer(f1, a) + np.outer(f2, b)
+        calls = _count_exact_calls(monkeypatch)
         with pytest.raises(DegenerateSpectrum):
             estimate_factor(X)
+        assert calls == [(4, 4)]
+
+    def test_constant_panel_is_degenerate(self):
+        with pytest.raises(DegenerateSpectrum):
+            estimate_factor(np.ones((20, 5)))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 90), st.integers(10, 90),
+           st.floats(0.05, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_power_iteration_matches_exact_path(self, seed, T, N, noise):
+        # one-factor panels; covers N < T (N x N Gram) and N >= T (T x T Gram)
+        g = np.random.default_rng(seed)
+        f = g.standard_normal(T)
+        lam = 1.0 + g.random(N)  # loadings bounded away from zero
+        X = np.outer(f, lam) + noise * g.standard_normal((T, N))
+        with pytest.MonkeyPatch.context() as m:
+            calls = _count_exact_calls(m)
+            fast = estimate_factor(X)
+        assert calls == []
+        assert_allclose(fast, _exact_only(X), rtol=0.0, atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

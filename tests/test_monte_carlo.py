@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import splitenc.monte_carlo as mc
 from splitenc.dgp import SIGMA2, Dgp1Spec, Dgp2Spec
-from splitenc.errors import ConfigError, InvalidSplit
+from splitenc.errors import ConfigError, InvalidSplit, NumericalError
 from splitenc.monte_carlo import (
     McCell,
     collect_statistics,
@@ -40,6 +41,15 @@ class TestRunReplication:
     def test_distinct_reps_differ(self):
         cell = _cell()
         assert run_replication(cell, 0, 99).statistic != run_replication(cell, 1, 99).statistic
+
+    def test_reject_uses_normal_critical_value(self):
+        from scipy.stats import norm
+
+        for level in (0.05, 0.10):
+            cell = _cell(level=level)
+            for rep in range(5):
+                out = run_replication(cell, rep, 99)
+                assert out.reject == (out.statistic > float(norm.ppf(1.0 - level)))
 
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
@@ -85,6 +95,22 @@ class TestExperiments:
         assert c.failures == 8
         assert not c.reliable
         assert math.isnan(c.rejection_frequency)
+
+    def test_mc_se_uses_completed_replications(self, monkeypatch):
+        real = mc.run_replication
+
+        def every_third_fails(cell, rep_id, base_seed):
+            if rep_id % 3 == 0:
+                raise NumericalError("injected")
+            return real(cell, rep_id, base_seed)
+
+        monkeypatch.setattr(mc, "run_replication", every_third_fails)
+        c = run_size_experiment([_cell(T=100)], reps=30, base_seed=3).cells[0]
+        assert c.failures == 10 and not c.reliable
+        p = c.rejection_frequency
+        assert p == sum(real(_cell(T=100), rep, mc._cell_seed(3, 0)).reject
+                        for rep in range(30) if rep % 3) / 20
+        assert c.mc_standard_error == math.sqrt(p * (1.0 - p) / 20)
 
     def test_collect_statistics(self):
         stats = collect_statistics(_cell(T=100), reps=30, base_seed=9)
