@@ -14,7 +14,6 @@ import pathlib
 import sys
 import time
 
-from splitenc.cli import DEFAULT_SEED
 from splitenc.monte_carlo import (
     load_experiment_config,
     render_report,
@@ -47,8 +46,6 @@ def main() -> int:
         config = load_experiment_config(CONFIG_DIR / TABLES[name])
         reps = args.reps if args.reps is not None else config.reps
         seed = args.seed if args.seed is not None else config.seed
-        if seed is None:
-            seed = DEFAULT_SEED
         runner = run_size_experiment if config.kind == "size" else run_power_experiment
         print(f"{name}: {len(config.cells)} cells x {reps} reps (seed {seed}) ...",
               flush=True)

@@ -4,89 +4,14 @@ The package bundles the test statistic itself (``enc_test``), the
 least-squares and expanding-window machinery behind it (``regression``),
 synthetic data generators (``dgp``), a deterministic Monte Carlo harness for
 size/power studies (``monte_carlo``), the quarterly inflation application
-(``inflation``) and a command line (``splitenc``).
+(``inflation``), the CSV/JSON/markdown table syntax every output shares
+(``tables``) and a command line (``splitenc``).  The top level exports
+what the one-pair workflow needs; everything else is imported from its
+module.
 """
 
-from .dgp import (
-    SIGMA1,
-    SIGMA2,
-    Dgp1Spec,
-    Dgp2Spec,
-    Dgp3Spec,
-    RngStream,
-    estimate_factor,
-    simulate_dgp1,
-    simulate_dgp2,
-    simulate_mild_var,
-)
-from .enc_test import (
-    EncompassingResult,
-    ForecastErrorSet,
-    HacConfig,
-    LocalPowerInput,
-    SplitSpec,
-    bartlett_lrv,
-    classic_moment,
-    demeaned_split_terms,
-    encompassing_test,
-    limiting_variance,
-    local_power_mild,
-    local_power_stationary,
-    sample_mse,
-    split_moment_terms,
-)
-from .errors import (
-    BandwidthOutOfRange,
-    ConfigError,
-    CoverageError,
-    DegenerateSpectrum,
-    DegenerateVariance,
-    EmptyInput,
-    EmptyQuarter,
-    InsufficientData,
-    InvalidSpec,
-    InvalidSplit,
-    NonPositivePrice,
-    NumericalError,
-    ParseError,
-    RankDeficient,
-    SingularBlock,
-    SplitEncError,
-    ValidationError,
-)
-from .inflation import (
-    CountryResult,
-    CountryStudyConfig,
-    InflationPanel,
-    StudyReport,
-    annualized_inflation,
-    country_encompassing,
-    global_inflation,
-    load_panel,
-    run_study,
-)
-from .monte_carlo import (
-    CellResult,
-    ExperimentConfig,
-    McCell,
-    McReport,
-    RepOutcome,
-    collect_statistics,
-    load_experiment_config,
-    render_report,
-    run_power_experiment,
-    run_replication,
-    run_size_experiment,
-)
-from .regression import (
-    DirectDesign,
-    OlsFit,
-    RecursiveFitState,
-    TimeSeriesMatrix,
-    bic_select_lag,
-    expanding_window_coefficients,
-    expanding_window_forecast_errors,
-    solve_ols,
-)
+from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, encompassing_test
+from .errors import SplitEncError
+from .regression import DirectDesign, expanding_window_forecast_errors
 
 __version__ = "0.1.0"

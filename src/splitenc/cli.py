@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -30,7 +29,6 @@ from .enc_test import (
     LocalPowerInput,
     SplitSpec,
     encompassing_test,
-    local_power_mild,
     local_power_stationary,
 )
 from .errors import NumericalError, ParseError, ValidationError
@@ -41,8 +39,7 @@ from .monte_carlo import (
     run_power_experiment,
     run_size_experiment,
 )
-
-DEFAULT_SEED = 20240817
+from .tables import csv_text, json_text, markdown_text
 
 
 def _echo_config(options: dict) -> None:
@@ -97,18 +94,13 @@ def _result_text(result, format: str) -> str:
         "centering": result.centering,
     }
     if format == "json":
-        return json.dumps(record, indent=2) + "\n"
+        return json_text(record)
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in record.values()])
-        return buf.getvalue()
-    lines = ["| quantity | value |", "|---|---|"]
-    for key, val in record.items():
-        shown = f"{val:.6g}" if isinstance(val, float) else str(val)
-        lines.append(f"| {key} | {shown} |")
-    return "\n".join(lines) + "\n"
+        return csv_text(record.keys(), [record.values()])
+    return markdown_text(["quantity", "value"], [
+        [key, f"{val:.6g}" if isinstance(val, float) else str(val)]
+        for key, val in record.items()
+    ])
 
 
 def _cmd_test(args) -> int:
@@ -133,8 +125,6 @@ def _run_mc(args, runner, expected_kind: str) -> int:
             f"config kind is {config.kind!r}, expected {expected_kind!r}")
     reps = args.reps if args.reps is not None else config.reps
     seed = args.seed if args.seed is not None else config.seed
-    if seed is None:
-        seed = DEFAULT_SEED
     _echo_config({
         "config_file": args.config_file, "kind": config.kind, "cells": len(config.cells),
         "reps": reps, "seed": seed, "threads": args.threads, "format": args.format,
@@ -172,11 +162,11 @@ def _load_blocks(path):
 def _cmd_local_power(args) -> int:
     _echo_config({
         "blocks_file": args.blocks_file, "mu0": args.mu0, "pi0": args.pi0,
-        "phi2": args.phi2, "level": args.level, "mild": args.mild,
+        "phi2": args.phi2, "level": args.level,
         "c_scale": args.c_scale, "format": args.format,
     })
     blocks = _load_blocks(args.blocks_file)
-    calculator = local_power_mild if args.mild else local_power_stationary
+    columns = ["mu0", "c_scale", "drift", "power"]
     rows = []
     for mu0 in args.mu0:
         for scale in args.c_scale:
@@ -185,25 +175,17 @@ def _cmd_local_power(args) -> int:
                 b21=blocks["b21"], b22=blocks["b22"], phi2=args.phi2,
                 mu0=mu0, pi0=args.pi0, level=args.level,
             )
-            out = calculator(inp)
-            rows.append({"mu0": mu0, "c_scale": scale,
-                         "drift": out["drift"], "power": out["power"]})
+            out = local_power_stationary(inp)
+            rows.append([mu0, scale, out["drift"], out["power"]])
     if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json_text([dict(zip(columns, row)) for row in rows])
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["mu0", "c_scale", "drift", "power"])
-        for row in rows:
-            writer.writerow([repr(row["mu0"]), repr(row["c_scale"]),
-                             repr(row["drift"]), repr(row["power"])])
-        text = buf.getvalue()
+        text = csv_text(columns, rows)
     else:
-        lines = ["| mu0 | c_scale | drift | power |", "|---|---|---|---|"]
-        for row in rows:
-            lines.append(f"| {row['mu0']:g} | {row['c_scale']:g} | "
-                         f"{row['drift']:.6g} | {row['power']:.6g} |")
-        text = "\n".join(lines) + "\n"
+        text = markdown_text(columns, [
+            [f"{mu0:g}", f"{scale:g}", f"{drift:.6g}", f"{power:.6g}"]
+            for mu0, scale, drift, power in rows
+        ])
     _emit(text, args.out)
     return 0
 
@@ -272,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.10)
     p.add_argument("--c-scale", type=float, nargs="+", default=[1.0],
                    help="scale factors applied to the c vector")
-    p.add_argument("--mild", action="store_true",
-                   help="interpret the blocks as mildly-integrated limits")
     _add_common(p)
     p.set_defaults(func=_cmd_local_power)
 

@@ -1,13 +1,11 @@
 """Synthetic data generators for the simulation studies.
 
-Three designs are covered:
+Two designs are covered:
 
 * a predictive regression with an autoregressive predictor and moving-average
   h-step disturbances (``Dgp1Spec``),
 * a factor-augmented regression whose single common factor is recovered from
-  a cross-section by principal components (``Dgp2Spec``),
-* a mildly integrated VAR whose autoregressive roots drift toward unity with
-  the sample size (``Dgp3Spec``).
+  a cross-section by principal components (``Dgp2Spec``).
 
 Every generator is a deterministic function of (spec, RngStream): identical
 inputs reproduce identical paths bit for bit, and distinct stream ids give
@@ -132,49 +130,6 @@ class Dgp2Spec:
             raise InvalidSpec("burn_in must be >= 0")
 
 
-@dataclass(frozen=True)
-class Dgp3Spec:
-    """Mildly integrated VAR: x_t = diag(1 - b_i / T^a) x_{t-1} + v_t.
-
-    Localization constants b_i are positive, so every autoregressive root
-    sits below one and approaches it as T grows (faster for larger a).
-    a = 0 is accepted as the stationary limit of the parameterization.
-    """
-
-    T: int
-    b: np.ndarray
-    alpha_exp: float
-    innovation_cov: np.ndarray
-    burn_in: int = 200
-
-    def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if b.ndim != 1 or b.size < 1:
-            raise InvalidSpec("b must be a non-empty vector")
-        if not np.all(b > 0.0):
-            raise InvalidSpec("all localization constants must be positive")
-        if not (0.0 <= self.alpha_exp < 1.0):
-            raise InvalidSpec("alpha_exp must lie in [0, 1)")
-        if self.T < 50:
-            raise InvalidSpec("T must be at least 50")
-        if self.burn_in < 0:
-            raise InvalidSpec("burn_in must be >= 0")
-        coeffs = 1.0 - b / self.T ** self.alpha_exp
-        if not np.all((coeffs > 0.0) & (coeffs < 1.0)):
-            raise InvalidSpec("AR coefficients 1 - b_i/T^a must lie in (0, 1)")
-        cov = _check_cov("innovation_cov", self.innovation_cov, b.size)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "innovation_cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.b.size
-
-    @property
-    def ar_coefficients(self) -> np.ndarray:
-        return 1.0 - self.b / self.T ** self.alpha_exp
-
-
 def _ar1_path(innov: np.ndarray, coeff: float) -> np.ndarray:
     # x_t = coeff * x_{t-1} + innov_t with x_0 = 0, along axis 0
     return lfilter([1.0], [1.0, -coeff], innov, axis=0)
@@ -286,8 +241,10 @@ def estimate_factor(X) -> np.ndarray:
 
     Columns are demeaned internally; the estimate is sqrt(T) times the top
     eigenvector of the outer-product matrix X X' / (T N), so the factor has
-    unit sample variance, with its sign fixed to correlate non-negatively
-    with the panel's first column.
+    unit sample variance.  Its sign makes it correlate non-negatively with
+    the panel's first demeaned column, or with the first column whose
+    product with the factor exceeds EIGENGAP_RTOL times the largest when
+    earlier columns (e.g. constant ones) carry only rounding noise.
 
     The eigenvector of the smaller of the two Gram matrices comes from a
     power iteration that stops at a relative eigen-residual of POWER_RTOL.
@@ -317,19 +274,11 @@ def estimate_factor(X) -> np.ndarray:
     else:
         f = v
     f = f * np.sqrt(T)
-    if f @ X[:, 0] < 0.0:
+    # Sign anchor: the first demeaned column whose product with f is not
+    # negligible; a constant column's product is rounding noise.
+    p = f @ Xd
+    anchor = p[np.argmax(np.abs(p) > EIGENGAP_RTOL * np.max(np.abs(p)))]
+    if anchor < 0.0:
         f = -f
     return f
 
-
-def simulate_mild_var(spec: Dgp3Spec, rng: RngStream) -> np.ndarray:
-    """Simulate the mildly integrated VAR; returns a T x dim matrix."""
-    g = rng.generator()
-    total = spec.burn_in + spec.T
-    chol = np.linalg.cholesky(spec.innovation_cov)
-    v = g.standard_normal((total, spec.dim)) @ chol.T
-    coeffs = spec.ar_coefficients
-    x = np.empty_like(v)
-    for i in range(spec.dim):
-        x[:, i] = _ar1_path(v[:, i], coeffs[i])
-    return x[spec.burn_in:]

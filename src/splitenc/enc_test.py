@@ -304,8 +304,8 @@ class LocalPowerInput:
     c is the direction of the local departure of the extra predictors'
     coefficients; the b11..b22 blocks partition the second-moment matrix of
     the stacked regressors (the intercept + benchmark block versus the extra
-    predictors), holding the stationary-case moments or their
-    mildly-integrated analogues depending on which calculator is used.
+    predictors) and may hold either the stationary-case moments or their
+    mildly-integrated analogues; ``local_power_stationary`` treats both alike.
     phi2 is the long-run variance of the demeaned squared disturbances.
     """
 
@@ -350,7 +350,15 @@ class LocalPowerInput:
         object.__setattr__(self, "b22", b22)
 
 
-def _noncentral_power(inp: LocalPowerInput) -> dict:
+def local_power_stationary(inp: LocalPowerInput) -> dict:
+    """Drift and asymptotic power of the test against local alternatives.
+
+    The blocks of ``inp`` are the limits of the stacked regressors' sample
+    second moments: the stationary limits, with local departures shrinking
+    at rate T^(-1/4), or the normalized mildly-integrated limits, with the
+    faster T^(-(1/4 + a/2)) shrinkage that is why persistence buys power.
+    The algebra is the same for both.
+    """
     try:
         solved = np.linalg.solve(inp.b11, inp.b12)
     except np.linalg.LinAlgError:
@@ -368,22 +376,3 @@ def _noncentral_power(inp: LocalPowerInput) -> dict:
     else:
         power = float(norm.sf(norm.ppf(1.0 - inp.level) - drift))
     return {"drift": drift, "power": power}
-
-
-def local_power_stationary(inp: LocalPowerInput) -> dict:
-    """Drift and asymptotic power against local alternatives, stationary predictors.
-
-    The blocks of ``inp`` are the limits of the stacked regressors' sample
-    second moments; local departures shrink at rate T^(-1/4).
-    """
-    return _noncentral_power(inp)
-
-
-def local_power_mild(inp: LocalPowerInput) -> dict:
-    """Drift and asymptotic power with mildly integrated (persistent) predictors.
-
-    Same algebra as the stationary case with the blocks replaced by their
-    normalized persistent-regressor limits; the faster T^(-(1/4 + a/2))
-    shrinkage is why persistence buys power.
-    """
-    return _noncentral_power(inp)

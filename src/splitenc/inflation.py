@@ -16,8 +16,6 @@ interior gaps keep their longest contiguous block of quarters.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -34,6 +32,7 @@ from .errors import (
     SplitEncError,
 )
 from .regression import DirectDesign, bic_select_lag, expanding_window_forecast_errors
+from .tables import csv_text, json_text, markdown_text
 
 MIN_QUARTERS = 80  # minimum usable contiguous quarters per country
 
@@ -378,26 +377,27 @@ class StudyReport:
     def render(self, format: str = "markdown") -> str:
         if format == "markdown":
             return self._markdown()
-        if format == "csv":
-            return self._csv()
+        records = [{
+            "country": r.country,
+            "rmse_ratio": r.rmse_ratio,
+            **{f"p_mu0_{mu0:g}": r.p_values[mu0] for mu0 in self.mu0_list},
+            "selected_lag": r.selected_lag,
+            "n_forecasts": r.n_forecasts,
+        } for r in self.results]
         if format == "json":
-            return self._json()
+            return json_text({"results": records, "failures": dict(self.failures)})
+        if format == "csv":
+            cols = ["country", "rmse_ratio"] + [f"p_mu0_{m:g}" for m in self.mu0_list] \
+                + ["selected_lag", "n_forecasts"]
+            errors = [[country, f"error: {message}"] + [""] * (len(cols) - 2)
+                      for country, message in self.failures.items()]
+            return csv_text(cols, [rec.values() for rec in records] + errors)
         raise ValueError(f"unknown format {format!r}")
-
-    def _rows(self):
-        for r in self.results:
-            yield {
-                "country": r.country,
-                "rmse_ratio": r.rmse_ratio,
-                **{f"p_mu0_{mu0:g}": r.p_values[mu0] for mu0 in self.mu0_list},
-                "selected_lag": r.selected_lag,
-                "n_forecasts": r.n_forecasts,
-            }
 
     def _markdown(self) -> str:
         head = ["country", "rmse_ratio"] + [f"p (mu0={m:g})" for m in self.mu0_list] \
             + ["lag", "n"]
-        lines = ["| " + " | ".join(head) + " |", "|---" * len(head) + "|"]
+        rows = []
         for r in self.results:
             # bold marks a country where the global model both lowers RMSE
             # and rejects encompassing at the 10% level
@@ -406,30 +406,9 @@ class StudyReport:
             cells = [r.country, fmt(f"{r.rmse_ratio:.3f}")]
             cells += [fmt(f"{r.p_values[m]:.3f}") for m in self.mu0_list]
             cells += [str(r.selected_lag), str(r.n_forecasts)]
-            lines.append("| " + " | ".join(cells) + " |")
-        for country, message in self.failures.items():
-            lines.append(f"| {country} | error: {message} |")
-        return "\n".join(lines) + "\n"
-
-    def _csv(self) -> str:
-        buf = io.StringIO()
-        cols = ["country", "rmse_ratio"] + [f"p_mu0_{m:g}" for m in self.mu0_list] \
-            + ["selected_lag", "n_forecasts"]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        for row in self._rows():
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in (row[c] for c in cols)])
-        for country, message in self.failures.items():
-            writer.writerow([country, f"error: {message}"] + [""] * (len(cols) - 2))
-        return buf.getvalue()
-
-    def _json(self) -> str:
-        payload = {
-            "results": list(self._rows()),
-            "failures": dict(self.failures),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+            rows.append(cells)
+        rows += [[country, f"error: {message}"] for country, message in self.failures.items()]
+        return markdown_text(head, rows)
 
 
 def run_study(panel: InflationPanel, config: CountryStudyConfig) -> StudyReport:

@@ -15,11 +15,8 @@ flagged unreliable.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,10 +27,12 @@ from scipy.stats import norm
 
 from .dgp import SIGMA1, SIGMA2, Dgp1Spec, Dgp2Spec, RngStream, estimate_factor, simulate_dgp1, simulate_dgp2
 from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, encompassing_test
-from .errors import ConfigError, SplitEncError
+from .errors import ConfigError, InsufficientData, SplitEncError
 from .regression import DirectDesign, expanding_window_forecast_errors
+from .tables import csv_text, json_text, markdown_text
 
 FAILURE_SHARE_LIMIT = 0.01
+DEFAULT_SEED = 20240817  # base seed of a config that sets none
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,25 @@ class McCell:
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie in (0, 1)")
         SplitSpec(self.mu0)  # validates the split bounds
+
+    def forecast_origin(self) -> int:
+        """First forecast origin k0 = floor(T * pi0), checked without simulating.
+
+        Raises a SplitEncError unless both nested fits are identified at k0
+        (the larger model has three coefficients, so k0 >= 3 + h), the
+        n = T - h - k0 + 1 forecast errors number at least 10, and the split
+        location and bandwidth resolve at n.
+        """
+        T, h = self.dgp.T, self.dgp.h
+        k0 = int(math.floor(T * self.pi0))
+        if k0 < 3 + h:
+            raise InsufficientData(f"k0={k0} < 3 + h = {3 + h}")
+        n = T - h - k0 + 1
+        if n < 10:
+            raise InsufficientData(f"k0={k0} leaves {n} forecast errors (need at least 10)")
+        SplitSpec(self.mu0).m0(n)
+        self.hac.resolve(n)
+        return k0
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,7 @@ def _critical_value(level: float) -> float:
 
 def run_replication(cell: McCell, rep_id: int, base_seed: int) -> RepOutcome:
     """One replication; deterministic in (cell, rep_id, base_seed)."""
+    k0 = cell.forecast_origin()
     stream = RngStream(base_seed, rep_id)
     dgp = cell.dgp
     if isinstance(dgp, Dgp1Spec):
@@ -109,7 +128,6 @@ def run_replication(cell: McCell, rep_id: int, base_seed: int) -> RepOutcome:
         y, extra = sim["y"], estimate_factor(sim["X"])
     else:
         raise ValueError(f"unsupported DGP type {type(dgp).__name__}")
-    k0 = int(math.floor(dgp.T * cell.pi0))
     e1, e2 = _forecast_error_pair(y, extra, dgp.h, k0)
     fes = ForecastErrorSet(e1, e2, h=dgp.h, k0=k0)
     result = encompassing_test(fes, SplitSpec(cell.mu0), cell.hac)
@@ -222,10 +240,6 @@ def collect_statistics(cell: McCell, reps: int, base_seed: int, workers: int = 1
 
 # -- report rendering -------------------------------------------------------
 
-_CSV_COLUMNS = ("label", "reps", "rejection_frequency", "mc_se", "failures",
-                "mu0", "group", "reliable")
-
-
 def _cell_record(c: CellResult) -> dict:
     return {
         "label": c.label,
@@ -249,20 +263,19 @@ def render_report(report: McReport, format: str = "markdown") -> str:
     """
     if len(report.cells) == 0:
         raise ValueError("report has no cells")
+    records = [_cell_record(c) for c in report.cells]
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for c in report.cells:
-            rec = _cell_record(c)
-            writer.writerow([repr(rec[k]) if isinstance(rec[k], float) else rec[k]
-                             for k in _CSV_COLUMNS])
-        return buf.getvalue()
+        return csv_text(list(records[0]), [r.values() for r in records])
     if format == "json":
-        return json.dumps([_cell_record(c) for c in report.cells], indent=2) + "\n"
+        return json_text(records)
     if format == "markdown":
         return _render_markdown(report)
     raise ValueError(f"unknown format {format!r}")
+
+
+def _flagged(c: CellResult) -> str:
+    # "!" marks a cell with too many failed replications to be reliable
+    return f"{c.rejection_frequency:.3f}" + ("" if c.reliable else "!")
 
 
 def _render_markdown(report: McReport) -> str:
@@ -275,29 +288,16 @@ def _render_markdown(report: McReport) -> str:
         and len(by_key) == len(cells)
         and all((g, m) in by_key for g in groups for m in mu0s)
     )
-    lines = [f"# {report.kind or 'experiment'}: rejection frequencies "
-             f"(reps={report.reps}, seed={report.base_seed})", ""]
+    title = (f"# {report.kind or 'experiment'}: rejection frequencies "
+             f"(reps={report.reps}, seed={report.base_seed})\n\n")
     if pivot_ok:
-        header = "| cell | " + " | ".join(f"mu0={m:g}" for m in mu0s) + " |"
-        rule = "|---" * (len(mu0s) + 1) + "|"
-        lines += [header, rule]
-        for g in groups:
-            row = [g]
-            for m in mu0s:
-                c = by_key[(g, m)]
-                val = f"{c.rejection_frequency:.3f}"
-                if not c.reliable:
-                    val += "!"
-                row.append(val)
-            lines.append("| " + " | ".join(row) + " |")
+        columns = ["cell"] + [f"mu0={m:g}" for m in mu0s]
+        rows = [[g] + [_flagged(by_key[(g, m)]) for m in mu0s] for g in groups]
     else:
-        lines += ["| label | frequency | mc_se | failures |", "|---|---|---|---|"]
-        for c in cells:
-            lines.append(
-                f"| {c.label} | {c.rejection_frequency:.3f} | "
-                f"{c.mc_standard_error:.4f} | {c.failures} |"
-            )
-    return "\n".join(lines) + "\n"
+        columns = ["label", "frequency", "mc_se", "failures"]
+        rows = [[c.label, f"{c.rejection_frequency:.3f}", f"{c.mc_standard_error:.4f}",
+                 str(c.failures)] for c in cells]
+    return title + markdown_text(columns, rows)
 
 
 # -- experiment config files -------------------------------------------------
@@ -315,7 +315,7 @@ class ExperimentConfig:
     kind: str
     cells: tuple
     reps: int
-    seed: int | None = None
+    seed: int
 
 
 def _as_list(value):
@@ -365,6 +365,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     pi0 = float(_require(exp, "pi0", "experiment", default=0.25))
     mu0s = [float(m) for m in _as_list(_require(exp, "mu0", "experiment", required=True))]
     seed = exp.get("seed")
+    seed = DEFAULT_SEED if seed is None else int(seed)
     if "bandwidth" in exp and "bandwidth_c" in exp:
         raise ConfigError("experiment.bandwidth", "give either bandwidth or bandwidth_c, not both")
     if "bandwidth" in exp:
@@ -431,8 +432,12 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("dgp", str(exc)) from None
     if not cells:
         raise ConfigError("dgp", "config produced no cells")
-    return ExperimentConfig(kind=kind, cells=tuple(cells), reps=reps,
-                            seed=None if seed is None else int(seed))
+    for cell in cells:
+        try:
+            cell.forecast_origin()
+        except SplitEncError as exc:
+            raise ConfigError("experiment.pi0", f"cell {cell.label}: {exc}") from None
+    return ExperimentConfig(kind=kind, cells=tuple(cells), reps=reps, seed=seed)
 
 
 def _resolve_sigma(value):

@@ -18,37 +18,6 @@ import numpy as np
 
 from .errors import InsufficientData, RankDeficient
 
-# Reciprocal-condition floor below which the cross-product matrix is treated
-# as singular.
-RCOND_MIN = 1e-12
-
-
-@dataclass(frozen=True)
-class TimeSeriesMatrix:
-    """T x k matrix of raw observations on a common time index (row t = time t)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2:
-            raise ValueError("values must be a vector or a 2-d matrix")
-        if values.shape[0] < 1:
-            raise ValueError("need at least one time period")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observations must be finite (no missing values)")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class DirectDesign:
@@ -91,8 +60,6 @@ class DirectDesign:
         observed at time t (p = 0 gives an intercept-only design).  Usable
         target dates are t = h+1, ..., T.
         """
-        if isinstance(y, TimeSeriesMatrix):
-            y = y.values[:, 0]
         y = np.asarray(y, dtype=float)
         T = y.shape[0]
         if h < 1:
@@ -102,8 +69,6 @@ class DirectDesign:
         if predictors is None:
             lagged = np.empty((T - h, 0))
         else:
-            if isinstance(predictors, TimeSeriesMatrix):
-                predictors = predictors.values
             predictors = np.asarray(predictors, dtype=float)
             if predictors.ndim == 1:
                 predictors = predictors[:, None]
@@ -125,49 +90,6 @@ class DirectDesign:
     def last_target(self) -> int:
         """1-based date of the final target row."""
         return self.first_origin + self.n_rows - 1
-
-
-@dataclass
-class OlsFit:
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    ssr: float
-
-
-def solve_ols(X, y) -> OlsFit:
-    """Least-squares fit of y on X via orthogonal decomposition.
-
-    Parameters
-    ----------
-    X : (n, k) array with full column rank, n >= k.
-    y : (n,) array.
-
-    Returns
-    -------
-    OlsFit with the minimizing coefficients, residuals y - X b and their
-    sum of squares.
-
-    Raises
-    ------
-    RankDeficient
-        If the cross-product matrix X'X is singular to working precision
-        (reciprocal condition number below ``RCOND_MIN``).
-    InsufficientData
-        If there are fewer rows than columns.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, k) aligned with y of length n")
-    n, k = X.shape
-    if n < k:
-        raise InsufficientData(f"{n} rows < {k} columns")
-    coef, _, _, sv = np.linalg.lstsq(X, y, rcond=None)
-    # rcond of X'X is the squared singular-value ratio of X
-    if sv[0] <= 0.0 or (sv[-1] / sv[0]) ** 2 < RCOND_MIN:
-        raise RankDeficient("cross-product matrix singular to working precision")
-    residuals = y - X @ coef
-    return OlsFit(coefficients=coef, residuals=residuals, ssr=float(residuals @ residuals))
 
 
 def _solve_gram_batch(grams: np.ndarray, crosses: np.ndarray, origin0: int) -> np.ndarray:
@@ -245,36 +167,6 @@ def expanding_window_forecast_errors(design: DirectDesign, k0: int) -> np.ndarra
         raise InsufficientData("design too short to forecast from every origin")
     forecasts = np.einsum("ij,ij->i", coefs, rows)
     return design.targets[j0:] - forecasts
-
-
-@dataclass
-class RecursiveFitState:
-    """Running normal-equations state for one-observation-at-a-time updates.
-
-    Mathematically equivalent to refitting from scratch after every
-    ``absorb``; kept as the streaming counterpart of the vectorized
-    expanding-window path and cross-checked against it in the test suite.
-    """
-
-    gram: np.ndarray
-    cross: np.ndarray
-    count: int = 0
-
-    @classmethod
-    def empty(cls, k: int) -> "RecursiveFitState":
-        return cls(gram=np.zeros((k, k)), cross=np.zeros(k), count=0)
-
-    def absorb(self, x, y: float) -> None:
-        x = np.asarray(x, dtype=float)
-        self.gram += np.outer(x, x)
-        self.cross += x * float(y)
-        self.count += 1
-
-    def coefficients(self) -> np.ndarray:
-        k = self.cross.shape[0]
-        if self.count < k:
-            raise InsufficientData(f"{self.count} observations absorbed for {k} parameters")
-        return _solve_gram_batch(self.gram[None], self.cross[None], origin0=self.count)[0]
 
 
 def bic_select_lag(y, h: int, p_max: int = 8, lag_source=None) -> int:

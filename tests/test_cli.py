@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+import splitenc.monte_carlo as mc
 from splitenc.cli import main
 
 GOLDEN_STATISTIC = 3.196545488539244  # frozen from the direct-formula oracle
@@ -29,6 +30,13 @@ class TestCmdTest:
                                "--mu0", "0.4", "--bandwidth", "2")
         assert code == 0
         assert _table_body(out) == (data_dir / "golden_cli_test.md").read_text()
+
+    @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("json", "json")])
+    def test_machine_formats_golden(self, capsys, data_dir, fmt, ext):
+        code, out, _ = run_cli(capsys, "test", str(data_dir / "errors_fixture.csv"),
+                               "--mu0", "0.4", "--bandwidth", "2", "--format", fmt)
+        assert code == 0
+        assert _table_body(out) == (data_dir / f"golden_cli_test.{ext}").read_text()
 
     def test_csv_has_full_precision(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "test", str(data_dir / "errors_fixture.csv"),
@@ -94,7 +102,43 @@ dgp:
 """
 
 
+# the cell grid of golden_mc_report.* (reps=50, seed=7)
+GOLDEN_GRID_CONFIG = """
+experiment:
+  kind: size
+  reps: 50
+  mu0: [0.40, 0.45]
+  seed: 7
+dgp:
+  family: dgp1
+  T: 250
+  h: 1
+  rho: 0.25
+"""
+
+
 class TestMcCommands:
+    @pytest.mark.parametrize("fmt, ext", [("markdown", "md"), ("csv", "csv"), ("json", "json")])
+    def test_golden_grid(self, capsys, tmp_path, data_dir, fmt, ext):
+        config = tmp_path / "size.yaml"
+        config.write_text(textwrap.dedent(GOLDEN_GRID_CONFIG))
+        out = tmp_path / f"report.{ext}"
+        assert run_cli(capsys, "mc-size", str(config), "--format", fmt,
+                       "--out", str(out))[0] == 0
+        assert out.read_text() == (data_dir / f"golden_mc_report.{ext}").read_text()
+
+    def test_infeasible_cell_fails_before_any_replication(self, capsys, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(mc, "run_replication", lambda *a: calls.append(a))
+        config = tmp_path / "size.yaml"
+        config.write_text(textwrap.dedent(TINY_SIZE_CONFIG).replace(
+            "T: 150", "T: [1000, 150]").replace("reps: 30", "reps: 30\n  pi0: 0.95"))
+        code, out, err = run_cli(capsys, "mc-size", str(config))
+        assert code == 2
+        assert "experiment.pi0" in err and "T=150" in err
+        assert out == "" and calls == []
+
     def test_threads_do_not_change_output_file(self, capsys, tmp_path):
         config = tmp_path / "size.yaml"
         config.write_text(textwrap.dedent(TINY_SIZE_CONFIG))
@@ -186,10 +230,13 @@ class TestLocalPowerCommand:
         drifts = [float(r["drift"]) for r in csv.DictReader(io.StringIO(_table_body(out)))]
         assert all(b > a for a, b in zip(drifts, drifts[1:]))
 
-    def test_mild_flag(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "local-power", self._blocks(tmp_path),
-                               "--mild", "--format", "csv")
+    @pytest.mark.parametrize("fmt, ext", [("markdown", "md"), ("csv", "csv"), ("json", "json")])
+    def test_golden_snapshots(self, capsys, data_dir, fmt, ext):
+        code, out, _ = run_cli(capsys, "local-power", str(data_dir / "blocks_fixture.json"),
+                               "--mu0", "0.30", "0.45", "--c-scale", "0.0", "1.0",
+                               "--format", fmt)
         assert code == 0
+        assert _table_body(out) == (data_dir / f"golden_local_power.{ext}").read_text()
 
     def test_missing_block_key(self, capsys, tmp_path):
         path = tmp_path / "blocks.json"
@@ -206,6 +253,12 @@ class TestInflationCommand:
                              "--out", str(out_file))
         assert code == 0
         assert out_file.read_text() == (data_dir / "golden_study.md").read_text()
+
+    @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("json", "json")])
+    def test_machine_formats_golden(self, capsys, fixture_panel_path, data_dir, fmt, ext):
+        code, out, _ = run_cli(capsys, "inflation", fixture_panel_path, "--format", fmt)
+        assert code == 0
+        assert _table_body(out) == (data_dir / f"golden_study.{ext}").read_text()
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "inflation", "/nonexistent/panel.csv")

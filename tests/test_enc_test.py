@@ -25,7 +25,6 @@ from splitenc.enc_test import (
     demeaned_split_terms,
     encompassing_test,
     limiting_variance,
-    local_power_mild,
     local_power_stationary,
     sample_mse,
     split_moment_terms,
@@ -357,10 +356,6 @@ class TestLocalPower:
         out = local_power_stationary(inp)
         assert out["drift"] == 0.0
         assert out["power"] == 0.10
-
-    def test_mild_same_algebra(self):
-        inp = _scalar_input(1.0)
-        assert local_power_mild(inp) == local_power_stationary(inp)
 
     def test_drift_linear_in_extra_block(self):
         base = local_power_stationary(_scalar_input(1.0))

@@ -299,6 +299,10 @@ class TestRunStudy:
         report = run_study(fixture_panel, CountryStudyConfig())
         assert report.render("markdown") == (data_dir / "golden_study.md").read_text()
 
+    def test_unknown_format(self, fixture_panel):
+        with pytest.raises(ValueError, match="format"):
+            run_study(fixture_panel, CountryStudyConfig()).render("xml")
+
     def test_empty_mu0_list_rejected(self):
         with pytest.raises(ValueError, match="mu0_list"):
             CountryStudyConfig(mu0_list=())

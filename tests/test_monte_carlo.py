@@ -10,7 +10,14 @@ from numpy.testing import assert_array_equal
 
 import splitenc.monte_carlo as mc
 from splitenc.dgp import SIGMA2, Dgp1Spec, Dgp2Spec
-from splitenc.errors import ConfigError, InvalidSplit, NumericalError
+from splitenc.enc_test import HacConfig
+from splitenc.errors import (
+    BandwidthOutOfRange,
+    ConfigError,
+    InsufficientData,
+    InvalidSplit,
+    NumericalError,
+)
 from splitenc.monte_carlo import (
     McCell,
     collect_statistics,
@@ -50,6 +57,15 @@ class TestRunReplication:
             for rep in range(5):
                 out = run_replication(cell, rep, 99)
                 assert out.reject == (out.statistic > float(norm.ppf(1.0 - level)))
+
+    def test_forecast_origin_checks(self):
+        assert _cell(T=250, pi0=0.25).forecast_origin() == 62
+        with pytest.raises(InsufficientData):
+            _cell(T=60, pi0=0.05).forecast_origin()  # k0 = 3 < 3 + h
+        with pytest.raises(InsufficientData):
+            _cell(T=150, pi0=0.95).forecast_origin()  # 8 forecast errors
+        with pytest.raises(BandwidthOutOfRange):
+            _cell(T=100, hac=HacConfig(bandwidth=80)).forecast_origin()
 
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
@@ -197,6 +213,24 @@ class TestConfigLoading:
         assert labels[0] == "dgp1,h=1,T=250,rho=0.25,mu0=0.4"
         assert len(set(labels)) == len(labels)
         assert_array_equal(config.cells[0].dgp.sigma, SIGMA2)
+
+    def test_missing_seed_loads_default_seed(self, tmp_path):
+        path = self._write(tmp_path, """
+            experiment: {kind: size, mu0: [0.45]}
+            dgp: {family: dgp1, T: 250}
+        """)
+        assert load_experiment_config(path).seed == mc.DEFAULT_SEED
+
+    def test_infeasible_cell_rejected_at_load(self, tmp_path):
+        # T=150 leaves 8 forecast errors after k0 = floor(0.95 * 150)
+        path = self._write(tmp_path, """
+            experiment: {kind: size, mu0: [0.45], pi0: 0.95}
+            dgp: {family: dgp1, T: [1000, 150]}
+        """)
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.key_path == "experiment.pi0"
+        assert "dgp1,h=1,T=150,rho=0.25,mu0=0.45" in str(err.value)
 
     def test_power_grid_includes_beta2_in_group(self, tmp_path):
         path = self._write(tmp_path, """

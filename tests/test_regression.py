@@ -7,50 +7,10 @@ from splitenc.dgp import RngStream
 from splitenc.errors import InsufficientData, RankDeficient
 from splitenc.regression import (
     DirectDesign,
-    RecursiveFitState,
-    TimeSeriesMatrix,
     bic_select_lag,
     expanding_window_coefficients,
     expanding_window_forecast_errors,
-    solve_ols,
 )
-
-
-class TestSolveOls:
-    def test_constant_column_returns_mean(self):
-        fit = solve_ols(np.ones((5, 1)), np.array([1.0, 2, 3, 4, 5]))
-        assert_allclose(fit.coefficients, [3.0], rtol=1e-14)
-        assert_allclose(fit.ssr, 10.0, rtol=1e-12)
-
-    def test_exact_line(self):
-        X = np.array([[1.0, 0], [1, 1], [1, 2]])
-        fit = solve_ols(X, np.array([0.0, 1, 2]))
-        assert_allclose(fit.coefficients, [0.0, 1.0], atol=1e-12)
-        assert fit.ssr < 1e-24
-        assert_allclose(fit.residuals, np.zeros(3), atol=1e-12)
-
-    def test_matches_normal_equations_oracle(self, rng):
-        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
-        y = rng.standard_normal(50)
-        fit = solve_ols(X, y)
-        assert_allclose(fit.coefficients, ols_normal_equations(X, y), rtol=1e-8)
-        assert_allclose(fit.ssr, float(fit.residuals @ fit.residuals), rtol=1e-12)
-
-    def test_duplicate_column_rank_deficient(self, rng):
-        x = rng.standard_normal(20)
-        X = np.column_stack([np.ones(20), x, x])
-        with pytest.raises(RankDeficient):
-            solve_ols(X, rng.standard_normal(20))
-
-    def test_near_collinear_triggers_condition_guard(self, rng):
-        x = rng.standard_normal(40)
-        X = np.column_stack([np.ones(40), x, x + 1e-9 * rng.standard_normal(40)])
-        with pytest.raises(RankDeficient):
-            solve_ols(X, rng.standard_normal(40))
-
-    def test_more_columns_than_rows(self, rng):
-        with pytest.raises(InsufficientData):
-            solve_ols(rng.standard_normal((2, 3)), rng.standard_normal(2))
 
 
 class TestDirectDesign:
@@ -69,20 +29,6 @@ class TestDirectDesign:
         with pytest.raises(ValueError, match="intercept"):
             DirectDesign(regressors=rng.standard_normal((10, 2)),
                          targets=rng.standard_normal(10), h=1, first_origin=2)
-
-    def test_timeseries_matrix_validation(self):
-        with pytest.raises(ValueError):
-            TimeSeriesMatrix(np.array([[1.0], [np.nan]]))
-        m = TimeSeriesMatrix(np.arange(6.0).reshape(3, 2))
-        assert m.T == 3 and m.k == 2
-
-    def test_from_series_accepts_timeseries_matrix(self, rng):
-        y = rng.standard_normal(20)
-        x = rng.standard_normal((20, 2))
-        d1 = DirectDesign.from_series(TimeSeriesMatrix(y), TimeSeriesMatrix(x), h=2)
-        d2 = DirectDesign.from_series(y, x, h=2)
-        assert_array_equal(d1.regressors, d2.regressors)
-        assert_array_equal(d1.targets, d2.targets)
 
 
 class TestExpandingWindow:
@@ -103,6 +49,20 @@ class TestExpandingWindow:
         # which excludes the last h design rows (their targets come later)
         batch = np.linalg.lstsq(d.regressors[:-2], d.targets[:-2], rcond=None)[0]
         assert_allclose(coefs[-1], batch, rtol=1e-8, atol=1e-10)
+
+    def test_endpoint_matches_normal_equations_oracle(self, rng):
+        y = rng.standard_normal(50)
+        d = DirectDesign.from_series(y, rng.standard_normal((50, 2)), h=1)
+        coefs = expanding_window_coefficients(d, k0=10)
+        # the final origin fits every row but the last
+        oracle = ols_normal_equations(d.regressors[:-1], d.targets[:-1])
+        assert_allclose(coefs[-1], oracle, rtol=1e-8)
+
+    def test_duplicate_column_rank_deficient(self, rng):
+        x = rng.standard_normal(20)
+        d = DirectDesign.from_series(rng.standard_normal(20), np.column_stack([x, x]), h=1)
+        with pytest.raises(RankDeficient):
+            expanding_window_coefficients(d, k0=5)
 
     def test_matches_per_origin_refits_on_ar1(self):
         g = RngStream(7, 0).generator()
@@ -173,25 +133,6 @@ class TestExpandingWindow:
         d = DirectDesign.from_series(y, x, h=1)
         with pytest.raises(RankDeficient, match="t="):
             expanding_window_coefficients(d, k0=5)
-
-
-class TestRecursiveFitState:
-    def test_matches_batch_after_each_absorb(self, rng):
-        X = np.column_stack([np.ones(25), rng.standard_normal((25, 2))])
-        y = rng.standard_normal(25)
-        state = RecursiveFitState.empty(3)
-        for i in range(25):
-            state.absorb(X[i], y[i])
-            if i >= 4:
-                batch = np.linalg.lstsq(X[: i + 1], y[: i + 1], rcond=None)[0]
-                assert_allclose(state.coefficients(), batch, rtol=1e-8, atol=1e-10)
-        assert state.count == 25
-
-    def test_underdetermined_state(self):
-        state = RecursiveFitState.empty(2)
-        state.absorb([1.0, 0.5], 1.0)
-        with pytest.raises(InsufficientData):
-            state.coefficients()
 
 
 class TestBicSelectLag:
