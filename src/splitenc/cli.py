@@ -148,6 +148,8 @@ def _load_blocks(path):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"blocks file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError("blocks file must be a JSON object")
     keys = {k.lower(): k for k in raw}
     out = {}
     for name in ("c", "b11", "b12", "b21", "b22"):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DegenerateSpectrum, InvalidSpec
 
@@ -130,13 +129,20 @@ class Dgp2Spec:
             raise InvalidSpec("burn_in must be >= 0")
 
 
+# scipy.signal is imported where a path is filtered, not at module import:
+# it is the slowest import of the package, and only the simulators use it.
+
 def _ar1_path(innov: np.ndarray, coeff: float) -> np.ndarray:
     # x_t = coeff * x_{t-1} + innov_t with x_0 = 0, along axis 0
+    from scipy.signal import lfilter
+
     return lfilter([1.0], [1.0, -coeff], innov, axis=0)
 
 
 def _ma_path(innov: np.ndarray, theta: float, h: int) -> np.ndarray:
     # w_t = sum_{j=0}^{h-1} theta^j innov_{t-j}, missing pre-sample terms as 0
+    from scipy.signal import lfilter
+
     return lfilter(theta ** np.arange(h), [1.0], innov)
 
 
@@ -144,14 +150,15 @@ def _h_step_ar(drive: np.ndarray, beta1: float, h: int) -> np.ndarray:
     """Solve y_t = beta1 * y_{t-h} + drive_t with zero pre-sample values.
 
     The recursion decouples into h independent first-order recursions, one
-    per residue class of t mod h.
+    per residue class of t mod h.  Zero-padded to a multiple of h and read
+    as a (ceil(T/h), h) array, each column is one residue class, so a
+    single filter call along axis 0 runs all of them.
     """
-    if h == 1:
-        return _ar1_path(drive, beta1)
-    y = np.empty_like(drive)
-    for r in range(h):
-        y[r::h] = _ar1_path(drive[r::h], beta1)
-    return y
+    T = drive.shape[0]
+    rows = -(-T // h)
+    padded = np.zeros(rows * h)
+    padded[:T] = drive
+    return _ar1_path(padded.reshape(rows, h), beta1).reshape(-1)[:T]
 
 
 def simulate_dgp1(spec: Dgp1Spec, rng: RngStream) -> dict:
@@ -162,8 +169,7 @@ def simulate_dgp1(spec: Dgp1Spec, rng: RngStream) -> dict:
     shocks = g.standard_normal((total, 2)) @ chol.T
     eps, v = shocks[:, 0], shocks[:, 1]
     x = _ar1_path(v, spec.rho)
-    w = _ma_path(eps, spec.theta, spec.h)
-    drive = w.copy()
+    drive = _ma_path(eps, spec.theta, spec.h)
     drive[spec.h:] += spec.beta2 * x[:-spec.h]  # x_{t-h} enters once it exists
     y = _h_step_ar(drive, spec.beta1, spec.h)
     return {"y": y[spec.burn_in:], "x": x[spec.burn_in:]}

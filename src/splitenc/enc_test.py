@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     BandwidthOutOfRange,
@@ -267,7 +267,7 @@ def encompassing_test(
     if omega2 <= OMEGA2_FLOOR * (1.0 + dbar * dbar):
         raise DegenerateVariance(f"long-run variance {omega2:g} too small to studentize")
     statistic = math.sqrt(n) * dbar / math.sqrt(omega2)
-    p_value = min(max(float(norm.sf(statistic)), 0.0), 1.0)
+    p_value = min(max(float(ndtr(-statistic)), 0.0), 1.0)
     return EncompassingResult(
         dbar=dbar,
         omega2=omega2,
@@ -374,5 +374,5 @@ def local_power_stationary(inp: LocalPowerInput) -> dict:
     if drift == 0.0:
         power = inp.level  # analytic simplification: the null case is size
     else:
-        power = float(norm.sf(norm.ppf(1.0 - inp.level) - drift))
+        power = float(ndtr(-(ndtri(1.0 - inp.level) - drift)))
     return {"drift": drift, "power": power}

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .dgp import SIGMA1, SIGMA2, Dgp1Spec, Dgp2Spec, RngStream, estimate_factor, simulate_dgp1, simulate_dgp2
 from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, encompassing_test
@@ -112,7 +112,7 @@ def _forecast_error_pair(y, extra, h: int, k0: int):
 @functools.cache
 def _critical_value(level: float) -> float:
     """One-sided standard-normal critical value at the nominal level."""
-    return float(norm.ppf(1.0 - level))
+    return float(ndtri(1.0 - level))
 
 
 def run_replication(cell: McCell, rep_id: int, base_seed: int) -> RepOutcome:
@@ -363,6 +363,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     reps = int(_require(exp, "reps", "experiment", default=10000))
     level = float(_require(exp, "level", "experiment", default=0.10))
     pi0 = float(_require(exp, "pi0", "experiment", default=0.25))
+    if reps < 1:
+        raise ConfigError("experiment.reps", f"must be at least 1, got {reps}")
+    for key, value in (("level", level), ("pi0", pi0)):
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"experiment.{key}", f"must lie in (0, 1), got {value:g}")
     mu0s = [float(m) for m in _as_list(_require(exp, "mu0", "experiment", required=True))]
     seed = exp.get("seed")
     seed = DEFAULT_SEED if seed is None else int(seed)

@@ -113,6 +113,17 @@ def ma_autocov_theory(theta, h, lag, var_eps=1.0):
     return var_eps * sum(theta ** j * theta ** (j + lag) for j in range(h - lag))
 
 
+def h_step_ar_by_residue_class(drive, beta1, h):
+    """y_t = beta1 y_{t-h} + drive_t from zero, one first-order filter per class t mod h."""
+    from scipy.signal import lfilter
+
+    drive = np.asarray(drive, dtype=float)
+    y = np.empty_like(drive)
+    for r in range(h):
+        y[r::h] = lfilter([1.0], [1.0, -beta1], drive[r::h])
+    return y
+
+
 def expanding_refit_oracle(Z, y, k0_row, n_fits=None):
     """Per-origin batch refits: row j holds the fit on observations 0..k0_row+j."""
     Z = np.asarray(Z, dtype=float)

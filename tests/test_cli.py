@@ -169,6 +169,19 @@ class TestMcCommands:
         assert code == 2
         assert "dgp.rho_typo" in err
 
+    @pytest.mark.parametrize("line, key_path", [("reps: 0", "experiment.reps"),
+                                                ("level: 1.5", "experiment.level")])
+    def test_bad_experiment_value_exits_2_with_key_path(self, capsys, tmp_path, monkeypatch,
+                                                        line, key_path):
+        calls = []
+        monkeypatch.setattr(mc, "run_replication", lambda *a: calls.append(a))
+        config = tmp_path / "size.yaml"
+        config.write_text(textwrap.dedent(TINY_SIZE_CONFIG).replace("reps: 30", line))
+        code, out, err = run_cli(capsys, "mc-size", str(config))
+        assert code == 2
+        assert key_path in err
+        assert out == "" and calls == []
+
     def test_kind_mismatch(self, capsys, tmp_path):
         config = tmp_path / "size.yaml"
         config.write_text(textwrap.dedent(TINY_SIZE_CONFIG))
@@ -244,6 +257,13 @@ class TestLocalPowerCommand:
         code, _, err = run_cli(capsys, "local-power", str(path))
         assert code == 2
         assert "b12" in err
+
+    def test_blocks_file_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "blocks.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "local-power", str(path))
+        assert code == 2
+        assert "JSON object" in err
 
 
 class TestInflationCommand:

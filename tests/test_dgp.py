@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import splitenc.dgp as dgp_module
-from _oracles import ma_autocov_theory
+from _oracles import h_step_ar_by_residue_class, ma_autocov_theory
 from splitenc.dgp import (
     SIGMA1,
     SIGMA2,
@@ -106,6 +106,19 @@ class TestDgp1:
             Dgp1Spec(T=100, h=1, beta1=1.5)
         with pytest.raises(InvalidSpec):
             Dgp1Spec(T=100, h=1, sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestHStepAr:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 30),
+           st.floats(-0.99, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_residue_class_loop(self, seed, T, h, beta1):
+        # includes T < h, where some residue classes are empty
+        drive = np.random.default_rng(seed).standard_normal(T)
+        y = dgp_module._h_step_ar(drive, beta1, h)
+        assert y.shape == (T,)
+        assert_array_equal(y.view(np.int64),
+                           h_step_ar_by_residue_class(drive, beta1, h).view(np.int64))
 
 
 class TestDgp2:

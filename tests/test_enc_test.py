@@ -288,7 +288,7 @@ class TestEncompassingTest:
         # and the result object's p matches its own statistic
         e1, e2 = _random_pair(3, 30)
         res = encompassing_test(ForecastErrorSet(e1, e2), SplitSpec(0.40), HacConfig())
-        assert_allclose(res.p_value, norm.sf(res.statistic), rtol=0, atol=1e-15)
+        assert res.p_value == norm.sf(res.statistic)
 
     def test_result_identity_fields(self):
         e1, e2 = _random_pair(4, 25)
@@ -348,6 +348,13 @@ class TestLocalPower:
         oracle = local_power_direct(c, b11, b12, b12.T, b22, 1.7, 0.40, 0.25, 0.10)
         assert_allclose(ours["drift"], oracle["drift"], rtol=1e-10)
         assert_allclose(ours["power"], oracle["power"], rtol=0, atol=1e-9)
+
+    def test_power_equals_normal_tail_exactly(self):
+        for level in (0.01, 0.05, 0.10, 0.25):
+            for scale in (0.05, 0.3, 1.0, -0.4):
+                out = local_power_stationary(_scalar_input(scale, level=level))
+                assert out["drift"] != 0.0
+                assert out["power"] == norm.sf(norm.ppf(1.0 - level) - out["drift"])
 
     def test_collinear_extra_predictors_have_no_drift(self):
         # b22 equals b21 b11^{-1} b12: the extra block adds nothing

@@ -232,6 +232,26 @@ class TestConfigLoading:
         assert err.value.key_path == "experiment.pi0"
         assert "dgp1,h=1,T=150,rho=0.25,mu0=0.45" in str(err.value)
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_reps_below_one_rejected(self, tmp_path, reps):
+        path = self._write(tmp_path, f"""
+            experiment: {{kind: size, mu0: [0.45], reps: {reps}}}
+            dgp: {{family: dgp1, T: 250}}
+        """)
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.key_path == "experiment.reps"
+
+    @pytest.mark.parametrize("key, value", [("level", 0.0), ("level", 1.5), ("pi0", 1.0)])
+    def test_fraction_outside_unit_interval_rejected(self, tmp_path, key, value):
+        path = self._write(tmp_path, f"""
+            experiment: {{kind: size, mu0: [0.45], {key}: {value}}}
+            dgp: {{family: dgp1, T: 250}}
+        """)
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.key_path == f"experiment.{key}"
+
     def test_power_grid_includes_beta2_in_group(self, tmp_path):
         path = self._write(tmp_path, """
             experiment: {kind: power, mu0: [0.45]}

@@ -20,15 +20,39 @@ def test_readme_library_sketch_imports():
         assert hasattr(splitenc, name), name
 
 
-def test_reproduce_tables_smoke(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_reproduce_tables_smoke(tmp_path):
     subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"),
          "--only", "table1", "--reps", "1", "--out-dir", str(tmp_path)],
-        check=True, env=env, capture_output=True, timeout=300,
+        check=True, env=_src_env(), capture_output=True, timeout=300,
     )
     assert (tmp_path / "table1.md").is_file()
     with open(tmp_path / "table1.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 144  # header + 3 T x 4 h x 3 rho x 4 mu0 cells
+
+
+# Runs in a fresh interpreter; the last stdout line is "<exit code> <loaded modules>".
+_IMPORT_GUARD = """
+import sys
+heavy = ("scipy.stats", "scipy.signal")
+import splitenc.cli
+loaded = [m for m in heavy if m in sys.modules]
+code = splitenc.cli.main(["test", sys.argv[1]])
+loaded += [m for m in heavy if m in sys.modules]
+print(code, sorted(set(loaded)))
+"""
+
+
+def test_cli_test_command_loads_neither_scipy_stats_nor_signal():
+    # each costs about a second of cold start; the test path needs neither
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(ROOT / "tests" / "data" / "errors_fixture.csv")],
+        check=True, env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
