@@ -17,6 +17,7 @@ import time
 from splitenc.monte_carlo import (
     load_experiment_config,
     render_report,
+    replication_count,
     run_power_experiment,
     run_size_experiment,
 )
@@ -33,7 +34,8 @@ TABLES = {
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=None, help="override config reps")
+    parser.add_argument("--reps", type=replication_count, default=None,
+                        help="override config reps")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--only", nargs="+", choices=sorted(TABLES), default=sorted(TABLES))

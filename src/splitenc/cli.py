@@ -36,6 +36,7 @@ from .inflation import CountryStudyConfig, load_panel, run_study
 from .monte_carlo import (
     load_experiment_config,
     render_report,
+    replication_count,
     run_power_experiment,
     run_size_experiment,
 )
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config_file", help="YAML experiment definition")
-        p.add_argument("--reps", type=int, default=None)
+        p.add_argument("--reps", type=replication_count, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
         _add_common(p)

@@ -116,10 +116,6 @@ class SplitSpec:
         return m0
 
 
-def _validate_mu0(mu0: float) -> float:
-    return SplitSpec(mu0).mu0
-
-
 @dataclass(frozen=True)
 class HacConfig:
     """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3)))."""
@@ -291,7 +287,7 @@ def limiting_variance(mu0: float, lrv_eta: float) -> float:
     the demeaned squared disturbances; it vanishes as mu0 approaches 1/2,
     which is why that point is excluded.
     """
-    mu0 = _validate_mu0(mu0)
+    mu0 = SplitSpec(mu0).mu0
     if lrv_eta < 0.0:
         raise ValueError("long-run variance must be non-negative")
     return (1.0 - 2.0 * mu0) ** 2 / (4.0 * mu0 * (1.0 - mu0)) * lrv_eta
@@ -339,7 +335,7 @@ class LocalPowerInput:
             raise ValueError("pi0 must lie in (0, 1)")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie in (0, 1)")
-        _validate_mu0(self.mu0)
+        SplitSpec(self.mu0)  # validates the split bounds
         for name, val in (("c", c), ("b11", b11), ("b12", b12), ("b21", b21), ("b22", b22)):
             if not np.all(np.isfinite(val)):
                 raise ValueError(f"{name} must be finite")

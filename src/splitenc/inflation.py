@@ -290,20 +290,17 @@ def _lag_columns(series: np.ndarray, h: int, n_lags: int, t0: int):
 
 
 def _country_designs(panel: InflationPanel, country: str, config: CountryStudyConfig,
-                     selected_lag: int):
+                     selected_lag: int, b0: int, pih: np.ndarray, pi1: np.ndarray):
     """Benchmark and global-augmented designs on the country's block.
 
-    Both designs share the same target rows (the intersection of the two
-    models' usable ranges), so dropping the global columns of the large
-    design reproduces the benchmark exactly.
+    The block starts at panel row b0; pih and pi1 are its h-quarter and
+    one-quarter annualized inflation.  Both designs share the same target
+    rows (the intersection of the two models' usable ranges), so dropping
+    the global columns of the large design reproduces the benchmark exactly.
     """
     h, p2 = config.h, config.p2
-    b0, prices = panel.block(country)
-    T_i = prices.shape[0]
-    pih = annualized_inflation(prices, h)
-    pi1 = annualized_inflation(prices, 1)
-    j = panel.countries.index(country)
-    exclude = None if config.include_own_country else j
+    T_i = pih.shape[0]
+    exclude = None if config.include_own_country else panel.countries.index(country)
     g_panel = _contributor_mean(_qoq_matrix(panel), exclude=exclude)
     g = g_panel[b0:b0 + T_i]
     g_first = _first_finite(g)
@@ -324,7 +321,7 @@ def _country_designs(panel: InflationPanel, country: str, config: CountryStudyCo
         regressors=np.column_stack([ones] + own + glob), targets=targets,
         h=h, first_origin=t0 + 1,
     )
-    return bench, large, T_i
+    return bench, large
 
 
 def country_encompassing(panel: InflationPanel, country: str,
@@ -339,14 +336,14 @@ def country_encompassing(panel: InflationPanel, country: str,
     if country not in panel.countries:
         raise ValueError(f"country {country!r} not in panel")
     try:
-        _, prices = panel.block(country)
+        b0, prices = panel.block(country)
         h = config.h
         pih = annualized_inflation(prices, h)
         pi1 = annualized_inflation(prices, 1)
         # shift by one quarter so the lag source is finite everywhere accessed
         selected = bic_select_lag(pih[1:], h=h, p_max=config.p_max, lag_source=pi1[1:])
-        bench, large, T_i = _country_designs(panel, country, config, selected)
-        k0 = int(math.floor(T_i * config.pi0))
+        bench, large = _country_designs(panel, country, config, selected, b0, pih, pi1)
+        k0 = int(math.floor(prices.shape[0] * config.pi0))
         e1 = expanding_window_forecast_errors(bench, k0)
         e2 = expanding_window_forecast_errors(large, k0)
         fes = ForecastErrorSet(e1, e2, h=h, k0=k0)

@@ -4,13 +4,15 @@ Each experiment cell pairs a simulation design with the test's tuning inputs
 (split fraction, bandwidth policy, nominal level, forecast start fraction).
 A replication simulates the design, produces recursive expanding-window
 forecasts from both nested models starting at k0 = floor(T * pi0), runs the
-encompassing test and records the rejection.
+encompassing test and yields its statistic.  The test is one-sided, so a
+replication rejects when its statistic exceeds the normal critical value at
+the cell's level.
 
 Determinism: the random stream of a replication is keyed by
 (base seed, cell index, replication id) only, so reports are bit-identical
-across worker counts and execution orders.  Replications that abort with a
-numerical error are dropped and counted; a cell with 1% or more failures is
-flagged unreliable.
+across worker counts and execution orders.  A replication that aborts with a
+numerical error yields NaN: it is dropped and counted as a failure, and a
+cell with 1% or more failures is flagged unreliable.
 """
 
 from __future__ import annotations
@@ -75,12 +77,6 @@ class McCell:
 
 
 @dataclass(frozen=True)
-class RepOutcome:
-    reject: bool
-    statistic: float
-
-
-@dataclass(frozen=True)
 class CellResult:
     label: str
     group: str
@@ -115,8 +111,8 @@ def _critical_value(level: float) -> float:
     return float(ndtri(1.0 - level))
 
 
-def run_replication(cell: McCell, rep_id: int, base_seed: int) -> RepOutcome:
-    """One replication; deterministic in (cell, rep_id, base_seed)."""
+def run_replication(cell: McCell, rep_id: int, base_seed: int) -> float:
+    """The test statistic of one replication; deterministic in (cell, rep_id, base_seed)."""
     k0 = cell.forecast_origin()
     stream = RngStream(base_seed, rep_id)
     dgp = cell.dgp
@@ -130,9 +126,7 @@ def run_replication(cell: McCell, rep_id: int, base_seed: int) -> RepOutcome:
         raise ValueError(f"unsupported DGP type {type(dgp).__name__}")
     e1, e2 = _forecast_error_pair(y, extra, dgp.h, k0)
     fes = ForecastErrorSet(e1, e2, h=dgp.h, k0=k0)
-    result = encompassing_test(fes, SplitSpec(cell.mu0), cell.hac)
-    reject = result.statistic > _critical_value(cell.level)
-    return RepOutcome(reject=bool(reject), statistic=result.statistic)
+    return encompassing_test(fes, SplitSpec(cell.mu0), cell.hac).statistic
 
 
 def _cell_seed(base_seed: int, cell_index: int) -> int:
@@ -140,61 +134,42 @@ def _cell_seed(base_seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_chunk(cell: McCell, cell_seed: int, start: int, stop: int, collect: bool):
-    rejects = 0
-    failures = 0
-    stats = np.full(stop - start, np.nan) if collect else None
+def _run_chunk(cell: McCell, cell_seed: int, start: int, stop: int) -> np.ndarray:
+    """Statistics of replications start..stop-1; a failed replication stays NaN."""
+    stats = np.full(stop - start, np.nan)
     for rep in range(start, stop):
         try:
-            out = run_replication(cell, rep, cell_seed)
+            stats[rep - start] = run_replication(cell, rep, cell_seed)
         except (SplitEncError, np.linalg.LinAlgError):
-            failures += 1
-            continue
-        rejects += int(out.reject)
-        if collect:
-            stats[rep - start] = out.statistic
-    return rejects, failures, stats
+            pass
+    return stats
 
 
-def _run_cells(cells, reps, base_seed, workers, collect=False):
-    """Run all (cell, rep) work items; returns per-cell tallies (and statistics)."""
+def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
+    """Statistics of every (cell, replication) as a (cells, reps) array."""
     if reps < 1:
         raise ValueError("need at least one replication")
-    ncells = len(cells)
-    rejects = [0] * ncells
-    failures = [0] * ncells
-    stats = [np.full(reps, np.nan) for _ in range(ncells)] if collect else None
-    tasks = []
-    chunk = max(1, min(reps, 250))
-    for ci in range(ncells):
-        seed_ci = _cell_seed(base_seed, ci)
-        for start in range(0, reps, chunk):
-            tasks.append((ci, seed_ci, start, min(start + chunk, reps)))
+    chunk = min(reps, 250)
+    tasks = [(cell, _cell_seed(base_seed, ci), start, min(start + chunk, reps))
+             for ci, cell in enumerate(cells) for start in range(0, reps, chunk)]
     if workers <= 1:
-        results = [
-            (ci, start, _run_chunk(cells[ci], seed_ci, start, stop, collect))
-            for ci, seed_ci, start, stop in tasks
-        ]
+        chunks = [_run_chunk(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (ci, start, pool.submit(_run_chunk, cells[ci], seed_ci, start, stop, collect))
-                for ci, seed_ci, start, stop in tasks
-            ]
-            results = [(ci, start, fut.result()) for ci, start, fut in futures]
-    for ci, start, (r, f, s) in results:
-        rejects[ci] += r
-        failures[ci] += f
-        if collect:
-            stats[ci][start:start + len(s)] = s
-    return rejects, failures, stats
+            chunks = list(pool.map(_run_chunk, *zip(*tasks)))
+    # the empty leading piece lets a grid without cells through
+    return np.concatenate([np.empty(0), *chunks]).reshape(len(cells), reps)
 
 
-def _summarize(cells, reps, base_seed, rejects, failures, kind) -> McReport:
+def _summarize(cells, stats, base_seed, kind) -> McReport:
+    reps = stats.shape[1]
     out = []
-    for cell, r, f in zip(cells, rejects, failures):
-        done = reps - f
-        freq = r / done if done > 0 else float("nan")
+    for cell, row in zip(cells, stats):
+        failures = int(np.count_nonzero(np.isnan(row)))
+        done = reps - failures
+        # NaN compares False, so a failed replication never rejects
+        rejects = int(np.count_nonzero(row > _critical_value(cell.level)))
+        freq = rejects / done if done > 0 else float("nan")
         se = math.sqrt(freq * (1.0 - freq) / done) if done > 0 else float("nan")
         out.append(
             CellResult(
@@ -204,8 +179,8 @@ def _summarize(cells, reps, base_seed, rejects, failures, kind) -> McReport:
                 reps=reps,
                 rejection_frequency=freq,
                 mc_standard_error=se,
-                failures=f,
-                reliable=(f / reps) < FAILURE_SHARE_LIMIT,
+                failures=failures,
+                reliable=(failures / reps) < FAILURE_SHARE_LIMIT,
             )
         )
     return McReport(cells=tuple(out), reps=reps, base_seed=base_seed, kind=kind)
@@ -217,8 +192,7 @@ def run_size_experiment(cells, reps: int, base_seed: int, workers: int = 1) -> M
     for cell in cells:
         if cell.dgp.beta2 != 0.0:
             raise ValueError(f"size cell '{cell.label}' has beta2={cell.dgp.beta2!r}, expected 0")
-    rejects, failures, _ = _run_cells(cells, reps, base_seed, workers)
-    return _summarize(cells, reps, base_seed, rejects, failures, kind="size")
+    return _summarize(cells, _run_cells(cells, reps, base_seed, workers), base_seed, "size")
 
 
 def run_power_experiment(cells, reps: int, base_seed: int, workers: int = 1) -> McReport:
@@ -227,15 +201,13 @@ def run_power_experiment(cells, reps: int, base_seed: int, workers: int = 1) -> 
     for cell in cells:
         if not cell.dgp.beta2 > 0.0:
             raise ValueError(f"power cell '{cell.label}' has beta2={cell.dgp.beta2!r}, expected > 0")
-    rejects, failures, _ = _run_cells(cells, reps, base_seed, workers)
-    return _summarize(cells, reps, base_seed, rejects, failures, kind="power")
+    return _summarize(cells, _run_cells(cells, reps, base_seed, workers), base_seed, "power")
 
 
 def collect_statistics(cell: McCell, reps: int, base_seed: int, workers: int = 1) -> np.ndarray:
     """Raw test statistics across replications (failed replications dropped)."""
-    _, _, stats = _run_cells([cell], reps, base_seed, workers, collect=True)
-    vals = stats[0]
-    return vals[np.isfinite(vals)]
+    stats = _run_cells([cell], reps, base_seed, workers)[0]
+    return stats[np.isfinite(stats)]
 
 
 # -- report rendering -------------------------------------------------------
@@ -304,10 +276,57 @@ def _render_markdown(report: McReport) -> str:
 
 _SIGMAS = {"sigma1": SIGMA1, "sigma2": SIGMA2}
 
-_EXPERIMENT_KEYS = {"kind", "reps", "level", "pi0", "mu0", "bandwidth", "bandwidth_c", "seed"}
-_DGP1_KEYS = {"family", "T", "h", "rho", "beta1", "beta2", "theta", "sigma", "burn_in"}
-_DGP2_KEYS = {"family", "NT", "h", "beta1", "beta2", "theta", "alpha", "alpha1",
-              "rho_i", "loading_std", "burn_in"}
+
+def replication_count(value) -> int:
+    """A replication count of at least 1 (config key ``reps``, option ``--reps``)."""
+    reps = int(value)
+    if reps < 1:
+        raise ValueError(f"must be at least 1, got {reps}")
+    return reps
+
+
+def _fraction(value) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"must lie in (0, 1), got {value:g}")
+    return value
+
+
+def _sigma(value):
+    if isinstance(value, str):
+        if value.lower() not in _SIGMAS:
+            raise ValueError(f"unknown preset {value!r} (use sigma1/sigma2)")
+        return _SIGMAS[value.lower()].copy()
+    return np.asarray(value, dtype=float)
+
+
+def _nt_pair(value):
+    N, T = value
+    return int(N), int(T)
+
+
+# experiment key -> (McCell field, converter); an omitted key keeps McCell's default
+_CELL_KEYS = {
+    "level": ("level", _fraction),
+    "pi0": ("pi0", _fraction),
+    "bandwidth": ("hac", lambda v: HacConfig(bandwidth=int(v))),
+    "bandwidth_c": ("hac", lambda v: HacConfig(c=float(v))),
+}
+_EXPERIMENT_KEYS = {"kind", "reps", "mu0", "seed", *_CELL_KEYS}
+# family -> (spec class, required key, converter per key, keys expanded as a
+# grid in cell order, spec fields named in the group label); an omitted key
+# keeps the spec's default, and an NT pair fills the fields N and T
+_FAMILIES = {
+    "dgp1": (Dgp1Spec, "T",
+             {"T": int, "h": int, "rho": float, "beta1": float, "beta2": float,
+              "theta": float, "sigma": _sigma, "burn_in": int},
+             ("h", "T", "rho", "beta2"), ("h", "T", "rho")),
+    "dgp2": (Dgp2Spec, "NT",
+             {"NT": _nt_pair, "h": int, "beta1": float, "beta2": float, "theta": float,
+              "alpha": float, "alpha1": float, "rho_i": float, "loading_std": float,
+              "burn_in": int},
+             ("h", "NT", "beta2"), ("h", "N", "T")),
+}
 
 
 @dataclass(frozen=True)
@@ -322,20 +341,22 @@ def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _require(mapping, key, path, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    return mapping[key]
+def _convert(key_path, convert, *args, **kwargs):
+    """convert(*args, **kwargs), with a bad value reported as a ConfigError at key_path."""
+    try:
+        return convert(*args, **kwargs)
+    except (TypeError, ValueError, SplitEncError) as exc:
+        raise ConfigError(key_path, str(exc)) from None
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse a YAML experiment definition into a cell grid.
 
-    List-valued entries (T, h, rho, beta2, mu0, NT) are expanded as a
-    cartesian product; scalars apply to every cell.  Unknown keys are
-    rejected with their full key path.
+    mu0 and the family's grid keys (dgp1: h, T, rho, beta2; dgp2: h, NT,
+    beta2) expand as a cartesian product; scalars apply to every cell.
+    Omitted keys take the defaults of the DGP spec, McCell and HacConfig.
+    Unknown keys, bad values and infeasible cells raise ConfigError with
+    their key path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -356,99 +377,58 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in exp:
         if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"experiment.{key}", "unknown key")
+    for key in ("kind", "mu0"):
+        if key not in exp:
+            raise ConfigError(f"experiment.{key}", "missing required key")
 
-    kind = _require(exp, "kind", "experiment", required=True)
+    kind = exp["kind"]
     if kind not in ("size", "power"):
         raise ConfigError("experiment.kind", f"must be 'size' or 'power', got {kind!r}")
-    reps = int(_require(exp, "reps", "experiment", default=10000))
-    level = float(_require(exp, "level", "experiment", default=0.10))
-    pi0 = float(_require(exp, "pi0", "experiment", default=0.25))
-    if reps < 1:
-        raise ConfigError("experiment.reps", f"must be at least 1, got {reps}")
-    for key, value in (("level", level), ("pi0", pi0)):
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"experiment.{key}", f"must lie in (0, 1), got {value:g}")
-    mu0s = [float(m) for m in _as_list(_require(exp, "mu0", "experiment", required=True))]
+    reps = _convert("experiment.reps", replication_count, exp.get("reps", 10000))
     seed = exp.get("seed")
-    seed = DEFAULT_SEED if seed is None else int(seed)
+    seed = DEFAULT_SEED if seed is None else _convert("experiment.seed", int, seed)
+    mu0s = [_convert("experiment.mu0", lambda m: SplitSpec(m).mu0, m)
+            for m in _as_list(exp["mu0"])]
     if "bandwidth" in exp and "bandwidth_c" in exp:
         raise ConfigError("experiment.bandwidth", "give either bandwidth or bandwidth_c, not both")
-    if "bandwidth" in exp:
-        hac = HacConfig(bandwidth=int(exp["bandwidth"]))
-    else:
-        hac = HacConfig(c=float(exp.get("bandwidth_c", 1.0)))
+    tuning = {name: _convert(f"experiment.{key}", convert, exp[key])
+              for key, (name, convert) in _CELL_KEYS.items() if key in exp}
 
-    family = _require(dgp, "family", "dgp", required=True)
-    cells = []
-    try:
-        if family == "dgp1":
-            for key in dgp:
-                if key not in _DGP1_KEYS:
-                    raise ConfigError(f"dgp.{key}", "unknown key")
-            grid = itertools.product(
-                _as_list(_require(dgp, "h", "dgp", default=1)),
-                _as_list(_require(dgp, "T", "dgp", required=True)),
-                _as_list(_require(dgp, "rho", "dgp", default=0.25)),
-                _as_list(_require(dgp, "beta2", "dgp", default=0.0)),
-            )
-            for h, T, rho, beta2 in grid:
-                spec = Dgp1Spec(
-                    T=int(T), h=int(h), rho=float(rho), beta2=float(beta2),
-                    beta1=float(dgp.get("beta1", 0.3)), theta=float(dgp.get("theta", 0.5)),
-                    sigma=_resolve_sigma(dgp.get("sigma", "sigma1")),
-                    burn_in=int(dgp.get("burn_in", 200)),
-                )
-                group = f"dgp1,h={h:g},T={T:g},rho={rho:g}"
-                if kind == "power":
-                    group += f",beta2={beta2:g}"
-                for mu0 in mu0s:
-                    cells.append(McCell(dgp=spec, mu0=mu0, pi0=pi0, hac=hac, level=level,
-                                        label=f"{group},mu0={mu0:g}", group=group))
-        elif family == "dgp2":
-            for key in dgp:
-                if key not in _DGP2_KEYS:
-                    raise ConfigError(f"dgp.{key}", "unknown key")
-            nt_pairs = _require(dgp, "NT", "dgp", required=True)
-            grid = itertools.product(
-                _as_list(_require(dgp, "h", "dgp", default=1)),
-                [tuple(p) for p in nt_pairs],
-                _as_list(_require(dgp, "beta2", "dgp", default=0.0)),
-            )
-            for h, (N, T), beta2 in grid:
-                spec = Dgp2Spec(
-                    T=int(T), N=int(N), h=int(h), beta2=float(beta2),
-                    beta1=float(dgp.get("beta1", 0.3)), theta=float(dgp.get("theta", 0.5)),
-                    alpha=float(dgp.get("alpha", 0.0)), alpha1=float(dgp.get("alpha1", 0.5)),
-                    rho_i=float(dgp.get("rho_i", 0.5)),
-                    loading_std=float(dgp.get("loading_std", 1.0)),
-                    burn_in=int(dgp.get("burn_in", 200)),
-                )
-                group = f"dgp2,h={h:g},N={N:g},T={T:g}"
-                if kind == "power":
-                    group += f",beta2={beta2:g}"
-                for mu0 in mu0s:
-                    cells.append(McCell(dgp=spec, mu0=mu0, pi0=pi0, hac=hac, level=level,
-                                        label=f"{group},mu0={mu0:g}", group=group))
+    if "family" not in dgp:
+        raise ConfigError("dgp.family", "missing required key")
+    family = dgp["family"]
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError("dgp.family", f"unknown family {family!r}")
+    spec_cls, required, converters, grid_keys, label_fields = _FAMILIES[family]
+    if required not in dgp:
+        raise ConfigError(f"dgp.{required}", "missing required key")
+    fixed, grid = {}, {}
+    for key, value in dgp.items():
+        if key == "family":
+            continue
+        if key not in converters:
+            raise ConfigError(f"dgp.{key}", "unknown key")
+        if key in grid_keys:
+            grid[key] = [_convert(f"dgp.{key}", converters[key], v) for v in _as_list(value)]
         else:
-            raise ConfigError("dgp.family", f"unknown family {family!r}")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, SplitEncError) as exc:
-        raise ConfigError("dgp", str(exc)) from None
+            fixed[key] = _convert(f"dgp.{key}", converters[key], value)
+    keys = [key for key in grid_keys if key in grid]
+    cells = []
+    for point in itertools.product(*(grid[key] for key in keys)):
+        kwargs = {**fixed, **dict(zip(keys, point))}
+        if "NT" in kwargs:
+            kwargs["N"], kwargs["T"] = kwargs.pop("NT")
+        spec = _convert("dgp", spec_cls, **kwargs)
+        group = ",".join([family] + [f"{name}={getattr(spec, name):g}" for name in label_fields])
+        if kind == "power":
+            group += f",beta2={spec.beta2:g}"
+        for mu0 in mu0s:
+            cell = McCell(dgp=spec, mu0=mu0, label=f"{group},mu0={mu0:g}", group=group, **tuning)
+            try:
+                cell.forecast_origin()
+            except SplitEncError as exc:
+                raise ConfigError("experiment.pi0", f"cell {cell.label}: {exc}") from None
+            cells.append(cell)
     if not cells:
         raise ConfigError("dgp", "config produced no cells")
-    for cell in cells:
-        try:
-            cell.forecast_origin()
-        except SplitEncError as exc:
-            raise ConfigError("experiment.pi0", f"cell {cell.label}: {exc}") from None
     return ExperimentConfig(kind=kind, cells=tuple(cells), reps=reps, seed=seed)
-
-
-def _resolve_sigma(value):
-    if isinstance(value, str):
-        key = value.lower()
-        if key not in _SIGMAS:
-            raise ConfigError("dgp.sigma", f"unknown preset {value!r} (use sigma1/sigma2)")
-        return _SIGMAS[key].copy()
-    return np.asarray(value, dtype=float)

@@ -323,18 +323,23 @@ def test_criterion_12_inflation_pipeline(fixture_panel, data_dir):
     # structural assertions: no look-ahead (tail shocks leave earlier errors
     # untouched) and scale invariance of the per-country results
     cfg = CountryStudyConfig(h=4, p_max=0, mu0_list=(0.45,))
-    from splitenc.inflation import _country_designs
+    from splitenc.inflation import _country_designs, annualized_inflation
     from splitenc.regression import expanding_window_forecast_errors
 
+    def large_design(panel):
+        b0, prices = panel.block("c00")
+        pih, pi1 = annualized_inflation(prices, cfg.h), annualized_inflation(prices, 1)
+        return _country_designs(panel, "c00", cfg, 0, b0, pih, pi1)[1], len(prices)
+
     panel = _null_panel(7)
-    _, large, T_i = _country_designs(panel, "c00", cfg, selected_lag=0)
+    large, T_i = large_design(panel)
     k0 = int(T_i * cfg.pi0)
     base_errs = expanding_window_forecast_errors(large, k0)
     shocked = panel.prices.copy()
     shocked[-5:, 0] *= 1.04
     panel_shocked = InflationPanel(countries=panel.countries, dates=panel.dates,
                                    prices=shocked, coverage=panel.coverage)
-    _, large2, _ = _country_designs(panel_shocked, "c00", cfg, selected_lag=0)
+    large2, _ = large_design(panel_shocked)
     shocked_errs = expanding_window_forecast_errors(large2, k0)
 
     cfg_full = CountryStudyConfig(h=4, p_max=4)

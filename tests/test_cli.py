@@ -182,6 +182,18 @@ class TestMcCommands:
         assert key_path in err
         assert out == "" and calls == []
 
+    @pytest.mark.parametrize("command", ["mc-size", "mc-power"])
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_rejected_when_parsed(self, capsys, tmp_path, command, reps):
+        config = tmp_path / "size.yaml"
+        config.write_text(textwrap.dedent(TINY_SIZE_CONFIG))
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(config), "--reps", reps])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--reps" in captured.err
+
     def test_kind_mismatch(self, capsys, tmp_path):
         config = tmp_path / "size.yaml"
         config.write_text(textwrap.dedent(TINY_SIZE_CONFIG))

@@ -25,6 +25,13 @@ from splitenc.inflation import (
 from splitenc.regression import DirectDesign, expanding_window_forecast_errors
 
 
+def _designs(panel, country, cfg, selected_lag):
+    """(bench, large, block length) of _country_designs on the country's block."""
+    b0, prices = panel.block(country)
+    pih, pi1 = annualized_inflation(prices, cfg.h), annualized_inflation(prices, 1)
+    return (*_country_designs(panel, country, cfg, selected_lag, b0, pih, pi1), len(prices))
+
+
 def _ar1_panel(seed, C=4, T=160, phi=0.5, mean=2.0, sd=1.0, start="1970Q1"):
     """Independent AR(1) quarter-on-quarter inflation per country (null design)."""
     g = RngStream(seed, 0).generator()
@@ -227,7 +234,7 @@ class TestCountryEncompassing:
         # changing the final quarters cannot alter earlier forecast errors
         cfg = CountryStudyConfig(h=4, p_max=0, mu0_list=(0.45,))
         panel = _ar1_panel(21, C=3)
-        bench, large, T_i = _country_designs(panel, "c00", cfg, selected_lag=0)
+        bench, large, T_i = _designs(panel, "c00", cfg, selected_lag=0)
         k0 = int(T_i * cfg.pi0)
         e_full = expanding_window_forecast_errors(large, k0)
 
@@ -236,7 +243,7 @@ class TestCountryEncompassing:
         prices[-tail:, 0] *= np.exp(np.linspace(0.01, 0.06, tail))  # shock the tail
         panel2 = InflationPanel(countries=panel.countries, dates=panel.dates,
                                 prices=prices, coverage=panel.coverage)
-        bench2, large2, _ = _country_designs(panel2, "c00", cfg, selected_lag=0)
+        bench2, large2, _ = _designs(panel2, "c00", cfg, selected_lag=0)
         e_mod = expanding_window_forecast_errors(large2, k0)
         # errors targeting quarters before the shocked tail are bit-identical
         assert_array_equal(e_full[:-tail], e_mod[:-tail])
@@ -245,7 +252,7 @@ class TestCountryEncompassing:
     def test_nesting_drop_global_columns_reproduces_benchmark(self):
         cfg = CountryStudyConfig(h=4, p_max=4)
         panel = _ar1_panel(31)
-        bench, large, T_i = _country_designs(panel, "c00", cfg, selected_lag=2)
+        bench, large, T_i = _designs(panel, "c00", cfg, selected_lag=2)
         k1 = bench.n_params
         assert_array_equal(large.regressors[:, :k1], bench.regressors)
         assert_array_equal(large.targets, bench.targets)
@@ -276,8 +283,8 @@ class TestCountryEncompassing:
         panel = _ar1_panel(51, C=5)
         cfg_in = CountryStudyConfig(h=4, p_max=2, include_own_country=True)
         cfg_out = CountryStudyConfig(h=4, p_max=2, include_own_country=False)
-        _, large_in, _ = _country_designs(panel, "c00", cfg_in, selected_lag=0)
-        _, large_out, _ = _country_designs(panel, "c00", cfg_out, selected_lag=0)
+        _, large_in, _ = _designs(panel, "c00", cfg_in, selected_lag=0)
+        _, large_out, _ = _designs(panel, "c00", cfg_out, selected_lag=0)
         # leave-one-out average: recompute from the other countries directly
         qoq = np.column_stack([annualized_inflation(panel.block(c)[1], 1)
                                for c in panel.countries])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -6,9 +7,12 @@ import textwrap
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_array_equal
+from scipy.stats import norm
 
 import splitenc.monte_carlo as mc
+from splitenc.cli import main
 from splitenc.dgp import SIGMA2, Dgp1Spec, Dgp2Spec
 from splitenc.enc_test import HacConfig
 from splitenc.errors import (
@@ -41,22 +45,21 @@ class TestRunReplication:
         cell = _cell()
         a = run_replication(cell, 7, 99)
         b = run_replication(cell, 7, 99)
-        assert a.statistic == b.statistic
-        assert a.reject == b.reject
-        assert isinstance(a.reject, bool)
+        assert isinstance(a, float)
+        assert a == b
 
     def test_distinct_reps_differ(self):
         cell = _cell()
-        assert run_replication(cell, 0, 99).statistic != run_replication(cell, 1, 99).statistic
+        assert run_replication(cell, 0, 99) != run_replication(cell, 1, 99)
 
     def test_reject_uses_normal_critical_value(self):
-        from scipy.stats import norm
-
         for level in (0.05, 0.10):
-            cell = _cell(level=level)
-            for rep in range(5):
-                out = run_replication(cell, rep, 99)
-                assert out.reject == (out.statistic > float(norm.ppf(1.0 - level)))
+            cell = _cell(T=100, level=level)
+            stats = collect_statistics(cell, reps=40, base_seed=99)
+            assert stats.shape == (40,)
+            report = run_size_experiment([cell], reps=40, base_seed=99)
+            rejects = np.count_nonzero(stats > float(norm.ppf(1.0 - level)))
+            assert report.cells[0].rejection_frequency == rejects / 40
 
     def test_forecast_origin_checks(self):
         assert _cell(T=250, pi0=0.25).forecast_origin() == 62
@@ -69,8 +72,7 @@ class TestRunReplication:
 
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
-        out = run_replication(cell, 0, 5)
-        assert math.isfinite(out.statistic)
+        assert math.isfinite(run_replication(cell, 0, 5))
 
 
 class TestExperiments:
@@ -124,7 +126,8 @@ class TestExperiments:
         c = run_size_experiment([_cell(T=100)], reps=30, base_seed=3).cells[0]
         assert c.failures == 10 and not c.reliable
         p = c.rejection_frequency
-        assert p == sum(real(_cell(T=100), rep, mc._cell_seed(3, 0)).reject
+        crit = float(norm.ppf(0.90))
+        assert p == sum(real(_cell(T=100), rep, mc._cell_seed(3, 0)) > crit
                         for rep in range(30) if rep % 3) / 20
         assert c.mc_standard_error == math.sqrt(p * (1.0 - p) / 20)
 
@@ -132,8 +135,9 @@ class TestExperiments:
         stats = collect_statistics(_cell(T=100), reps=30, base_seed=9)
         assert stats.shape == (30,)
         assert np.all(np.isfinite(stats))
-        again = collect_statistics(_cell(T=100), reps=30, base_seed=9)
-        assert_array_equal(stats, again)
+        for workers in (1, 2):
+            again = collect_statistics(_cell(T=100), reps=30, base_seed=9, workers=workers)
+            assert again.tobytes() == stats.tobytes()
 
 
 class TestRenderReport:
@@ -315,8 +319,52 @@ class TestConfigLoading:
             experiment: {kind: size, mu0: [0.50]}
             dgp: {family: dgp1, T: 250}
         """)
-        with pytest.raises((ConfigError, InvalidSplit)):
+        with pytest.raises(ConfigError) as err:
             load_experiment_config(path)
+        assert err.value.key_path == "experiment.mu0"
+
+    @pytest.mark.parametrize("key_path, value", [
+        ("experiment.level", [0.1]),
+        ("experiment.reps", "abc"),
+        ("experiment.seed", [1]),
+        ("experiment.bandwidth_c", [1]),
+        ("experiment.mu0", [0.50]),
+        ("experiment.bandwidth", 0),
+        ("dgp.beta1", [0.3, 0.5]),
+        ("dgp.NT", [100, 250]),
+        ("dgp.T", "abc"),
+        ("dgp.sigma", "sigma9"),
+    ], ids=str)
+    def test_bad_value_names_its_key_path(self, tmp_path, capsys, key_path, value):
+        section, key = key_path.split(".")
+        dgp = {"family": "dgp2"} if key == "NT" else {"family": "dgp1", "T": 250}
+        raw = {"experiment": {"kind": "size", "mu0": [0.45]}, "dgp": dgp}
+        raw[section][key] = value
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.key_path == key_path
+        assert main(["mc-size", str(path)]) == 2  # an uncaught error would raise here
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {key_path}: ")
+
+    @pytest.mark.parametrize("dgp, expected", [
+        ("{family: dgp1, T: 250}", Dgp1Spec(T=250)),
+        ("{family: dgp2, NT: [[100, 250]]}", Dgp2Spec(N=100, T=250)),
+    ])
+    def test_omitted_keys_take_dataclass_defaults(self, tmp_path, dgp, expected):
+        path = self._write(tmp_path, f"""
+            experiment: {{kind: size, mu0: [0.45]}}
+            dgp: {dgp}
+        """)
+        (cell,) = load_experiment_config(path).cells
+        for f in dataclasses.fields(expected):
+            got, want = getattr(cell.dgp, f.name), getattr(expected, f.name)
+            assert type(got) is type(want), f.name
+            assert_array_equal(got, want, err_msg=f.name)
+        default = McCell(dgp=expected, mu0=0.45)
+        assert (cell.pi0, cell.level, cell.hac) == (default.pi0, default.level, default.hac)
 
     def test_shipped_configs_parse(self):
         import pathlib

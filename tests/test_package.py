@@ -37,6 +37,18 @@ def test_reproduce_tables_smoke(tmp_path):
     assert len(rows) == 1 + 144  # header + 3 T x 4 h x 3 rho x 4 mu0 cells
 
 
+def test_reproduce_tables_rejects_reps_below_one(tmp_path):
+    out_dir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"),
+         "--only", "table1", "--reps", "0", "--out-dir", str(out_dir)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--reps" in proc.stderr
+    assert not out_dir.exists()
+
+
 # Runs in a fresh interpreter; the last stdout line is "<exit code> <loaded modules>".
 _IMPORT_GUARD = """
 import sys
