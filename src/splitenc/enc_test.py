@@ -186,17 +186,6 @@ def _split_terms(e1: np.ndarray, e2: np.ndarray, m0: int) -> np.ndarray:
     return d
 
 
-def split_moment_terms(fes: ForecastErrorSet, split: SplitSpec) -> np.ndarray:
-    """Per-observation terms whose mean is the split-sample moment estimate.
-
-    The first m0 entries use weight n / (2 m0) on e1*e2, the remaining
-    n - m0 entries use n / (2 (n - m0)); averaging the output reweights the
-    two segment means of e1*e2 equally regardless of where the split falls.
-    """
-    m0 = split.m0(fes.n)
-    return _split_terms(fes.e1, fes.e2, m0)
-
-
 def bartlett_lrv(q, M: int) -> float:
     """Bartlett-kernel long-run variance of a demeaned sequence.
 
@@ -278,19 +267,6 @@ def encompassing_test(
         mu0=split.mu0,
         centering=centering,
     )
-
-
-def limiting_variance(mu0: float, lrv_eta: float) -> float:
-    """Limiting variance of the scaled split-sample moment under the null.
-
-    Equals (1 - 2 mu0)^2 / (4 mu0 (1 - mu0)) times the long-run variance of
-    the demeaned squared disturbances; it vanishes as mu0 approaches 1/2,
-    which is why that point is excluded.
-    """
-    mu0 = SplitSpec(mu0).mu0
-    if lrv_eta < 0.0:
-        raise ValueError("long-run variance must be non-negative")
-    return (1.0 - 2.0 * mu0) ** 2 / (4.0 * mu0 * (1.0 - mu0)) * lrv_eta
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ interior gaps keep their longest contiguous block of quarters.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -276,6 +277,16 @@ def global_inflation(panel: InflationPanel) -> np.ndarray:
     return _contributor_mean(_qoq_matrix(panel))
 
 
+def _global_inflation_source(panel: InflationPanel):
+    """exclude -> the panel's global inflation without column ``exclude``.
+
+    ``exclude`` None keeps every country.  Each series is computed once per
+    source; a call that raises EmptyQuarter raises again when repeated.
+    """
+    qoq = _qoq_matrix(panel)
+    return functools.cache(lambda exclude: _contributor_mean(qoq, exclude))
+
+
 def _first_finite(x: np.ndarray) -> int:
     idx = np.flatnonzero(np.isfinite(x))
     if idx.size == 0:
@@ -289,26 +300,24 @@ def _lag_columns(series: np.ndarray, h: int, n_lags: int, t0: int):
     return [series[t0 - h - j: T - h - j] for j in range(n_lags + 1)]
 
 
-def _country_designs(panel: InflationPanel, country: str, config: CountryStudyConfig,
-                     selected_lag: int, b0: int, pih: np.ndarray, pi1: np.ndarray):
-    """Benchmark and global-augmented designs on the country's block.
+def _country_designs(config: CountryStudyConfig, selected_lag: int,
+                     pih: np.ndarray, pi1: np.ndarray, g: np.ndarray):
+    """Benchmark and global-augmented designs on a country's block.
 
-    The block starts at panel row b0; pih and pi1 are its h-quarter and
-    one-quarter annualized inflation.  Both designs share the same target
-    rows (the intersection of the two models' usable ranges), so dropping
-    the global columns of the large design reproduces the benchmark exactly.
+    pih and pi1 are the block's h-quarter and one-quarter annualized
+    inflation, and g the global inflation on the same quarters.  Both
+    designs share the same target rows (the intersection of the two models'
+    usable ranges), so dropping the global columns of the large design
+    reproduces the benchmark exactly.
     """
     h, p2 = config.h, config.p2
     T_i = pih.shape[0]
-    exclude = None if config.include_own_country else panel.countries.index(country)
-    g_panel = _contributor_mean(_qoq_matrix(panel), exclude=exclude)
-    g = g_panel[b0:b0 + T_i]
     g_first = _first_finite(g)
     # 0-based first target index: own lags need pi1 back to index 1, global
     # lags need g back to its first finite entry
     t0 = max(h + selected_lag + 1, h + p2 + g_first)
     if t0 >= T_i:
-        raise InsufficientData(f"country {country}: no usable target rows at h={h}")
+        raise InsufficientData(f"no usable target rows at h={h}")
     targets = pih[t0:]
     ones = np.ones(T_i - t0)
     own = _lag_columns(pi1, h, selected_lag, t0)
@@ -325,24 +334,30 @@ def _country_designs(panel: InflationPanel, country: str, config: CountryStudyCo
 
 
 def country_encompassing(panel: InflationPanel, country: str,
-                         config: CountryStudyConfig) -> CountryResult:
+                         config: CountryStudyConfig, global_source=None) -> CountryResult:
     """Run the nested forecasting comparison for one country.
 
     Selects the own-lag count by BIC on the full sample, builds the two
     nested designs, produces expanding-window forecasts of h-quarter
     annualized inflation from k0 = floor(T_i * pi0), and reports the RMSE
     ratio (global over autoregression) plus encompassing p-values per mu0.
+    ``global_source`` is the panel's ``_global_inflation_source``; a study
+    passes one to every country so the global series is computed once.
     """
     if country not in panel.countries:
         raise ValueError(f"country {country!r} not in panel")
     try:
+        if global_source is None:
+            global_source = _global_inflation_source(panel)
+        exclude = None if config.include_own_country else panel.countries.index(country)
         b0, prices = panel.block(country)
         h = config.h
         pih = annualized_inflation(prices, h)
         pi1 = annualized_inflation(prices, 1)
         # shift by one quarter so the lag source is finite everywhere accessed
         selected = bic_select_lag(pih[1:], h=h, p_max=config.p_max, lag_source=pi1[1:])
-        bench, large = _country_designs(panel, country, config, selected, b0, pih, pi1)
+        g = global_source(exclude)[b0:b0 + prices.shape[0]]
+        bench, large = _country_designs(config, selected, pih, pi1, g)
         k0 = int(math.floor(prices.shape[0] * config.pi0))
         e1 = expanding_window_forecast_errors(bench, k0)
         e2 = expanding_window_forecast_errors(large, k0)
@@ -416,9 +431,10 @@ def run_study(panel: InflationPanel, config: CountryStudyConfig) -> StudyReport:
     """
     results = []
     failures = {}
+    global_source = _global_inflation_source(panel)
     for country in panel.countries:
         try:
-            results.append(country_encompassing(panel, country, config))
+            results.append(country_encompassing(panel, country, config, global_source))
         except SplitEncError as exc:
             failures[country] = str(exc)
     return StudyReport(results=tuple(results), failures=failures,

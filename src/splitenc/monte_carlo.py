@@ -8,6 +8,11 @@ encompassing test and yields its statistic.  The test is one-sided, so a
 replication rejects when its statistic exceeds the normal critical value at
 the cell's level.
 
+The forecast errors of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]
+come from the closed-form kernel ``regression.nested_pair_forecast_errors``.
+When it cannot certify its result, the two generic ``DirectDesign`` fits
+run instead and raise what they always raised.
+
 Determinism: the random stream of a replication is keyed by
 (base seed, cell index, replication id) only, so reports are bit-identical
 across worker counts and execution orders.  A replication that aborts with a
@@ -30,7 +35,7 @@ from scipy.special import ndtri
 from .dgp import SIGMA1, SIGMA2, Dgp1Spec, Dgp2Spec, RngStream, estimate_factor, simulate_dgp1, simulate_dgp2
 from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, encompassing_test
 from .errors import ConfigError, InsufficientData, SplitEncError
-from .regression import DirectDesign, expanding_window_forecast_errors
+from .regression import DirectDesign, expanding_window_forecast_errors, nested_pair_forecast_errors
 from .tables import csv_text, json_text, markdown_text
 
 FAILURE_SHARE_LIMIT = 0.01
@@ -97,7 +102,14 @@ class McReport:
 
 
 def _forecast_error_pair(y, extra, h: int, k0: int):
-    """Expanding-window errors of the nested pair: [1, y_t] vs [1, y_t, extra_t]."""
+    """Expanding-window errors of the nested pair: [1, y_t] vs [1, y_t, extra_t].
+
+    The closed-form kernel answers whenever it certifies its result; on any
+    other input the two generic fits run and raise what they raise.
+    """
+    pair = nested_pair_forecast_errors(y, extra, h, k0)
+    if pair is not None:
+        return pair
     bench = DirectDesign.from_series(y, y, h=h)
     large = DirectDesign.from_series(y, np.column_stack([y, extra]), h=h)
     e1 = expanding_window_forecast_errors(bench, k0)

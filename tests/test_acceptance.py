@@ -323,13 +323,14 @@ def test_criterion_12_inflation_pipeline(fixture_panel, data_dir):
     # structural assertions: no look-ahead (tail shocks leave earlier errors
     # untouched) and scale invariance of the per-country results
     cfg = CountryStudyConfig(h=4, p_max=0, mu0_list=(0.45,))
-    from splitenc.inflation import _country_designs, annualized_inflation
+    from splitenc.inflation import _country_designs, annualized_inflation, global_inflation
     from splitenc.regression import expanding_window_forecast_errors
 
     def large_design(panel):
         b0, prices = panel.block("c00")
         pih, pi1 = annualized_inflation(prices, cfg.h), annualized_inflation(prices, 1)
-        return _country_designs(panel, "c00", cfg, 0, b0, pih, pi1)[1], len(prices)
+        g = global_inflation(panel)[b0:b0 + len(prices)]
+        return _country_designs(cfg, 0, pih, pi1, g)[1], len(prices)
 
     panel = _null_panel(7)
     large, T_i = large_design(panel)

@@ -24,10 +24,8 @@ from splitenc.enc_test import (
     classic_moment,
     demeaned_split_terms,
     encompassing_test,
-    limiting_variance,
     local_power_stationary,
     sample_mse,
-    split_moment_terms,
 )
 from splitenc.errors import (
     BandwidthOutOfRange,
@@ -156,8 +154,7 @@ class TestSplitMomentTerms:
 
     def test_constant_errors_balance_to_zero(self):
         # dyadic weights (n=12, m0=4) make the cancellation exact
-        fes = ForecastErrorSet(np.full(12, 1.0), np.full(12, 1.0))
-        d = split_moment_terms(fes, SplitSpec(0.40))
+        d = _split_terms(np.full(12, 1.0), np.full(12, 1.0), SplitSpec(0.40).m0(12))
         assert np.mean(d) == 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(10, 120),
@@ -170,8 +167,8 @@ class TestSplitMomentTerms:
             m0 = split.m0(n)
         except InvalidSplit:
             return
-        d = split_moment_terms(ForecastErrorSet(e1, e2), split)
-        assert_array_equal(d, _split_terms(e1, e2, m0))
+        d = _split_terms(e1, e2, m0)
+        assert_allclose(d, split_terms_direct(e1, e2, m0), rtol=0, atol=1e-12)
         assert_allclose(np.mean(d), dbar_direct(e1, e2, m0), rtol=0, atol=1e-12)
 
 
@@ -302,21 +299,6 @@ class TestEncompassingTest:
     def test_demeaned_split_terms_unknown_centering(self):
         with pytest.raises(ValueError):
             demeaned_split_terms(np.zeros(10), 4, centering="other")
-
-
-class TestLimitingVariance:
-    def test_arithmetic(self):
-        assert_allclose(limiting_variance(0.4, 1.0), 0.2**2 / (4 * 0.4 * 0.6), rtol=1e-12)
-        assert limiting_variance(0.3, 0.0) == 0.0
-
-    def test_decreasing_toward_half(self):
-        assert limiting_variance(0.45, 1.0) < limiting_variance(0.3, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(InvalidSplit):
-            limiting_variance(0.5, 1.0)
-        with pytest.raises(ValueError):
-            limiting_variance(0.4, -1.0)
 
 
 def _scalar_input(c, mu0=0.45, level=0.10, phi2=1.0, pi0=0.25, b22=None):

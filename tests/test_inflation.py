@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import splitenc.inflation as inflation
 from splitenc.dgp import RngStream
 from splitenc.errors import (
     CoverageError,
@@ -16,6 +17,7 @@ from splitenc.inflation import (
     CountryStudyConfig,
     InflationPanel,
     _country_designs,
+    _global_inflation_source,
     annualized_inflation,
     country_encompassing,
     global_inflation,
@@ -29,7 +31,9 @@ def _designs(panel, country, cfg, selected_lag):
     """(bench, large, block length) of _country_designs on the country's block."""
     b0, prices = panel.block(country)
     pih, pi1 = annualized_inflation(prices, cfg.h), annualized_inflation(prices, 1)
-    return (*_country_designs(panel, country, cfg, selected_lag, b0, pih, pi1), len(prices))
+    exclude = None if cfg.include_own_country else panel.countries.index(country)
+    g = _global_inflation_source(panel)(exclude)[b0:b0 + len(prices)]
+    return (*_country_designs(cfg, selected_lag, pih, pi1, g), len(prices))
 
 
 def _ar1_panel(seed, C=4, T=160, phi=0.5, mean=2.0, sd=1.0, start="1970Q1"):
@@ -324,6 +328,41 @@ class TestRunStudy:
         assert set(report.failures) == {"flat"}
         assert len(report.results) == 2
         assert "flat" in report.render("markdown")
+
+    def test_failure_prefix_appears_once(self, fixture_panel):
+        report = run_study(fixture_panel, CountryStudyConfig(h=4, p2=150))
+        assert report.results == ()
+        assert report.failures == {c: f"country {c}: no usable target rows at h=4"
+                                   for c in fixture_panel.countries}
+        assert report.render("csv").count("country aaa:") == 1
+
+    @pytest.mark.parametrize("include_own", [True, False])
+    def test_global_series_computed_once_per_exclusion(self, monkeypatch, include_own):
+        # c01 and c02 start five years late, so without c00 the early
+        # quarters have no contributor and only c00 fails under exclusion
+        base = _ar1_panel(81, C=3, T=120)
+        panel = InflationPanel.from_blocks({
+            "c00": ("1970Q1", base.prices[:, 0]),
+            "c01": ("1975Q1", base.prices[:, 1]),
+            "c02": ("1975Q1", base.prices[:, 2]),
+        })
+        cfg = CountryStudyConfig(h=4, p_max=2, include_own_country=include_own)
+        calls = []
+        real = inflation._contributor_mean
+        monkeypatch.setattr(inflation, "_contributor_mean",
+                            lambda qoq, exclude=None: calls.append(exclude) or real(qoq, exclude))
+        report = run_study(panel, cfg)
+        assert calls == ([None] if include_own else [0, 1, 2])
+        one_by_one, failures = [], {}
+        for country in panel.countries:
+            try:
+                one_by_one.append(country_encompassing(panel, country, cfg))
+            except SplitEncError as exc:
+                failures[country] = str(exc)
+        assert report.results == tuple(one_by_one)
+        assert report.failures == failures
+        if not include_own:
+            assert failures == {"c00": "country c00: no contributing country at quarter index 1"}
 
     def test_csv_and_json_round_trip(self, fixture_panel):
         report = run_study(fixture_panel, CountryStudyConfig())

@@ -139,6 +139,29 @@ class TestExperiments:
             again = collect_statistics(_cell(T=100), reps=30, base_seed=9, workers=workers)
             assert again.tobytes() == stats.tobytes()
 
+    @pytest.mark.parametrize("seed", [1, 101, 201])
+    def test_benchmark_subgrids_never_fall_back(self, tmp_path, monkeypatch, seed):
+        # the sub-grids of the mc-dgp1 and mc-dgp2 workloads in perfbench/inputs.py
+        grids = {
+            "dgp1": ("size", 10, "T: [250, 1000]\n  h: [1, 24]\n  rho: [0.25, 0.95]\n"
+                                 "  beta2: 0.0\n  sigma: sigma1"),
+            "dgp2": ("power", 2, "NT: [[100, 250], [500, 500]]\n  h: 4\n  beta2: 0.3\n"
+                                 "  alpha1: 0.5\n  rho_i: 0.5"),
+        }
+        fallbacks = []
+        monkeypatch.setattr(mc, "expanding_window_forecast_errors",
+                            lambda design, k0: fallbacks.append(k0))
+        for family, (kind, reps, keys) in grids.items():
+            path = tmp_path / f"{family}.yaml"
+            path.write_text(
+                f"experiment:\n  kind: {kind}\n  reps: {reps}\n  mu0: [0.30, 0.35, 0.40, 0.45]\n"
+                f"  bandwidth_c: 1.0\n  seed: {seed}\n"
+                f"dgp:\n  family: {family}\n  beta1: 0.3\n  theta: 0.5\n  {keys}\n")
+            config = load_experiment_config(path)
+            stats = mc._run_cells(list(config.cells), config.reps, config.seed, 1)
+            assert np.all(np.isfinite(stats))
+        assert fallbacks == []
+
 
 class TestRenderReport:
     def _tiny_report(self):

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.signal import lfilter
 
 from _oracles import expanding_refit_oracle, ols_normal_equations
 from splitenc.dgp import RngStream
 from splitenc.errors import InsufficientData, RankDeficient
+from splitenc.monte_carlo import _forecast_error_pair
 from splitenc.regression import (
     DirectDesign,
     bic_select_lag,
     expanding_window_coefficients,
     expanding_window_forecast_errors,
+    nested_pair_forecast_errors,
 )
 
 
@@ -133,6 +138,113 @@ class TestExpandingWindow:
         d = DirectDesign.from_series(y, x, h=1)
         with pytest.raises(RankDeficient, match="t="):
             expanding_window_coefficients(d, k0=5)
+
+
+def _generic_designs(y, x, h):
+    """The two designs of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]."""
+    return (DirectDesign.from_series(y, y, h=h),
+            DirectDesign.from_series(y, np.column_stack([y, x]), h=h))
+
+
+def _generic_pair(y, x, h, k0):
+    bench, large = _generic_designs(y, x, h)
+    return (expanding_window_forecast_errors(bench, k0),
+            expanding_window_forecast_errors(large, k0))
+
+
+def _oracle_errors(design, k0):
+    """Forecast errors from per-origin lstsq refits."""
+    i0 = k0 - design.first_origin
+    coefs = expanding_refit_oracle(design.regressors, design.targets, k0_row=i0,
+                                   n_fits=design.n_rows - i0 - design.h)
+    rows = design.regressors[i0 + design.h:]
+    return design.targets[i0 + design.h:] - np.einsum("ij,ij->i", coefs, rows)
+
+
+def _error_repr(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestNestedPairKernel:
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.995), st.integers(1, 24),
+           st.integers(50, 600), st.sampled_from([0.0, 10.0, 1000.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_origin_refits(self, seed, rho, h, T, shift):
+        k0 = max(3 + h, T // 4)
+        assume(k0 <= T - h)
+        z = lfilter([1.0], [1.0, -rho], np.random.default_rng(seed).standard_normal((T, 2)), axis=0)
+        y, x = z[:, 0] + shift, z[:, 1] + shift
+        pair = nested_pair_forecast_errors(y, x, h, k0)
+        assert pair is not None  # certified on every draw
+        floor = 1e-12 * (1.0 + np.max(np.abs(y)))
+        for e, design in zip(pair, _generic_designs(y, x, h)):
+            oracle = _oracle_errors(design, k0)
+            generic = expanding_window_forecast_errors(design, k0)
+            assert e.shape == oracle.shape
+            generic_dev = np.max(np.abs(generic - oracle))
+            assert np.max(np.abs(e - oracle)) <= 4.0 * generic_dev + floor
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_far_from_zero_series_stay_accurate(self, seed):
+        # shifting by the first window's means keeps the centred sums exact
+        # enough at a mean of 1e5, where the uncentred Gram loses ~5 digits
+        z = lfilter([1.0], [1.0, -0.9], np.random.default_rng(seed).standard_normal((300, 2)), axis=0)
+        y, x = z[:, 0] + 1e5, z[:, 1] + 1e5
+        pair = nested_pair_forecast_errors(y, x, 4, 75)
+        assert pair is not None
+        for e, design in zip(pair, _generic_designs(y, x, 4)):
+            oracle = _oracle_errors(design, 75)
+            generic = expanding_window_forecast_errors(design, 75)
+            assert np.max(np.abs(e - oracle)) <= 1e-3 * np.max(np.abs(generic - oracle))
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+    def test_near_collinear_inputs_use_the_generic_path(self, eps):
+        # 1 - corr^2 is below PAIR_RTOL, but the generic path still solves
+        g = np.random.default_rng(3)
+        y = g.standard_normal(250)
+        x = 3.0 * y + eps * g.standard_normal(250)
+        assert nested_pair_forecast_errors(y, x, 1, 62) is None
+        got = _forecast_error_pair(y, x, 1, 62)
+        for a, b in zip(got, _generic_pair(y, x, 1, 62)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("T,h", [(250, 1), (500, 4), (100, 12)])
+    def test_uncertified_inputs_fail_as_the_generic_path(self, T, h):
+        g = np.random.default_rng(T + h)
+        y = np.cumsum(g.standard_normal(T)) * 0.1 + g.standard_normal(T)
+        k0 = T // 4
+        cases = [(y, np.full(T, c)) for c in (0.0, 0.1, 1e3)]
+        cases += [(y, y.copy()), (y, 3.0 * y), (y, 2.0 * y + 1.0)]
+        for bad in (np.nan, np.inf):
+            for pos in (0, k0, T - h - 1):  # x[T - h:] enters neither path
+                y_bad, x_bad = y.copy(), g.standard_normal(T)
+                y_bad[pos] = bad
+                cases.append((y_bad, x_bad))
+                cases.append((y, np.where(np.arange(T) == pos, bad, x_bad)))
+        for yc, xc in cases:
+            assert nested_pair_forecast_errors(yc, xc, h, k0) is None
+            expected = _error_repr(lambda: _generic_pair(yc, xc, h, k0))
+            assert expected is not None
+            assert _error_repr(lambda: _forecast_error_pair(yc, xc, h, k0)) == expected
+
+    # at T=100, h=4 the large model needs 3 + h <= k0 <= T - h
+    @pytest.mark.parametrize("k0,certified", [(0, False), (6, False), (7, True), (96, True),
+                                              (97, False), (200, False)])
+    def test_origin_range_of_the_generic_path(self, k0, certified):
+        g = np.random.default_rng(k0)
+        y, x = g.standard_normal(100), g.standard_normal(100)
+        pair = nested_pair_forecast_errors(y, x, 4, k0)
+        expected = _error_repr(lambda: _generic_pair(y, x, 4, k0))
+        assert (pair is not None) == certified == (expected is None)
+        if certified:
+            assert_allclose(np.concatenate(pair), np.concatenate(_generic_pair(y, x, 4, k0)),
+                            rtol=0, atol=1e-12)
+        else:
+            assert _error_repr(lambda: _forecast_error_pair(y, x, 4, k0)) == expected
 
 
 class TestBicSelectLag:
