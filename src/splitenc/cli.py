@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,7 +45,9 @@ from .tables import csv_text, json_text, markdown_text
 
 
 def _echo_config(options: dict) -> None:
-    print("# config: " + " ".join(f"{k}={v}" for k, v in options.items()))
+    """Print the options in order, without the parser's command, func and out entries."""
+    print("# config: " + " ".join(f"{k}={v}" for k, v in options.items()
+                                  if k not in ("command", "func", "out")))
 
 
 def _emit(text: str, out_path) -> None:
@@ -80,20 +83,7 @@ def _read_errors_file(path):
 
 
 def _result_text(result, format: str) -> str:
-    record = {
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "dbar": result.dbar,
-        "omega2": result.omega2,
-        "mse1": result.mse1,
-        "mse2": result.mse2,
-        "classic_moment": result.classic_moment,
-        "n": result.n,
-        "m0": result.m0,
-        "M": result.M,
-        "mu0": result.mu0,
-        "centering": result.centering,
-    }
+    record = asdict(result)
     if format == "json":
         return json_text(record)
     if format == "csv":
@@ -105,11 +95,7 @@ def _result_text(result, format: str) -> str:
 
 
 def _cmd_test(args) -> int:
-    _echo_config({
-        "errors_file": args.errors_file, "mu0": args.mu0, "h": args.h, "k0": args.k0,
-        "bandwidth": args.bandwidth, "bandwidth_c": args.bandwidth_c,
-        "centering": args.centering, "format": args.format,
-    })
+    _echo_config(vars(args))
     e1, e2 = _read_errors_file(args.errors_file)
     fes = ForecastErrorSet(e1, e2, h=args.h, k0=args.k0)
     hac = HacConfig(bandwidth=args.bandwidth) if args.bandwidth is not None \
@@ -163,11 +149,7 @@ def _load_blocks(path):
 
 
 def _cmd_local_power(args) -> int:
-    _echo_config({
-        "blocks_file": args.blocks_file, "mu0": args.mu0, "pi0": args.pi0,
-        "phi2": args.phi2, "level": args.level,
-        "c_scale": args.c_scale, "format": args.format,
-    })
+    _echo_config(vars(args))
     blocks = _load_blocks(args.blocks_file)
     columns = ["mu0", "c_scale", "drift", "power"]
     rows = []
@@ -194,12 +176,7 @@ def _cmd_local_power(args) -> int:
 
 
 def _cmd_inflation(args) -> int:
-    _echo_config({
-        "panel_file": args.panel_file, "h": args.h, "p2": args.p2, "p_max": args.p_max,
-        "mu0": args.mu0, "pi0": args.pi0, "countries": args.countries,
-        "start": args.start, "end": args.end, "exclude_own": args.exclude_own,
-        "bandwidth_c": args.bandwidth_c, "format": args.format,
-    })
+    _echo_config(vars(args))
     panel = load_panel(args.panel_file, countries=args.countries,
                        start=args.start, end=args.end)
     config = CountryStudyConfig(
@@ -270,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--countries", nargs="+", default=None)
     p.add_argument("--start", default=None, help="first quarter, e.g. 1970Q1")
     p.add_argument("--end", default=None, help="last quarter, e.g. 2023Q4")
-    p.add_argument("--bandwidth-c", type=float, default=1.0)
     p.add_argument("--exclude-own", action="store_true",
                    help="leave the target country out of the global average")
+    p.add_argument("--bandwidth-c", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=_cmd_inflation)
     return parser

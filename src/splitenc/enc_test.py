@@ -41,7 +41,7 @@ from scipy.special import ndtr, ndtri
 from .errors import (
     BandwidthOutOfRange,
     DegenerateVariance,
-    EmptyInput,
+    InsufficientData,
     InvalidSplit,
     SingularBlock,
 )
@@ -74,7 +74,7 @@ class ForecastErrorSet:
         if e1.ndim != 1 or e2.ndim != 1 or e1.shape != e2.shape:
             raise ValueError("e1 and e2 must be equal-length vectors")
         if e1.shape[0] < 10:
-            raise ValueError("need at least 10 forecast errors")
+            raise InsufficientData("need at least 10 forecast errors")
         if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
             raise ValueError("forecast errors must be finite")
         if self.h < 1 or self.k0 < 1:
@@ -141,12 +141,12 @@ class HacConfig:
 
 @dataclass(frozen=True)
 class EncompassingResult:
-    """Everything the test produces for one forecast-error pair."""
+    """Everything the test produces for one forecast-error pair, in output column order."""
 
-    dbar: float            # mean of the split-sample moment terms
-    omega2: float          # Bartlett long-run variance of the demeaned terms
     statistic: float       # sqrt(n) * dbar / sqrt(omega2)
     p_value: float         # one-sided right tail, 1 - Phi(statistic)
+    dbar: float            # mean of the split-sample moment terms
+    omega2: float          # Bartlett long-run variance of the demeaned terms
     mse1: float
     mse2: float
     classic_moment: float  # plain-sample-mean moment, reported raw
@@ -160,8 +160,6 @@ class EncompassingResult:
 def sample_mse(errors) -> float:
     """Mean squared error of a forecast-error vector."""
     errors = np.asarray(errors, dtype=float)
-    if errors.size == 0:
-        raise EmptyInput("empty error vector")
     return float(np.mean(errors * errors))
 
 
@@ -254,10 +252,10 @@ def encompassing_test(
     statistic = math.sqrt(n) * dbar / math.sqrt(omega2)
     p_value = min(max(float(ndtr(-statistic)), 0.0), 1.0)
     return EncompassingResult(
-        dbar=dbar,
-        omega2=omega2,
         statistic=statistic,
         p_value=p_value,
+        dbar=dbar,
+        omega2=omega2,
         mse1=sample_mse(fes.e1),
         mse2=sample_mse(fes.e2),
         classic_moment=classic_moment(fes),

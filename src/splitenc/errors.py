@@ -33,10 +33,6 @@ class BandwidthOutOfRange(ValidationError):
     """HAC bandwidth outside 1 <= M < n."""
 
 
-class EmptyInput(ValidationError):
-    """An operation received an empty vector."""
-
-
 class InvalidSpec(ValidationError):
     """A simulation design is internally inconsistent."""
 

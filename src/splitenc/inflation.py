@@ -267,21 +267,13 @@ def _contributor_mean(qoq: np.ndarray, exclude: int | None = None) -> np.ndarray
     return out
 
 
-def global_inflation(panel: InflationPanel) -> np.ndarray:
-    """Equal-weight cross-country average of quarter-on-quarter inflation.
-
-    Aligned to the panel's date axis; each quarter averages the countries
-    with data that quarter.  Raises EmptyQuarter if a quarter past the
-    panel's first has no contributor.
-    """
-    return _contributor_mean(_qoq_matrix(panel))
-
-
 def _global_inflation_source(panel: InflationPanel):
     """exclude -> the panel's global inflation without column ``exclude``.
 
-    ``exclude`` None keeps every country.  Each series is computed once per
-    source; a call that raises EmptyQuarter raises again when repeated.
+    Global inflation averages the quarter-on-quarter inflation of the
+    countries with data each quarter; ``exclude`` None keeps every country.
+    Each series is computed once per source; a call that raises EmptyQuarter
+    raises again when repeated.
     """
     qoq = _qoq_matrix(panel)
     return functools.cache(lambda exclude: _contributor_mean(qoq, exclude))
@@ -359,6 +351,11 @@ def country_encompassing(panel: InflationPanel, country: str,
         g = global_source(exclude)[b0:b0 + prices.shape[0]]
         bench, large = _country_designs(config, selected, pih, pi1, g)
         k0 = int(math.floor(prices.shape[0] * config.pi0))
+        # the first fit uses the target rows dated first_origin..k0
+        if k0 - large.first_origin + 1 < large.n_params:
+            raise InsufficientData(
+                f"k0={k0} leaves too few rows for the first fit (first usable target "
+                f"{large.first_origin}, {large.n_params} parameters with p2={config.p2})")
         e1 = expanding_window_forecast_errors(bench, k0)
         e2 = expanding_window_forecast_errors(large, k0)
         fes = ForecastErrorSet(e1, e2, h=h, k0=k0)
@@ -389,21 +386,17 @@ class StudyReport:
     def render(self, format: str = "markdown") -> str:
         if format == "markdown":
             return self._markdown()
-        records = [{
-            "country": r.country,
-            "rmse_ratio": r.rmse_ratio,
-            **{f"p_mu0_{mu0:g}": r.p_values[mu0] for mu0 in self.mu0_list},
-            "selected_lag": r.selected_lag,
-            "n_forecasts": r.n_forecasts,
-        } for r in self.results]
+        cols = ["country", "rmse_ratio"] + [f"p_mu0_{m:g}" for m in self.mu0_list] \
+            + ["selected_lag", "n_forecasts"]
+        rows = [[r.country, r.rmse_ratio] + [r.p_values[m] for m in self.mu0_list]
+                + [r.selected_lag, r.n_forecasts] for r in self.results]
         if format == "json":
-            return json_text({"results": records, "failures": dict(self.failures)})
+            return json_text({"results": [dict(zip(cols, row)) for row in rows],
+                              "failures": dict(self.failures)})
         if format == "csv":
-            cols = ["country", "rmse_ratio"] + [f"p_mu0_{m:g}" for m in self.mu0_list] \
-                + ["selected_lag", "n_forecasts"]
             errors = [[country, f"error: {message}"] + [""] * (len(cols) - 2)
                       for country, message in self.failures.items()]
-            return csv_text(cols, [rec.values() for rec in records] + errors)
+            return csv_text(cols, rows + errors)
         raise ValueError(f"unknown format {format!r}")
 
     def _markdown(self) -> str:

@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
@@ -83,13 +83,15 @@ class McCell:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One cell's outcome; the field order is the csv/json column order."""
+
     label: str
-    group: str
-    mu0: float
     reps: int
     rejection_frequency: float
-    mc_standard_error: float
+    mc_se: float  # Monte Carlo standard error of the rejection frequency
     failures: int
+    mu0: float
+    group: str
     reliable: bool
 
 
@@ -186,24 +188,30 @@ def _summarize(cells, stats, base_seed, kind) -> McReport:
         out.append(
             CellResult(
                 label=cell.label or f"mu0={cell.mu0:g}",
-                group=cell.group,
-                mu0=cell.mu0,
                 reps=reps,
                 rejection_frequency=freq,
-                mc_standard_error=se,
+                mc_se=se,
                 failures=failures,
+                mu0=cell.mu0,
+                group=cell.group,
                 reliable=(failures / reps) < FAILURE_SHARE_LIMIT,
             )
         )
     return McReport(cells=tuple(out), reps=reps, base_seed=base_seed, kind=kind)
 
 
+def _check_beta2(kind: str, name: str, beta2: float) -> None:
+    """A size cell needs beta2 = 0 and a power cell beta2 > 0."""
+    if not (beta2 == 0.0 if kind == "size" else beta2 > 0.0):
+        expected = "0" if kind == "size" else "> 0"
+        raise ValueError(f"{kind} cell '{name}' has beta2={beta2!r}, expected {expected}")
+
+
 def run_size_experiment(cells, reps: int, base_seed: int, workers: int = 1) -> McReport:
     """Rejection frequencies under the null; every cell must have beta2 = 0."""
     cells = list(cells)
     for cell in cells:
-        if cell.dgp.beta2 != 0.0:
-            raise ValueError(f"size cell '{cell.label}' has beta2={cell.dgp.beta2!r}, expected 0")
+        _check_beta2("size", cell.label, cell.dgp.beta2)
     return _summarize(cells, _run_cells(cells, reps, base_seed, workers), base_seed, "size")
 
 
@@ -211,8 +219,7 @@ def run_power_experiment(cells, reps: int, base_seed: int, workers: int = 1) -> 
     """Rejection frequencies under alternatives; every cell must have beta2 > 0."""
     cells = list(cells)
     for cell in cells:
-        if not cell.dgp.beta2 > 0.0:
-            raise ValueError(f"power cell '{cell.label}' has beta2={cell.dgp.beta2!r}, expected > 0")
+        _check_beta2("power", cell.label, cell.dgp.beta2)
     return _summarize(cells, _run_cells(cells, reps, base_seed, workers), base_seed, "power")
 
 
@@ -224,19 +231,6 @@ def collect_statistics(cell: McCell, reps: int, base_seed: int, workers: int = 1
 
 # -- report rendering -------------------------------------------------------
 
-def _cell_record(c: CellResult) -> dict:
-    return {
-        "label": c.label,
-        "reps": c.reps,
-        "rejection_frequency": c.rejection_frequency,
-        "mc_se": c.mc_standard_error,
-        "failures": c.failures,
-        "mu0": c.mu0,
-        "group": c.group,
-        "reliable": c.reliable,
-    }
-
-
 def render_report(report: McReport, format: str = "markdown") -> str:
     """Render a report as csv, json or markdown text.
 
@@ -247,7 +241,7 @@ def render_report(report: McReport, format: str = "markdown") -> str:
     """
     if len(report.cells) == 0:
         raise ValueError("report has no cells")
-    records = [_cell_record(c) for c in report.cells]
+    records = [asdict(c) for c in report.cells]
     if format == "csv":
         return csv_text(list(records[0]), [r.values() for r in records])
     if format == "json":
@@ -279,7 +273,7 @@ def _render_markdown(report: McReport) -> str:
         rows = [[g] + [_flagged(by_key[(g, m)]) for m in mu0s] for g in groups]
     else:
         columns = ["label", "frequency", "mc_se", "failures"]
-        rows = [[c.label, f"{c.rejection_frequency:.3f}", f"{c.mc_standard_error:.4f}",
+        rows = [[c.label, f"{c.rejection_frequency:.3f}", f"{c.mc_se:.4f}",
                  str(c.failures)] for c in cells]
     return title + markdown_text(columns, rows)
 
@@ -367,8 +361,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     mu0 and the family's grid keys (dgp1: h, T, rho, beta2; dgp2: h, NT,
     beta2) expand as a cartesian product; scalars apply to every cell.
     Omitted keys take the defaults of the DGP spec, McCell and HacConfig.
-    Unknown keys, bad values and infeasible cells raise ConfigError with
-    their key path.
+    Unknown keys, bad values, infeasible cells and a beta2 that breaks the
+    kind's rule (size: 0, power: > 0) raise ConfigError with their key path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -432,6 +426,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             kwargs["N"], kwargs["T"] = kwargs.pop("NT")
         spec = _convert("dgp", spec_cls, **kwargs)
         group = ",".join([family] + [f"{name}={getattr(spec, name):g}" for name in label_fields])
+        _convert("dgp.beta2", _check_beta2, kind, group, spec.beta2)
         if kind == "power":
             group += f",beta2={spec.beta2:g}"
         for mu0 in mu0s:

@@ -257,7 +257,7 @@ def test_criterion_10_monte_carlo_orderings():
     freq = {}
     for cell, res in zip(cells, report.cells):
         freq[(cell.dgp.beta2, cell.dgp.rho, cell.mu0)] = (
-            res.rejection_frequency, res.mc_standard_error)
+            res.rejection_frequency, res.mc_se)
     with criterion(10, f"power orderings in beta2, mu0 and rho at 2*mc_se slack "
                        f"(reps={reps})"):
         for rho in (0.25, 0.90):
@@ -323,13 +323,13 @@ def test_criterion_12_inflation_pipeline(fixture_panel, data_dir):
     # structural assertions: no look-ahead (tail shocks leave earlier errors
     # untouched) and scale invariance of the per-country results
     cfg = CountryStudyConfig(h=4, p_max=0, mu0_list=(0.45,))
-    from splitenc.inflation import _country_designs, annualized_inflation, global_inflation
+    from splitenc.inflation import _country_designs, _global_inflation_source, annualized_inflation
     from splitenc.regression import expanding_window_forecast_errors
 
     def large_design(panel):
         b0, prices = panel.block("c00")
         pih, pi1 = annualized_inflation(prices, cfg.h), annualized_inflation(prices, 1)
-        g = global_inflation(panel)[b0:b0 + len(prices)]
+        g = _global_inflation_source(panel)(None)[b0:b0 + len(prices)]
         return _country_designs(cfg, 0, pih, pi1, g)[1], len(prices)
 
     panel = _null_panel(7)

@@ -101,6 +101,9 @@ dgp:
   beta2: 0.0
 """
 
+TINY_POWER_CONFIG = TINY_SIZE_CONFIG.replace("kind: size", "kind: power").replace(
+    "beta2: 0.0", "beta2: 0.3")
+
 
 # the cell grid of golden_mc_report.* (reps=50, seed=7)
 GOLDEN_GRID_CONFIG = """
@@ -193,6 +196,16 @@ class TestMcCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--reps" in captured.err
+
+    def test_power_config_without_beta2_fails_at_load(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mc, "run_replication", lambda *a: calls.append(a))
+        config = tmp_path / "power.yaml"
+        config.write_text(textwrap.dedent(TINY_POWER_CONFIG).replace("  beta2: 0.3\n", ""))
+        code, out, err = run_cli(capsys, "mc-power", str(config))
+        assert code == 2
+        assert err.startswith("error: dgp.beta2: ")
+        assert out == "" and calls == []
 
     def test_kind_mismatch(self, capsys, tmp_path):
         config = tmp_path / "size.yaml"
@@ -314,3 +327,26 @@ class TestInflationCommand:
     def test_config_echo_printed_before_results(self, capsys, fixture_panel_path):
         _, out, _ = run_cli(capsys, "inflation", fixture_panel_path)
         assert out.splitlines()[0].startswith("# config:")
+
+
+@pytest.mark.parametrize("command, argv, echo", [
+    ("test", ["errors_fixture.csv", "--bandwidth", "2", "--centering", "global"],
+     "errors_file={} mu0=0.45 h=1 k0=1 bandwidth=2 bandwidth_c=1.0 centering=global "
+     "format=markdown"),
+    ("mc-size", ["size.yaml", "--reps", "2", "--format", "csv"],
+     "config_file={} kind=size cells=2 reps=2 seed=7 threads=1 format=csv"),
+    ("mc-power", ["power.yaml", "--reps", "2", "--seed", "3"],
+     "config_file={} kind=power cells=2 reps=2 seed=3 threads=1 format=markdown"),
+    ("local-power", ["blocks_fixture.json", "--mu0", "0.3", "0.45", "--format", "json"],
+     "blocks_file={} mu0=[0.3, 0.45] pi0=0.25 phi2=1.0 level=0.1 c_scale=[1.0] format=json"),
+    ("inflation", ["fixture_panel.csv", "--exclude-own", "--countries", "aaa", "ccc"],
+     "panel_file={} h=4 p2=4 p_max=8 mu0=[0.4, 0.45] pi0=0.25 countries=['aaa', 'ccc'] "
+     "start=None end=None exclude_own=True bandwidth_c=1.0 format=markdown"),
+])
+def test_config_echo_printed_before_results(capsys, tmp_path, data_dir, command, argv, echo):
+    (tmp_path / "size.yaml").write_text(textwrap.dedent(TINY_SIZE_CONFIG))
+    (tmp_path / "power.yaml").write_text(textwrap.dedent(TINY_POWER_CONFIG))
+    source = tmp_path / argv[0] if argv[0].endswith(".yaml") else data_dir / argv[0]
+    code, out, _ = run_cli(capsys, command, str(source), *argv[1:])
+    assert code == 0
+    assert out.splitlines()[0] == "# config: " + echo.format(source)

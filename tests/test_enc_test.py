@@ -30,7 +30,7 @@ from splitenc.enc_test import (
 from splitenc.errors import (
     BandwidthOutOfRange,
     DegenerateVariance,
-    EmptyInput,
+    InsufficientData,
     InvalidSplit,
     SingularBlock,
 )
@@ -68,10 +68,6 @@ class TestSampleMse:
         assert sample_mse([0.0, 0.0, 0.0]) == 0.0
         assert sample_mse([1.0, -1.0, 1.0, -1.0]) == 1.0
         assert sample_mse([3.0, 4.0]) == 12.5
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            sample_mse([])
 
 
 class TestClassicMoment:
@@ -375,7 +371,7 @@ class TestLocalPower:
 
 class TestForecastErrorSet:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientData):
             ForecastErrorSet(np.zeros(5), np.zeros(5))  # n < 10
         with pytest.raises(ValueError):
             ForecastErrorSet(np.zeros(10), np.zeros(11))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from splitenc.inflation import (
     _global_inflation_source,
     annualized_inflation,
     country_encompassing,
-    global_inflation,
     load_panel,
     run_study,
 )
@@ -147,7 +147,7 @@ class TestGlobalInflation:
     def test_single_country_equals_own_series(self):
         prices = 100 * np.exp(np.cumsum(np.linspace(1, 4, 90)) / 400)
         panel = InflationPanel.from_blocks({"solo": ("1980Q1", prices)})
-        g = global_inflation(panel)
+        g = _global_inflation_source(panel)(None)
         own = annualized_inflation(prices, 1)
         assert np.isnan(g[0])
         assert_array_equal(g[1:], own[1:])
@@ -157,12 +157,12 @@ class TestGlobalInflation:
         up = np.array([100.0] * 10 + [100.0 * math.exp(2 / 400)] * 10)
         down = np.array([100.0] * 10 + [100.0 * math.exp(-2 / 400)] * 10)
         panel = InflationPanel.from_blocks({"up": ("1970Q1", up), "dn": ("1970Q1", down)})
-        g = global_inflation(panel)
+        g = _global_inflation_source(panel)(None)
         assert_allclose(g[10], 0.0, atol=1e-12)
         assert_allclose(g[1:10], 0.0, atol=1e-12)
 
     def test_fixture_matches_independent_recomputation(self, fixture_panel):
-        g = global_inflation(fixture_panel)
+        g = _global_inflation_source(fixture_panel)(None)
         # spreadsheet-style recomputation: per quarter, average the available
         # log price relatives country by country
         T, C = fixture_panel.prices.shape
@@ -179,7 +179,7 @@ class TestGlobalInflation:
         b = np.full(90, 100.0)
         panel = InflationPanel.from_blocks({"a": ("1970Q1", a), "b": ("2000Q1", b)})
         with pytest.raises(EmptyQuarter):
-            global_inflation(panel)
+            _global_inflation_source(panel)(None)
 
     def test_identical_countries_reduce_to_own_series(self):
         prices = 100 * np.exp(np.cumsum(np.sin(np.arange(90)) + 2) / 400)
@@ -187,11 +187,11 @@ class TestGlobalInflation:
         # averaging 4 identical values is exact in floats (powers of two)
         panel4 = InflationPanel.from_blocks(
             {name: ("1975Q1", prices) for name in ("a", "b", "c", "d")})
-        assert_array_equal(global_inflation(panel4)[1:], own[1:])
+        assert_array_equal(_global_inflation_source(panel4)(None)[1:], own[1:])
         # odd counts can round the last bit of the mean
         panel3 = InflationPanel.from_blocks(
             {name: ("1975Q1", prices) for name in ("a", "b", "c")})
-        assert_allclose(global_inflation(panel3)[1:], own[1:], rtol=1e-15)
+        assert_allclose(_global_inflation_source(panel3)(None)[1:], own[1:], rtol=1e-15)
 
 
 class TestCountryEncompassing:
@@ -335,6 +335,24 @@ class TestRunStudy:
         assert report.failures == {c: f"country {c}: no usable target rows at h=4"
                                    for c in fixture_panel.countries}
         assert report.render("csv").count("country aaa:") == 1
+
+    def test_short_country_becomes_failure_row(self, fixture_panel):
+        # at pi0=0.87 bbb keeps 9 forecast errors, aaa 13 and ccc 10
+        report = run_study(fixture_panel, CountryStudyConfig(pi0=0.87))
+        assert [r.country for r in report.results] == ["aaa", "ccc"]
+        assert [r.n_forecasts for r in report.results] == [13, 10]
+        assert report.failures == {"bbb": "country bbb: need at least 10 forecast errors"}
+
+    @pytest.mark.parametrize("p2, params, first_target", [(40, 43, 46), (20, 23, 26)])
+    def test_p2_past_first_origin_names_the_window(self, fixture_panel, p2, params,
+                                                     first_target):
+        report = run_study(fixture_panel, CountryStudyConfig(p2=p2))
+        assert report.results == ()
+        assert report.failures["aaa"] == (
+            f"country aaa: k0=30 leaves too few rows for the first fit (first usable "
+            f"target {first_target}, {params} parameters with p2={p2})")
+        assert set(report.failures) == set(fixture_panel.countries)
+        assert not any(re.search(r"-\d", m) for m in report.failures.values())
 
     @pytest.mark.parametrize("include_own", [True, False])
     def test_global_series_computed_once_per_exclusion(self, monkeypatch, include_own):

@@ -94,7 +94,7 @@ class TestExperiments:
         assert c.reps == 25
         assert 0.0 <= c.rejection_frequency <= 1.0
         assert c.failures == 0 and c.reliable
-        assert c.mc_standard_error == pytest.approx(
+        assert c.mc_se == pytest.approx(
             math.sqrt(c.rejection_frequency * (1 - c.rejection_frequency) / 25))
 
     def test_worker_count_invariance(self):
@@ -129,7 +129,7 @@ class TestExperiments:
         crit = float(norm.ppf(0.90))
         assert p == sum(real(_cell(T=100), rep, mc._cell_seed(3, 0)) > crit
                         for rep in range(30) if rep % 3) / 20
-        assert c.mc_standard_error == math.sqrt(p * (1.0 - p) / 20)
+        assert c.mc_se == math.sqrt(p * (1.0 - p) / 20)
 
     def test_collect_statistics(self):
         stats = collect_statistics(_cell(T=100), reps=30, base_seed=9)
@@ -182,7 +182,7 @@ class TestRenderReport:
             assert row["label"] == cell.label
             assert int(row["reps"]) == cell.reps
             assert float(row["rejection_frequency"]) == cell.rejection_frequency
-            assert float(row["mc_se"]) == cell.mc_standard_error
+            assert float(row["mc_se"]) == cell.mc_se
             assert int(row["failures"]) == cell.failures
 
     def test_csv_column_order(self):
@@ -354,6 +354,7 @@ class TestConfigLoading:
         ("experiment.mu0", [0.50]),
         ("experiment.bandwidth", 0),
         ("dgp.beta1", [0.3, 0.5]),
+        ("dgp.beta2", 0.3),
         ("dgp.NT", [100, 250]),
         ("dgp.T", "abc"),
         ("dgp.sigma", "sigma9"),
