@@ -9,8 +9,9 @@ Two designs are covered:
 
 Every generator is a deterministic function of (spec, RngStream): identical
 inputs reproduce identical paths bit for bit, and distinct stream ids give
-statistically independent replications.  All recursions start at zero and a
-burn-in prefix is discarded.
+statistically independent replications.  The recursions of y, x and the
+factor start at zero and a burn-in prefix is discarded; the idiosyncratic
+panel of the factor design starts from its stationary law instead.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ POWER_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible, splittable randomness: (base_seed, stream_id) -> generator."""
+    """Reproducible, splittable randomness: (base_seed, stream_id) -> generator.
 
-    base_seed: int
+    base_seed is the SeedSequence entropy: an int, or a tuple of ints when
+    the stream is keyed by more than one value.
+    """
+
+    base_seed: int | tuple
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
@@ -180,19 +185,23 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
 
     "X" is the T x N observed panel from which the factor proxy is to be
     extracted, "f_true" the latent factor path (for diagnostics only).
+    The idiosyncratic AR(rho_i) columns need no burn-in: their first row is
+    drawn from the stationary law N(0, 1/(1 - rho_i^2)), so every row has
+    that law exactly; ``burn_in`` applies to y and f only.
     """
     g = rng.generator()
     total = spec.burn_in + spec.T
     lam = spec.loading_std * g.standard_normal(spec.N)
     f = _ar1_path(g.standard_normal(total), spec.alpha1)
-    e = _ar1_path(g.standard_normal((total, spec.N)), spec.rho_i)
-    X = f[:, None] * lam[None, :] + e
+    innov = g.standard_normal((spec.T, spec.N))
+    innov[0] /= np.sqrt(1.0 - spec.rho_i * spec.rho_i)
+    keep = slice(spec.burn_in, None)
+    X = f[keep, None] * lam[None, :] + _ar1_path(innov, spec.rho_i)
     w = _ma_path(g.standard_normal(total), spec.theta, spec.h)
     drive = w + spec.alpha
     drive[spec.h:] += spec.beta2 * f[:-spec.h]
     y = _h_step_ar(drive, spec.beta1, spec.h)
-    keep = slice(spec.burn_in, None)
-    return {"y": y[keep], "X": X[keep], "f_true": f[keep]}
+    return {"y": y[keep], "X": X, "f_true": f[keep]}
 
 
 def _power_top_eigenvector(A: np.ndarray):

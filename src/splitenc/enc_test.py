@@ -116,6 +116,22 @@ class SplitSpec:
         return m0
 
 
+def distinct_mu0_list(values) -> tuple:
+    """Validated split fractions whose ``:g`` labels are pairwise distinct.
+
+    Reports label a split fraction by its ``:g`` form (``p_mu0_0.4``,
+    ``mu0=0.4``), so two values that share one would print two results
+    under one label.
+    """
+    mu0s = tuple(SplitSpec(m).mu0 for m in values)
+    labels = [f"{m:g}" for m in mu0s]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            first = mu0s[labels.index(label)]
+            raise InvalidSplit(f"mu0 values {first!r} and {mu0s[i]!r} share the label {label}")
+    return mu0s
+
+
 @dataclass(frozen=True)
 class HacConfig:
     """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3)))."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, encompassing_test
+from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, distinct_mu0_list, encompassing_test
 from .errors import (
     CoverageError,
     EmptyQuarter,
@@ -137,9 +137,7 @@ class CountryStudyConfig:
             raise ValueError("pi0 must lie in (0, 1)")
         if len(self.mu0_list) == 0:
             raise ValueError("mu0_list must not be empty")
-        for mu0 in self.mu0_list:
-            SplitSpec(mu0)
-        object.__setattr__(self, "mu0_list", tuple(float(m) for m in self.mu0_list))
+        object.__setattr__(self, "mu0_list", distinct_mu0_list(self.mu0_list))
 
 
 @dataclass(frozen=True)

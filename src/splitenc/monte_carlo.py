@@ -2,9 +2,11 @@
 
 Each experiment cell pairs a simulation design with the test's tuning inputs
 (split fraction, bandwidth policy, nominal level, forecast start fraction).
-A replication simulates the design, produces recursive expanding-window
-forecasts from both nested models starting at k0 = floor(T * pi0), runs the
-encompassing test and yields its statistic.  The test is one-sided, so a
+Cells that share one DGP spec and one pi0 form a design group.  A
+replication of a group simulates the design once, produces recursive
+expanding-window forecasts from both nested models starting at
+k0 = floor(T * pi0) once, and runs the encompassing test once per cell on
+that one forecast-error pair.  The test is one-sided, so a cell's
 replication rejects when its statistic exceeds the normal critical value at
 the cell's level.
 
@@ -14,32 +16,70 @@ When it cannot certify its result, the two generic ``DirectDesign`` fits
 run instead and raise what they always raised.
 
 Determinism: the random stream of a replication is keyed by
-(base seed, cell index, replication id) only, so reports are bit-identical
-across worker counts and execution orders.  A replication that aborts with a
-numerical error yields NaN: it is dropped and counted as a failure, and a
-cell with 1% or more failures is flagged unreliable.
+(base seed, digest of the DGP spec, replication id) only, so reports are
+bit-identical across worker counts and execution orders, and a cell's
+statistics do not change when it runs alone, in a reordered grid or beside
+unrelated cells.  All mu0 of a design group see common random numbers.  A
+replication that aborts with a numerical error yields NaN: a failed
+simulation or fit fails every cell of its group, a failed test only its own
+cell.  NaN is dropped and counted as a failure, and a cell with 1% or more
+failures is flagged unreliable.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 from scipy.special import ndtri
 
 from .dgp import SIGMA1, SIGMA2, Dgp1Spec, Dgp2Spec, RngStream, estimate_factor, simulate_dgp1, simulate_dgp2
-from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, encompassing_test
+from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, distinct_mu0_list, encompassing_test
 from .errors import ConfigError, InsufficientData, SplitEncError
 from .regression import DirectDesign, expanding_window_forecast_errors, nested_pair_forecast_errors
 from .tables import csv_text, json_text, markdown_text
 
 FAILURE_SHARE_LIMIT = 0.01
 DEFAULT_SEED = 20240817  # base seed of a config that sets none
+# what a failed replication raises; anything else aborts the grid
+_FAILURES = (SplitEncError, np.linalg.LinAlgError)
+
+
+def _first_origin(dgp, pi0: float) -> tuple:
+    """(k0, n): the first forecast origin floor(T * pi0) and the errors it leaves.
+
+    Raises InsufficientData unless both nested fits are identified at k0
+    (the larger model has three coefficients, so k0 >= 3 + h) and the
+    n = T - h - k0 + 1 forecast errors number at least 10.
+    """
+    T, h = dgp.T, dgp.h
+    k0 = int(math.floor(T * pi0))
+    if k0 < 3 + h:
+        raise InsufficientData(f"k0={k0} < 3 + h = {3 + h}")
+    n = T - h - k0 + 1
+    if n < 10:
+        raise InsufficientData(f"k0={k0} leaves {n} forecast errors (need at least 10)")
+    return k0, n
+
+
+def _spec_digest(spec) -> int:
+    """Canonical digest of a DGP spec: its type name and each field's name and float64 bytes.
+
+    The spec holds an ndarray (``sigma``), so the frozen dataclass itself is
+    not hashable; equal specs give equal digests in every process (adding
+    0.0 maps -0.0 to 0.0).
+    """
+    digest = hashlib.sha256(type(spec).__name__.encode())
+    for f in fields(spec):
+        digest.update(f.name.encode())
+        digest.update((np.asarray(getattr(spec, f.name), dtype=np.float64) + 0.0).tobytes())
+    return int.from_bytes(digest.digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -64,18 +104,11 @@ class McCell:
     def forecast_origin(self) -> int:
         """First forecast origin k0 = floor(T * pi0), checked without simulating.
 
-        Raises a SplitEncError unless both nested fits are identified at k0
-        (the larger model has three coefficients, so k0 >= 3 + h), the
-        n = T - h - k0 + 1 forecast errors number at least 10, and the split
-        location and bandwidth resolve at n.
+        Raises a SplitEncError unless the design admits k0 (see
+        ``_first_origin``) and the split location and bandwidth resolve at
+        the n forecast errors it leaves.
         """
-        T, h = self.dgp.T, self.dgp.h
-        k0 = int(math.floor(T * self.pi0))
-        if k0 < 3 + h:
-            raise InsufficientData(f"k0={k0} < 3 + h = {3 + h}")
-        n = T - h - k0 + 1
-        if n < 10:
-            raise InsufficientData(f"k0={k0} leaves {n} forecast errors (need at least 10)")
+        k0, n = _first_origin(self.dgp, self.pi0)
         SplitSpec(self.mu0).m0(n)
         self.hac.resolve(n)
         return k0
@@ -125,11 +158,19 @@ def _critical_value(level: float) -> float:
     return float(ndtri(1.0 - level))
 
 
-def run_replication(cell: McCell, rep_id: int, base_seed: int) -> float:
-    """The test statistic of one replication; deterministic in (cell, rep_id, base_seed)."""
-    k0 = cell.forecast_origin()
-    stream = RngStream(base_seed, rep_id)
-    dgp = cell.dgp
+def run_replication(cells, rep_id: int, base_seed: int) -> np.ndarray:
+    """One statistic per cell of a design group, from one simulation and one fit.
+
+    The cells share one DGP spec and one pi0, so they share the forecast
+    errors; the stream is keyed by (base_seed, spec digest, rep_id).  A
+    failed simulation or fit raises; a test that fails for one cell leaves
+    NaN in that cell's entry only.  The split and bandwidth of each cell are
+    checked by its own test, so a cell's entry does not depend on the other
+    cells of the group.
+    """
+    dgp = cells[0].dgp
+    k0, _ = _first_origin(dgp, cells[0].pi0)
+    stream = RngStream((base_seed, _spec_digest(dgp)), rep_id)
     if isinstance(dgp, Dgp1Spec):
         sim = simulate_dgp1(dgp, stream)
         y, extra = sim["y"], sim["x"]
@@ -140,23 +181,35 @@ def run_replication(cell: McCell, rep_id: int, base_seed: int) -> float:
         raise ValueError(f"unsupported DGP type {type(dgp).__name__}")
     e1, e2 = _forecast_error_pair(y, extra, dgp.h, k0)
     fes = ForecastErrorSet(e1, e2, h=dgp.h, k0=k0)
-    return encompassing_test(fes, SplitSpec(cell.mu0), cell.hac).statistic
-
-
-def _cell_seed(base_seed: int, cell_index: int) -> int:
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(cell_index,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _run_chunk(cell: McCell, cell_seed: int, start: int, stop: int) -> np.ndarray:
-    """Statistics of replications start..stop-1; a failed replication stays NaN."""
-    stats = np.full(stop - start, np.nan)
-    for rep in range(start, stop):
+    stats = np.full(len(cells), np.nan)
+    for i, cell in enumerate(cells):
         try:
-            stats[rep - start] = run_replication(cell, rep, cell_seed)
-        except (SplitEncError, np.linalg.LinAlgError):
+            stats[i] = encompassing_test(fes, SplitSpec(cell.mu0), cell.hac).statistic
+        except _FAILURES:
             pass
     return stats
+
+
+def _design_groups(cells) -> list:
+    """Cell indices per design group (one DGP spec and one pi0), in order of first appearance."""
+    groups = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault((_spec_digest(cell.dgp), cell.pi0), []).append(i)
+    return list(groups.values())
+
+
+def _run_chunk(cells, base_seed: int, start: int, stop: int) -> np.ndarray:
+    """(cells, stop - start) statistics of replications start..stop-1 of one group.
+
+    A failed replication leaves NaN in every cell of the group.
+    """
+    stats = np.full((stop - start, len(cells)), np.nan)
+    for rep in range(start, stop):
+        try:
+            stats[rep - start] = run_replication(cells, rep, base_seed)
+        except _FAILURES:
+            pass
+    return stats.T
 
 
 def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
@@ -164,15 +217,18 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     if reps < 1:
         raise ValueError("need at least one replication")
     chunk = min(reps, 250)
-    tasks = [(cell, _cell_seed(base_seed, ci), start, min(start + chunk, reps))
-             for ci, cell in enumerate(cells) for start in range(0, reps, chunk)]
+    tasks = [(group, start, min(start + chunk, reps))
+             for group in _design_groups(cells) for start in range(0, reps, chunk)]
+    args = [([cells[i] for i in group], base_seed, start, stop) for group, start, stop in tasks]
     if workers <= 1:
-        chunks = [_run_chunk(*task) for task in tasks]
+        chunks = [_run_chunk(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, *zip(*tasks)))
-    # the empty leading piece lets a grid without cells through
-    return np.concatenate([np.empty(0), *chunks]).reshape(len(cells), reps)
+            chunks = list(pool.map(_run_chunk, *zip(*args)))
+    stats = np.empty((len(cells), reps))
+    for (group, start, stop), block in zip(tasks, chunks):
+        stats[group, start:stop] = block
+    return stats
 
 
 def _summarize(cells, stats, base_seed, kind) -> McReport:
@@ -393,8 +449,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     reps = _convert("experiment.reps", replication_count, exp.get("reps", 10000))
     seed = exp.get("seed")
     seed = DEFAULT_SEED if seed is None else _convert("experiment.seed", int, seed)
-    mu0s = [_convert("experiment.mu0", lambda m: SplitSpec(m).mu0, m)
-            for m in _as_list(exp["mu0"])]
+    mu0s = _convert("experiment.mu0", distinct_mu0_list, _as_list(exp["mu0"]))
     if "bandwidth" in exp and "bandwidth_c" in exp:
         raise ConfigError("experiment.bandwidth", "give either bandwidth or bandwidth_c, not both")
     tuning = {name: _convert(f"experiment.{key}", convert, exp[key])

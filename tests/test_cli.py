@@ -224,9 +224,14 @@ class TestMcCommands:
                                     "--format", "json")
         assert code == 0
         assert _table_body(out) == _table_body(explicit)
-        code, default, _ = run_cli(capsys, "mc-size", str(config), "--seed", "20240817",
-                                   "--format", "json")
-        assert _table_body(out) != _table_body(default)
+        loaded = mc.load_experiment_config(config)
+        report = mc.run_size_experiment(loaded.cells, reps=loaded.reps, base_seed=0)
+        assert _table_body(out) == mc.render_report(report, "json")
+        # seed 0 is a seed of its own, not the default seed in disguise
+        cell = loaded.cells[0]
+        zero = mc.collect_statistics(cell, reps=loaded.reps, base_seed=0)
+        default = mc.collect_statistics(cell, reps=loaded.reps, base_seed=mc.DEFAULT_SEED)
+        assert zero.tobytes() != default.tobytes()
 
     def test_reps_override(self, capsys, tmp_path):
         config = tmp_path / "size.yaml"
@@ -315,6 +320,13 @@ class TestInflationCommand:
         assert code == 0
         header = _table_body(out).splitlines()[0]
         assert "p_mu0_0.3" in header and "p_mu0_0.45" in header
+
+    def test_mu0_sharing_a_label_exits_2(self, capsys, fixture_panel_path):
+        code, out, err = run_cli(capsys, "inflation", fixture_panel_path,
+                                 "--mu0", "0.4", "0.4000001", "--format", "csv")
+        assert code == 2
+        assert len(out.splitlines()) == 1  # the config echo, no results
+        assert "share the label 0.4" in err
 
     def test_repeat_run_identical_bytes(self, capsys, fixture_panel_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

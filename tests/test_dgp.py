@@ -141,6 +141,16 @@ class TestDgp2:
         out = simulate_dgp2(spec, RngStream(10, 0))
         assert np.corrcoef(out["y"][1:], out["f_true"][:-1])[0, 1] > 0.3
 
+    @pytest.mark.parametrize("rho_i, burn_in", [(0.5, 200), (0.5, 0), (0.9, 0)])
+    def test_idiosyncratic_panel_starts_stationary(self, rho_i, burn_in):
+        # loadings this small leave X's first row as the idiosyncratic draws
+        spec = Dgp2Spec(T=50, N=500, rho_i=rho_i, loading_std=1e-9, burn_in=burn_in)
+        first = np.concatenate([simulate_dgp2(spec, RngStream(12, r))["X"][0]
+                                for r in range(40)])
+        target = 1.0 / (1.0 - rho_i**2)
+        # sample variance of 20000 normal draws: standard error target * sqrt(2 / n)
+        assert abs(np.var(first) - target) < 4.0 * target * np.sqrt(2.0 / first.size)
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             Dgp2Spec(T=100, N=5)

@@ -10,6 +10,7 @@ from splitenc.dgp import RngStream
 from splitenc.errors import (
     CoverageError,
     EmptyQuarter,
+    InvalidSplit,
     NonPositivePrice,
     ParseError,
     SplitEncError,
@@ -317,6 +318,12 @@ class TestRunStudy:
     def test_empty_mu0_list_rejected(self):
         with pytest.raises(ValueError, match="mu0_list"):
             CountryStudyConfig(mu0_list=())
+
+    @pytest.mark.parametrize("mu0_list", [(0.40, 0.45, 0.40), (0.40, 0.4000001)])
+    def test_mu0_list_sharing_a_label_rejected(self, mu0_list):
+        # the p-value columns are labelled p_mu0_{mu0:g}
+        with pytest.raises(InvalidSplit, match="share the label 0.4"):
+            CountryStudyConfig(mu0_list=mu0_list)
 
     def test_failures_reported_inline(self):
         blocks = {"flat": ("1970Q1", np.full(160, 100.0))}

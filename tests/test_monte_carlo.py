@@ -18,6 +18,7 @@ from splitenc.enc_test import HacConfig
 from splitenc.errors import (
     BandwidthOutOfRange,
     ConfigError,
+    DegenerateVariance,
     InsufficientData,
     InvalidSplit,
     NumericalError,
@@ -43,14 +44,14 @@ def _cell(T=250, h=1, rho=0.25, beta2=0.0, mu0=0.45, pi0=0.25, **kw):
 class TestRunReplication:
     def test_bit_identical_across_calls(self):
         cell = _cell()
-        a = run_replication(cell, 7, 99)
-        b = run_replication(cell, 7, 99)
-        assert isinstance(a, float)
-        assert a == b
+        a = run_replication([cell], 7, 99)
+        b = run_replication([cell], 7, 99)
+        assert isinstance(a, np.ndarray) and a.shape == (1,)
+        assert a.tobytes() == b.tobytes()
 
     def test_distinct_reps_differ(self):
         cell = _cell()
-        assert run_replication(cell, 0, 99) != run_replication(cell, 1, 99)
+        assert run_replication([cell], 0, 99)[0] != run_replication([cell], 1, 99)[0]
 
     def test_reject_uses_normal_critical_value(self):
         for level in (0.05, 0.10):
@@ -72,7 +73,7 @@ class TestRunReplication:
 
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
-        assert math.isfinite(run_replication(cell, 0, 5))
+        assert math.isfinite(run_replication([cell], 0, 5)[0])
 
 
 class TestExperiments:
@@ -117,17 +118,17 @@ class TestExperiments:
     def test_mc_se_uses_completed_replications(self, monkeypatch):
         real = mc.run_replication
 
-        def every_third_fails(cell, rep_id, base_seed):
+        def every_third_fails(cells, rep_id, base_seed):
             if rep_id % 3 == 0:
                 raise NumericalError("injected")
-            return real(cell, rep_id, base_seed)
+            return real(cells, rep_id, base_seed)
 
         monkeypatch.setattr(mc, "run_replication", every_third_fails)
         c = run_size_experiment([_cell(T=100)], reps=30, base_seed=3).cells[0]
         assert c.failures == 10 and not c.reliable
         p = c.rejection_frequency
         crit = float(norm.ppf(0.90))
-        assert p == sum(real(_cell(T=100), rep, mc._cell_seed(3, 0)) > crit
+        assert p == sum(real([_cell(T=100)], rep, 3)[0] > crit
                         for rep in range(30) if rep % 3) / 20
         assert c.mc_se == math.sqrt(p * (1.0 - p) / 20)
 
@@ -161,6 +162,98 @@ class TestExperiments:
             stats = mc._run_cells(list(config.cells), config.reps, config.seed, 1)
             assert np.all(np.isfinite(stats))
         assert fallbacks == []
+
+
+def _row_alone(cell, reps, seed):
+    return mc._run_cells([cell], reps, seed, 1)[0]
+
+
+class TestDesignGroups:
+    """Cells that share a DGP spec and pi0 are simulated and fitted once per replication."""
+
+    def test_cell_row_independent_of_grid(self):
+        group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
+        other = [_cell(T=120, rho=0.9, mu0=m) for m in (0.40, 0.45)]
+        target = _cell(T=100, mu0=0.40)
+        alone = _row_alone(target, 20, 13)
+        for grid, index in ((group, 1), (group[::-1], 1),
+                            ([other[0], *group, other[1]], 2)):
+            row = mc._run_cells(grid, 20, 13, 1)[index]
+            assert row.tobytes() == alone.tobytes()
+
+    def test_spec_digest_is_canonical(self):
+        base = mc._spec_digest(Dgp1Spec(T=100))
+        assert mc._spec_digest(Dgp1Spec(T=100, beta2=-0.0)) == base
+        for other in (Dgp1Spec(T=101), Dgp1Spec(T=100, sigma=SIGMA2),
+                      Dgp1Spec(T=100, burn_in=201), Dgp2Spec(T=100, N=10)):
+            assert mc._spec_digest(other) != base
+
+    def test_one_simulation_and_fit_per_group_replication(self, tmp_path, monkeypatch):
+        # the mc-dgp2 sub-grid of perfbench/inputs.py: 2 groups x 4 mu0, 2 reps
+        path = tmp_path / "dgp2.yaml"
+        path.write_text(
+            "experiment:\n  kind: power\n  reps: 2\n  mu0: [0.30, 0.35, 0.40, 0.45]\n"
+            "  bandwidth_c: 1.0\n  seed: 1\n"
+            "dgp:\n  family: dgp2\n  NT: [[100, 250], [500, 500]]\n  h: 4\n"
+            "  beta1: 0.3\n  beta2: 0.3\n  theta: 0.5\n  alpha1: 0.5\n  rho_i: 0.5\n")
+        config = load_experiment_config(path)
+        calls = {"simulate_dgp2": 0, "estimate_factor": 0, "_forecast_error_pair": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(mc, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mc, name, counted)
+        report = run_power_experiment(config.cells, config.reps, config.seed)
+        assert len(report.cells) == 8
+        assert all(c.failures == 0 for c in report.cells)
+        assert calls == {"simulate_dgp2": 4, "estimate_factor": 4, "_forecast_error_pair": 4}
+
+    def test_test_failure_fails_its_cell_only(self, monkeypatch):
+        group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
+        clean = run_replication(group, 3, 17)
+        real = mc.encompassing_test
+
+        def fails_at_040(fes, split, hac):
+            if split.mu0 == 0.40:
+                raise DegenerateVariance("injected")
+            return real(fes, split, hac)
+
+        monkeypatch.setattr(mc, "encompassing_test", fails_at_040)
+        got = run_replication(group, 3, 17)
+        assert math.isnan(got[1])
+        assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+
+    def test_simulation_failure_fails_every_cell_of_its_group(self, monkeypatch):
+        group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
+        other = _cell(T=120, rho=0.9, mu0=0.45)
+        clean = mc._run_cells([*group, other], 10, 19, 1)
+        real, seen = mc.simulate_dgp1, []
+
+        def first_call_fails(spec, stream):
+            seen.append(stream.stream_id)
+            if len(seen) == 1:
+                raise NumericalError("injected")
+            return real(spec, stream)
+
+        monkeypatch.setattr(mc, "simulate_dgp1", first_call_fails)
+        report = run_size_experiment([*group, other], reps=10, base_seed=19)
+        assert [c.failures for c in report.cells] == [1, 1, 1, 0]
+        assert len(seen) == 20  # one simulation per (group, replication)
+        seen.clear()
+        again = mc._run_cells([*group, other], 10, 19, 1)
+        assert np.isnan(again[:3, 0]).all()
+        assert again[:, 1:].tobytes() == clean[:, 1:].tobytes()
+
+    def test_multi_group_grid_same_for_one_and_two_workers(self):
+        # interleaved groups, two pi0 for one spec, and two chunks per group
+        cells = [_cell(T=100, mu0=0.40), _cell(T=120, rho=0.9, mu0=0.40),
+                 _cell(T=100, mu0=0.45), _cell(T=100, mu0=0.45, pi0=0.4),
+                 _cell(T=120, rho=0.9, mu0=0.30)]
+        serial = mc._run_cells(cells, 300, 23, 1)
+        pooled = mc._run_cells(cells, 300, 23, 2)
+        assert serial.tobytes() == pooled.tobytes()
+        for cell, row in zip(cells, serial):
+            assert row.tobytes() == _row_alone(cell, 300, 23).tobytes()
 
 
 class TestRenderReport:
@@ -352,6 +445,7 @@ class TestConfigLoading:
         ("experiment.seed", [1]),
         ("experiment.bandwidth_c", [1]),
         ("experiment.mu0", [0.50]),
+        ("experiment.mu0", [0.40, 0.4000001]),
         ("experiment.bandwidth", 0),
         ("dgp.beta1", [0.3, 0.5]),
         ("dgp.beta2", 0.3),
