@@ -9,7 +9,9 @@ local-power  evaluate theoretical drift/power over a mu0 (and c-scale) grid
 inflation    run the country-level inflation study on a CSV panel
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical
-degeneracy.  Every run echoes its resolved configuration before results;
+degeneracy.  A bad option value fails while the arguments are parsed,
+naming the option, before anything is printed on stdout.  Every run echoes
+its resolved configuration before results;
 ``--out`` writes the primary artifact to a file (byte-identical across
 repeated runs with the same flags and seed).
 """
@@ -29,17 +31,19 @@ from .enc_test import (
     HacConfig,
     LocalPowerInput,
     SplitSpec,
+    distinct_mu0_list,
     encompassing_test,
     local_power_stationary,
 )
-from .errors import NumericalError, ParseError, ValidationError
-from .inflation import CountryStudyConfig, load_panel, run_study
+from .errors import NumericalError, ParseError, SplitEncError, ValidationError
+from .inflation import CountryStudyConfig, load_panel, parse_quarter, run_study
 from .monte_carlo import (
     load_experiment_config,
     render_report,
     replication_count,
     run_power_experiment,
     run_size_experiment,
+    unit_fraction,
 )
 from .tables import csv_text, json_text, markdown_text
 
@@ -189,6 +193,60 @@ def _cmd_inflation(args) -> int:
     return 0
 
 
+def _option_type(convert):
+    """An argparse type running convert on the option's text.
+
+    A value that convert rejects ends the parse with exit code 2 and a
+    message naming the option and convert's reason.
+    """
+    def parse(text):
+        try:
+            return convert(text)
+        except (ValueError, SplitEncError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _int_at_least(low: int):
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return _option_type(convert)
+
+
+def _positive_float(text) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise ValueError(f"must be positive, got {value:g}")
+    return value
+
+
+def _quarter(text) -> str:
+    parse_quarter(text)
+    return text
+
+
+_SPLIT = _option_type(lambda text: SplitSpec(float(text)).mu0)
+_FRACTION = _option_type(unit_fraction)
+_POSITIVE = _option_type(_positive_float)
+_BANDWIDTH = _option_type(lambda text: HacConfig(bandwidth=int(text)).bandwidth)
+_BANDWIDTH_C = _option_type(lambda text: HacConfig(c=float(text)).c)
+_QUARTER = _option_type(_quarter)
+
+
+class _DistinctMu0(argparse.Action):
+    """Stores a --mu0 list whose values print distinctly (see distinct_mu0_list)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            distinct_mu0_list(values)
+        except SplitEncError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        setattr(namespace, self.dest, values)
+
+
 def _add_common(parser) -> None:
     parser.add_argument("--format", choices=["csv", "json", "markdown"],
                         default="markdown")
@@ -204,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="test one pair of forecast-error series")
     p.add_argument("errors_file", help="CSV with header e1,e2")
-    p.add_argument("--mu0", type=float, default=0.45)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--k0", type=int, default=1)
-    p.add_argument("--bandwidth", type=int, default=None, help="fixed Bartlett bandwidth M")
-    p.add_argument("--bandwidth-c", type=float, default=1.0,
+    p.add_argument("--mu0", type=_SPLIT, default=0.45)
+    p.add_argument("--h", type=_int_at_least(1), default=1)
+    p.add_argument("--k0", type=_int_at_least(1), default=1)
+    p.add_argument("--bandwidth", type=_BANDWIDTH, default=None, help="fixed Bartlett bandwidth M")
+    p.add_argument("--bandwidth-c", type=_BANDWIDTH_C, default=1.0,
                    help="constant c in M = floor(c * n^(1/3))")
     p.add_argument("--centering", choices=["segment", "global"], default="segment")
     _add_common(p)
@@ -220,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config_file", help="YAML experiment definition")
-        p.add_argument("--reps", type=replication_count, default=None)
+        p.add_argument("--reps", type=_option_type(replication_count), default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
         _add_common(p)
@@ -228,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local-power", help="theoretical drift and power")
     p.add_argument("blocks_file", help="JSON file with c and the moment blocks")
-    p.add_argument("--mu0", type=float, nargs="+", default=[0.45])
-    p.add_argument("--pi0", type=float, default=0.25)
-    p.add_argument("--phi2", type=float, default=1.0)
-    p.add_argument("--level", type=float, default=0.10)
+    p.add_argument("--mu0", type=_SPLIT, nargs="+", default=[0.45])
+    p.add_argument("--pi0", type=_FRACTION, default=0.25)
+    p.add_argument("--phi2", type=_POSITIVE, default=1.0)
+    p.add_argument("--level", type=_FRACTION, default=0.10)
     p.add_argument("--c-scale", type=float, nargs="+", default=[1.0],
                    help="scale factors applied to the c vector")
     _add_common(p)
@@ -239,17 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inflation", help="country-level inflation study")
     p.add_argument("panel_file", help="CSV with header country,date,hcpi")
-    p.add_argument("--h", type=int, default=4)
-    p.add_argument("--p2", type=int, default=4)
-    p.add_argument("--p-max", type=int, default=8)
-    p.add_argument("--mu0", type=float, nargs="+", default=[0.40, 0.45])
-    p.add_argument("--pi0", type=float, default=0.25)
+    p.add_argument("--h", type=_int_at_least(1), default=4)
+    p.add_argument("--p2", type=_int_at_least(0), default=4)
+    p.add_argument("--p-max", type=_int_at_least(0), default=8)
+    p.add_argument("--mu0", type=_SPLIT, nargs="+", action=_DistinctMu0, default=[0.40, 0.45])
+    p.add_argument("--pi0", type=_FRACTION, default=0.25)
     p.add_argument("--countries", nargs="+", default=None)
-    p.add_argument("--start", default=None, help="first quarter, e.g. 1970Q1")
-    p.add_argument("--end", default=None, help="last quarter, e.g. 2023Q4")
+    p.add_argument("--start", type=_QUARTER, default=None, help="first quarter, e.g. 1970Q1")
+    p.add_argument("--end", type=_QUARTER, default=None, help="last quarter, e.g. 2023Q4")
     p.add_argument("--exclude-own", action="store_true",
                    help="leave the target country out of the global average")
-    p.add_argument("--bandwidth-c", type=float, default=1.0)
+    p.add_argument("--bandwidth-c", type=_BANDWIDTH_C, default=1.0)
     _add_common(p)
     p.set_defaults(func=_cmd_inflation)
     return parser

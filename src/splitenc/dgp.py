@@ -137,47 +137,59 @@ class Dgp2Spec:
 # scipy.signal is imported where a path is filtered, not at module import:
 # it is the slowest import of the package, and only the simulators use it.
 
-def _ar1_path(innov: np.ndarray, coeff: float) -> np.ndarray:
-    # x_t = coeff * x_{t-1} + innov_t with x_0 = 0, along axis 0
+def _ar1_path(innov: np.ndarray, coeff: float, axis: int = -1) -> np.ndarray:
+    # x_t = coeff * x_{t-1} + innov_t with x_0 = 0, along the given axis
     from scipy.signal import lfilter
 
-    return lfilter([1.0], [1.0, -coeff], innov, axis=0)
+    return lfilter([1.0], [1.0, -coeff], innov, axis=axis)
 
 
 def _ma_path(innov: np.ndarray, theta: float, h: int) -> np.ndarray:
-    # w_t = sum_{j=0}^{h-1} theta^j innov_{t-j}, missing pre-sample terms as 0
+    # w_t = sum_{j=0}^{h-1} theta^j innov_{t-j} along the last axis, missing pre-sample terms as 0
     from scipy.signal import lfilter
 
     return lfilter(theta ** np.arange(h), [1.0], innov)
 
 
 def _h_step_ar(drive: np.ndarray, beta1: float, h: int) -> np.ndarray:
-    """Solve y_t = beta1 * y_{t-h} + drive_t with zero pre-sample values.
+    """Solve y_t = beta1 * y_{t-h} + drive_t along the last axis with zero pre-sample values.
 
     The recursion decouples into h independent first-order recursions, one
     per residue class of t mod h.  Zero-padded to a multiple of h and read
-    as a (ceil(T/h), h) array, each column is one residue class, so a
-    single filter call along axis 0 runs all of them.
+    as (..., ceil(T/h), h), each column is one residue class, so a single
+    filter call along axis -2 runs all of them.
     """
-    T = drive.shape[0]
+    T = drive.shape[-1]
     rows = -(-T // h)
-    padded = np.zeros(rows * h)
-    padded[:T] = drive
-    return _ar1_path(padded.reshape(rows, h), beta1).reshape(-1)[:T]
+    padded = np.zeros(drive.shape[:-1] + (rows * h,))
+    padded[..., :T] = drive
+    y = _ar1_path(padded.reshape(drive.shape[:-1] + (rows, h)), beta1, axis=-2)
+    return y.reshape(padded.shape)[..., :T]
 
 
-def simulate_dgp1(spec: Dgp1Spec, rng: RngStream) -> dict:
-    """Simulate the predictive-regression design; returns {"y", "x"} of length T."""
-    g = rng.generator()
+def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
+    """Simulate the predictive-regression design; returns {"y", "x"}.
+
+    ``rng`` is one RngStream, giving paths of length T, or a sequence of
+    them, giving (len(rng), T) arrays whose row b is the path of stream b.
+    Each stream fills its own row of the normal draws, and every later step
+    acts on one row at a time, so a row is the same bits whatever streams
+    share the call.
+    """
+    single = isinstance(rng, RngStream)
+    streams = [rng] if single else rng
     total = spec.burn_in + spec.T
-    chol = np.linalg.cholesky(spec.sigma)
-    shocks = g.standard_normal((total, 2)) @ chol.T
-    eps, v = shocks[:, 0], shocks[:, 1]
+    normals = np.empty((len(streams), total, 2))
+    for row, stream in zip(normals, streams):
+        stream.generator().standard_normal(out=row)
+    shocks = normals @ np.linalg.cholesky(spec.sigma).T
+    eps, v = shocks[..., 0], shocks[..., 1]
     x = _ar1_path(v, spec.rho)
     drive = _ma_path(eps, spec.theta, spec.h)
-    drive[spec.h:] += spec.beta2 * x[:-spec.h]  # x_{t-h} enters once it exists
-    y = _h_step_ar(drive, spec.beta1, spec.h)
-    return {"y": y[spec.burn_in:], "x": x[spec.burn_in:]}
+    drive[:, spec.h:] += spec.beta2 * x[:, :-spec.h]  # x_{t-h} enters once it exists
+    y = _h_step_ar(drive, spec.beta1, spec.h)[:, spec.burn_in:]
+    x = x[:, spec.burn_in:]
+    return {"y": y[0], "x": x[0]} if single else {"y": y, "x": x}
 
 
 def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
@@ -196,7 +208,7 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     innov = g.standard_normal((spec.T, spec.N))
     innov[0] /= np.sqrt(1.0 - spec.rho_i * spec.rho_i)
     keep = slice(spec.burn_in, None)
-    X = f[keep, None] * lam[None, :] + _ar1_path(innov, spec.rho_i)
+    X = f[keep, None] * lam[None, :] + _ar1_path(innov, spec.rho_i, axis=0)
     w = _ma_path(g.standard_normal(total), spec.theta, spec.h)
     drive = w + spec.alpha
     drive[spec.h:] += spec.beta2 * f[:-spec.h]

@@ -191,36 +191,37 @@ def classic_moment(fes: ForecastErrorSet) -> float:
 
 
 def _split_terms(e1: np.ndarray, e2: np.ndarray, m0: int) -> np.ndarray:
-    """Per-observation split-sample moment terms (unvalidated core)."""
-    n = e1.shape[0]
-    cross = e1 * e2
+    """Per-observation split-sample moment terms along the last axis (unvalidated core)."""
+    n = e1.shape[-1]
     d = e1 * e1
-    d[:m0] -= (0.5 * n / m0) * cross[:m0]
-    d[m0:] -= (0.5 * n / (n - m0)) * cross[m0:]
+    d[..., :m0] -= (0.5 * n / m0) * (e1[..., :m0] * e2[..., :m0])
+    d[..., m0:] -= (0.5 * n / (n - m0)) * (e1[..., m0:] * e2[..., m0:])
     return d
 
 
-def bartlett_lrv(q, M: int) -> float:
-    """Bartlett-kernel long-run variance of a demeaned sequence.
+def bartlett_lrv(q, M: int):
+    """Bartlett-kernel long-run variance of a demeaned sequence, along the last axis.
 
     Returns (1/n) sum q_t^2 + (2/n) sum_{l=1}^{M} (1 - l/M) * gamma(l) with
     gamma(l) = sum_{t=l+1}^{n} q_t q_{t-l}.  The kernel weights make the
     result non-negative; the weight at l = M is zero, so M = 1 reduces to
-    the plain variance term.
+    the plain variance term.  Each row's lag products are one dot product
+    (a stacked matmul), so a row's value does not depend on the rows beside
+    it and a 1-D q gives the same bits as any row of a stack.
     """
     q = np.asarray(q, dtype=float)
-    n = q.shape[0]
+    n = q.shape[-1]
     if not (1 <= M < n):
         raise BandwidthOutOfRange(f"bandwidth M={M} outside [1, {n - 1}]")
-    total = float(q @ q) / n
+    total = np.matmul(q[..., None, :], q[..., :, None])[..., 0, 0] / n
     for ell in range(1, M):
-        gamma = float(q[ell:] @ q[:-ell])
+        gamma = np.matmul(q[..., None, ell:], q[..., :-ell, None])[..., 0, 0]
         total += (2.0 / n) * (1.0 - ell / M) * gamma
-    return max(total, 0.0)
+    return np.maximum(total, 0.0)
 
 
 def demeaned_split_terms(d: np.ndarray, m0: int, centering: str = "segment") -> np.ndarray:
-    """Center the split-sample moment terms before variance estimation.
+    """Center the split-sample moment terms, along the last axis, before variance estimation.
 
     ``"segment"`` removes each segment's own mean, which is what keeps the
     Bartlett normalizer consistent (see the module docstring); ``"global"``
@@ -228,12 +229,32 @@ def demeaned_split_terms(d: np.ndarray, m0: int, centering: str = "segment") -> 
     """
     if centering == "segment":
         q = d.copy()
-        q[:m0] -= np.mean(d[:m0])
-        q[m0:] -= np.mean(d[m0:])
+        q[..., :m0] -= np.mean(d[..., :m0], axis=-1, keepdims=True)
+        q[..., m0:] -= np.mean(d[..., m0:], axis=-1, keepdims=True)
         return q
     if centering == "global":
-        return d - np.mean(d)
+        return d - np.mean(d, axis=-1, keepdims=True)
     raise ValueError(f"unknown centering {centering!r} (use 'segment' or 'global')")
+
+
+def split_statistic(e1, e2, m0: int, M: int, centering: str = "segment") -> tuple:
+    """(statistic, dbar, omega2) of every forecast-error pair along the last axis.
+
+    The numerator is the mean of the split-sample moment terms; the
+    normalizer is the Bartlett long-run variance of the same terms after
+    centering (see ``demeaned_split_terms``).  Where omega2 falls below the
+    relative floor OMEGA2_FLOOR * (1 + dbar^2), or is not a number, the
+    studentization is numerically meaningless and the statistic is NaN.
+    Every entry depends on its own pair only.
+    """
+    n = e1.shape[-1]
+    d = _split_terms(e1, e2, m0)
+    dbar = np.mean(d, axis=-1)
+    omega2 = bartlett_lrv(demeaned_split_terms(d, m0, centering), M)
+    studentizable = omega2 > OMEGA2_FLOOR * (1.0 + dbar * dbar)
+    statistic = np.divide(math.sqrt(n) * dbar, np.sqrt(omega2),
+                          out=np.full_like(dbar, np.nan), where=studentizable)
+    return statistic, dbar, omega2
 
 
 def encompassing_test(
@@ -244,9 +265,8 @@ def encompassing_test(
 ) -> EncompassingResult:
     """Run the split-sample encompassing test on one forecast-error pair.
 
-    The numerator is the mean of the split-sample moment terms; the
-    normalizer is the Bartlett long-run variance of the same terms after
-    centering (segment-wise by default, see ``demeaned_split_terms``).
+    The statistic comes from ``split_statistic``, centred segment-wise by
+    default.
 
     Raises
     ------
@@ -260,12 +280,9 @@ def encompassing_test(
     n = fes.n
     m0 = split.m0(n)
     M = hac.resolve(n)
-    d = _split_terms(fes.e1, fes.e2, m0)
-    dbar = float(np.mean(d))
-    omega2 = bartlett_lrv(demeaned_split_terms(d, m0, centering), M)
-    if omega2 <= OMEGA2_FLOOR * (1.0 + dbar * dbar):
+    statistic, dbar, omega2 = (float(v) for v in split_statistic(fes.e1, fes.e2, m0, M, centering))
+    if math.isnan(statistic):
         raise DegenerateVariance(f"long-run variance {omega2:g} too small to studentize")
-    statistic = math.sqrt(n) * dbar / math.sqrt(omega2)
     p_value = min(max(float(ndtr(-statistic)), 0.0), 1.0)
     return EncompassingResult(
         statistic=statistic,

@@ -40,7 +40,7 @@ MIN_QUARTERS = 80  # minimum usable contiguous quarters per country
 _DATE_RE = re.compile(r"^(\d{4})-?[Qq]([1-4])$")
 
 
-def _parse_quarter(text: str) -> int:
+def parse_quarter(text: str) -> int:
     """Quarter label ('1970Q1' or '1970-Q1') -> integer quarter index."""
     m = _DATE_RE.match(text.strip())
     if m is None:
@@ -74,7 +74,7 @@ class InflationPanel:
         T = len(self.dates)
         if prices.shape != (T, C) or coverage.shape != (T, C):
             raise ValueError("prices/coverage must be T x C aligned with dates and countries")
-        qidx = [_parse_quarter(d) for d in self.dates]
+        qidx = [parse_quarter(d) for d in self.dates]
         if any(b - a != 1 for a, b in zip(qidx, qidx[1:])):
             raise ValueError("dates must be consecutive quarters")
         for j, name in enumerate(self.countries):
@@ -96,7 +96,7 @@ class InflationPanel:
     @classmethod
     def from_blocks(cls, blocks: dict) -> "InflationPanel":
         """Build a panel from {country: (start_label, price_array)} blocks."""
-        starts = {c: _parse_quarter(s) for c, (s, _) in blocks.items()}
+        starts = {c: parse_quarter(s) for c, (s, _) in blocks.items()}
         ends = {c: starts[c] + len(p) - 1 for c, (_, p) in blocks.items()}
         lo, hi = min(starts.values()), max(ends.values())
         dates = tuple(_quarter_label(q) for q in range(lo, hi + 1))
@@ -175,7 +175,7 @@ def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
             if not name:
                 raise ParseError(f"line {lineno}: empty country code")
             try:
-                qidx = _parse_quarter(row[1])
+                qidx = parse_quarter(row[1])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
             try:
@@ -196,8 +196,8 @@ def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
         if missing:
             raise CoverageError(f"countries not in file: {', '.join(missing)}")
         by_country = {c: by_country[c] for c in countries}
-    q_lo = _parse_quarter(start) if start is not None else None
-    q_hi = _parse_quarter(end) if end is not None else None
+    q_lo = parse_quarter(start) if start is not None else None
+    q_hi = parse_quarter(end) if end is not None else None
 
     blocks = {}
     for name, series in by_country.items():

@@ -2,28 +2,36 @@
 
 Each experiment cell pairs a simulation design with the test's tuning inputs
 (split fraction, bandwidth policy, nominal level, forecast start fraction).
-Cells that share one DGP spec and one pi0 form a design group.  A
-replication of a group simulates the design once, produces recursive
-expanding-window forecasts from both nested models starting at
-k0 = floor(T * pi0) once, and runs the encompassing test once per cell on
-that one forecast-error pair.  The test is one-sided, so a cell's
-replication rejects when its statistic exceeds the normal critical value at
-the cell's level.
+Cells that share one DGP spec and one pi0 form a design group.  The
+replications of a group run in chunks of up to 250, and one
+``run_replication`` call computes a whole chunk as (replications, T)
+arrays: it simulates the chunk, produces recursive expanding-window
+forecasts from both nested models starting at k0 = floor(T * pi0), and
+runs the split statistic once per cell over every replication's
+forecast-error pair.  The test is one-sided, so a cell's replication
+rejects when its statistic exceeds the normal critical value at the cell's
+level.
 
 The forecast errors of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]
-come from the closed-form kernel ``regression.nested_pair_forecast_errors``.
-When it cannot certify its result, the two generic ``DirectDesign`` fits
-run instead and raise what they always raised.
+come from the closed-form kernel ``regression.nested_pair_forecast_errors``,
+which certifies each replication on its own.  A replication it cannot
+certify runs the two generic ``DirectDesign`` fits on its own, which raise
+what they always raised.
 
 Determinism: the random stream of a replication is keyed by
-(base seed, digest of the DGP spec, replication id) only, so reports are
-bit-identical across worker counts and execution orders, and a cell's
+(base seed, digest of the DGP spec, replication id) only, and every step of
+a chunk acts on one replication at a time, so reports are bit-identical
+across worker counts, chunkings and execution orders, and a cell's
 statistics do not change when it runs alone, in a reordered grid or beside
-unrelated cells.  All mu0 of a design group see common random numbers.  A
-replication that aborts with a numerical error yields NaN: a failed
-simulation or fit fails every cell of its group, a failed test only its own
-cell.  NaN is dropped and counted as a failure, and a cell with 1% or more
-failures is flagged unreliable.
+unrelated cells.  All mu0 of a design group see common random numbers.
+
+Failures are masks, not aborts.  A replication whose simulated series are
+not finite, or whose dgp2 factor is not identified, is NaN in every cell of
+its group; a degenerate long-run variance is NaN in its own entry.  When a
+chunk raises instead (a failed simulation or generic fit), its replications
+run again one at a time, and only those that still raise are NaN in every
+cell of the group.  NaN is dropped and counted as a failure, and a cell
+with 1% or more failures is flagged unreliable.
 """
 
 from __future__ import annotations
@@ -40,7 +48,9 @@ import yaml
 from scipy.special import ndtri
 
 from .dgp import SIGMA1, SIGMA2, Dgp1Spec, Dgp2Spec, RngStream, estimate_factor, simulate_dgp1, simulate_dgp2
-from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, distinct_mu0_list, encompassing_test
+from .enc_test import HacConfig, SplitSpec, distinct_mu0_list, split_statistic
+# the engine runs split_statistic; perfbench/mc.py wraps this name in this module
+from .enc_test import encompassing_test  # noqa: F401
 from .errors import ConfigError, InsufficientData, SplitEncError
 from .regression import DirectDesign, expanding_window_forecast_errors, nested_pair_forecast_errors
 from .tables import csv_text, json_text, markdown_text
@@ -136,19 +146,26 @@ class McReport:
     kind: str = ""
 
 
-def _forecast_error_pair(y, extra, h: int, k0: int):
-    """Expanding-window errors of the nested pair: [1, y_t] vs [1, y_t, extra_t].
-
-    The closed-form kernel answers whenever it certifies its result; on any
-    other input the two generic fits run and raise what they raise.
-    """
-    pair = nested_pair_forecast_errors(y, extra, h, k0)
-    if pair is not None:
-        return pair
+def _generic_pair(y, extra, h: int, k0: int):
+    """The two generic expanding-window fits of one series pair; raises what they raise."""
     bench = DirectDesign.from_series(y, y, h=h)
     large = DirectDesign.from_series(y, np.column_stack([y, extra]), h=h)
-    e1 = expanding_window_forecast_errors(bench, k0)
-    e2 = expanding_window_forecast_errors(large, k0)
+    return expanding_window_forecast_errors(bench, k0), expanding_window_forecast_errors(large, k0)
+
+
+def _forecast_error_pair(y, extra, h: int, k0: int):
+    """Expanding-window errors of the nested pair [1, y_t] vs [1, y_t, extra_t], row by row.
+
+    y and extra are (..., T).  The closed-form kernel answers for every row
+    it certifies; each other row runs the two generic fits on its own,
+    which raise what they always raised.
+    """
+    pair = nested_pair_forecast_errors(y, extra, h, k0)
+    if pair is None:  # a k0 outside the kernel's range: the generic path raises
+        return _generic_pair(y, extra, h, k0)
+    e1, e2 = pair
+    for row in map(tuple, np.argwhere(np.isnan(e1[..., 0]))):
+        e1[row], e2[row] = _generic_pair(y[row], extra[row], h, k0)
     return e1, e2
 
 
@@ -158,33 +175,58 @@ def _critical_value(level: float) -> float:
     return float(ndtri(1.0 - level))
 
 
-def run_replication(cells, rep_id: int, base_seed: int) -> np.ndarray:
-    """One statistic per cell of a design group, from one simulation and one fit.
+def _dgp2_replication(dgp, stream) -> tuple:
+    """(y, factor) of one dgp2 replication; the factor is NaN when it is not identified."""
+    sim = simulate_dgp2(dgp, stream)
+    try:
+        return sim["y"], estimate_factor(sim["X"])
+    except _FAILURES:
+        return sim["y"], np.nan
+
+
+def _simulate(dgp, streams) -> tuple:
+    """(y, extra) as (len(streams), T) arrays, row b from stream b.
+
+    dgp1 simulates every stream in one call.  dgp2 simulates and extracts
+    the factor one stream at a time, so only one T x N panel is alive at
+    once (a 250-stream panel batch would hold 250 of them).
+    """
+    if isinstance(dgp, Dgp1Spec):
+        sim = simulate_dgp1(dgp, streams)
+        return sim["y"], sim["x"]
+    if isinstance(dgp, Dgp2Spec):
+        y, extra = np.empty((2, len(streams), dgp.T))
+        for b, stream in enumerate(streams):
+            y[b], extra[b] = _dgp2_replication(dgp, stream)
+        return y, extra
+    raise ValueError(f"unsupported DGP type {type(dgp).__name__}")
+
+
+def run_replication(cells, reps: range, base_seed: int) -> np.ndarray:
+    """(cells, len(reps)) statistics of one design group over a run of replications.
 
     The cells share one DGP spec and one pi0, so they share the forecast
-    errors; the stream is keyed by (base_seed, spec digest, rep_id).  A
-    failed simulation or fit raises; a test that fails for one cell leaves
-    NaN in that cell's entry only.  The split and bandwidth of each cell are
-    checked by its own test, so a cell's entry does not depend on the other
-    cells of the group.
+    errors: the chunk is simulated and fitted once, and the statistic runs
+    once per cell over all its replications.  Replication r draws from its
+    own stream, keyed by (base_seed, spec digest, r), and every step acts on
+    one replication at a time, so an entry does not depend on which
+    replications share the call.  A replication whose simulated series are
+    not finite (or whose dgp2 factor is not identified) is NaN in every
+    cell; a degenerate variance is NaN in its own entry; a cell whose split
+    or bandwidth does not resolve is NaN throughout.  Anything else that
+    fails, such as a simulation or a generic fit, raises for the chunk.
     """
     dgp = cells[0].dgp
-    k0, _ = _first_origin(dgp, cells[0].pi0)
-    stream = RngStream((base_seed, _spec_digest(dgp)), rep_id)
-    if isinstance(dgp, Dgp1Spec):
-        sim = simulate_dgp1(dgp, stream)
-        y, extra = sim["y"], sim["x"]
-    elif isinstance(dgp, Dgp2Spec):
-        sim = simulate_dgp2(dgp, stream)
-        y, extra = sim["y"], estimate_factor(sim["X"])
-    else:
-        raise ValueError(f"unsupported DGP type {type(dgp).__name__}")
-    e1, e2 = _forecast_error_pair(y, extra, dgp.h, k0)
-    fes = ForecastErrorSet(e1, e2, h=dgp.h, k0=k0)
-    stats = np.full(len(cells), np.nan)
+    k0, n = _first_origin(dgp, cells[0].pi0)
+    digest = _spec_digest(dgp)
+    y, extra = _simulate(dgp, [RngStream((base_seed, digest), rep) for rep in reps])
+    finite = np.isfinite(y).all(axis=1) & np.isfinite(extra).all(axis=1)
+    e1, e2 = _forecast_error_pair(y[finite], extra[finite], dgp.h, k0)
+    stats = np.full((len(cells), len(reps)), np.nan)
     for i, cell in enumerate(cells):
         try:
-            stats[i] = encompassing_test(fes, SplitSpec(cell.mu0), cell.hac).statistic
+            m0, M = SplitSpec(cell.mu0).m0(n), cell.hac.resolve(n)
+            stats[i, finite] = split_statistic(e1, e2, m0, M)[0]
         except _FAILURES:
             pass
     return stats
@@ -201,15 +243,21 @@ def _design_groups(cells) -> list:
 def _run_chunk(cells, base_seed: int, start: int, stop: int) -> np.ndarray:
     """(cells, stop - start) statistics of replications start..stop-1 of one group.
 
-    A failed replication leaves NaN in every cell of the group.
+    One ``run_replication`` call computes the chunk.  If it raises, each
+    replication runs again on its own, and one that still raises leaves NaN
+    in every cell of the group; an entry is the same bits either way.
     """
-    stats = np.full((stop - start, len(cells)), np.nan)
+    try:
+        return run_replication(cells, range(start, stop), base_seed)
+    except _FAILURES:
+        pass
+    stats = np.full((len(cells), stop - start), np.nan)
     for rep in range(start, stop):
         try:
-            stats[rep - start] = run_replication(cells, rep, base_seed)
+            stats[:, rep - start] = run_replication(cells, range(rep, rep + 1), base_seed)[:, 0]
         except _FAILURES:
             pass
-    return stats.T
+    return stats
 
 
 def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
@@ -347,7 +395,8 @@ def replication_count(value) -> int:
     return reps
 
 
-def _fraction(value) -> float:
+def unit_fraction(value) -> float:
+    """A fraction strictly inside (0, 1) (config keys ``level`` and ``pi0``, their options)."""
     value = float(value)
     if not 0.0 < value < 1.0:
         raise ValueError(f"must lie in (0, 1), got {value:g}")
@@ -369,8 +418,8 @@ def _nt_pair(value):
 
 # experiment key -> (McCell field, converter); an omitted key keeps McCell's default
 _CELL_KEYS = {
-    "level": ("level", _fraction),
-    "pi0": ("pi0", _fraction),
+    "level": ("level", unit_fraction),
+    "pi0": ("pi0", unit_fraction),
     "bandwidth": ("hac", lambda v: HacConfig(bandwidth=int(v))),
     "bandwidth_c": ("hac", lambda v: HacConfig(c=float(v))),
 }

@@ -172,51 +172,58 @@ def expanding_window_forecast_errors(design: DirectDesign, k0: int) -> np.ndarra
 
 
 def nested_pair_forecast_errors(y, x, h: int, k0: int):
-    """Expanding-window errors of [1, y_{t-h}] and [1, y_{t-h}, x_{t-h}], or None.
+    """Expanding-window errors of [1, y_{t-h}] and [1, y_{t-h}, x_{t-h}], row by row.
 
-    The same (e1, e2) as ``expanding_window_forecast_errors`` on the two
-    ``DirectDesign.from_series`` designs, from one stack of running sums:
-    with a = y_{t-h}, b = x_{t-h} and target t = y_t, the intercept is
-    partialled out through the centred sums, and the 1x1 benchmark and 2x2
-    large systems are solved in closed form at every origin.  a, b and t are
-    first shifted by their means over the first window, which keeps the
-    centring accurate when the series sit far from zero.
+    y and x are (..., T) with time along the last axis; each row gives the
+    same (e1, e2) as ``expanding_window_forecast_errors`` on the two
+    ``DirectDesign.from_series`` designs of that row, from one stack of
+    running sums: with a = y_{t-h}, b = x_{t-h} and target t = y_t, the
+    intercept is partialled out through the centred sums, and the 1x1
+    benchmark and 2x2 large systems are solved in closed form at every
+    origin.  a, b and t are first shifted by their means over the first
+    window, which keeps the centring accurate when the series sit far from
+    zero.  Every operation acts on one row at a time, so a row's errors do
+    not depend on the rows beside it.
 
-    The result is certified: it is returned only when every entry is finite
-    and every window has caa > PAIR_RTOL * sum(a^2), cbb > PAIR_RTOL *
-    sum(b^2) and det = caa*cbb - cab^2 > PAIR_RTOL * caa * cbb.  Otherwise,
-    and for a k0 or shape the generic path rejects, it returns None and
-    leaves the input to the generic path, which solves or raises.
+    Each row is certified on its own: it is kept only when its inputs and
+    errors are finite and every window has caa > PAIR_RTOL * sum(a^2),
+    cbb > PAIR_RTOL * sum(b^2) and det = caa*cbb - cab^2 > PAIR_RTOL * caa *
+    cbb.  A row that fails is NaN throughout and is left to the generic
+    path, which solves or raises.  For a k0 or shape the generic path
+    rejects, the result is None.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    if y.ndim != 1 or x.shape != y.shape or h < 1 or not 3 + h <= k0 <= y.shape[0] - h:
+    if y.ndim < 1 or x.shape != y.shape or h < 1 or not 3 + h <= k0 <= y.shape[-1] - h:
         return None
-    m = y.shape[0] - h  # design rows: a = y[:m], b = x[:m], t = y[h:]
-    i0 = k0 - h - 1     # last row of the first window
-    v = np.stack([y[:m], x[:m], y[h:]])  # rows a, b, t
-    if not np.isfinite(v).all():
-        return None
-    v -= v[:, :i0 + 1].mean(axis=1, keepdims=True)
-    # rows a, b, t, aa, ab, at, bb, bt over the rows any window holds
-    w = v[:, :m - h]
-    sums = np.empty((8, m - h))
-    sums[:3] = w
-    np.multiply(w[0], w, out=sums[3:6])
-    np.multiply(w[1], w[1:], out=sums[6:])
-    sums = np.cumsum(sums, axis=1)[:, i0:]  # column j: the window closing at origin k0 + j
-    means = sums[:3] / np.arange(i0 + 1.0, m - h + 1.0)
-    caa, cab, cat = sums[3:6] - sums[0] * means
-    cbb, cbt = sums[6:] - sums[1] * means[1:]
-    det = caa * cbb - cab * cab
+    m = y.shape[-1] - h  # design rows: a = y[:m], b = x[:m], t = y[h:]
+    i0 = k0 - h - 1      # last row of the first window
+    v = np.stack([y[..., :m], x[..., :m], y[..., h:]], axis=-2)  # rows a, b, t
+    finite = np.isfinite(v).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        v -= v[..., :i0 + 1].mean(axis=-1, keepdims=True)
+        # rows a, b, t, aa, ab, at, bb, bt over the rows any window holds
+        w = v[..., :m - h]
+        sums = np.empty(v.shape[:-2] + (8, m - h))
+        sums[..., :3, :] = w
+        np.multiply(w[..., :1, :], w, out=sums[..., 3:6, :])
+        np.multiply(w[..., 1:2, :], w[..., 1:, :], out=sums[..., 6:, :])
+        sums = np.cumsum(sums, axis=-1)[..., i0:]  # column j: the window closing at origin k0 + j
+        means = sums[..., :3, :] / np.arange(i0 + 1.0, m - h + 1.0)
+        caa, cab, cat = np.moveaxis(sums[..., 3:6, :] - sums[..., :1, :] * means, -2, 0)
+        cbb, cbt = np.moveaxis(sums[..., 6:, :] - sums[..., 1:2, :] * means[..., 1:, :], -2, 0)
+        det = caa * cbb - cab * cab
+        # the forecast from origin k0 + j uses design row i0 + h + j
+        da, db, dt = np.moveaxis(v[..., i0 + h:] - means, -2, 0)
+        e1 = dt - (cat / caa) * da
+        e2 = dt - ((cbb * cat - cab * cbt) * da + (caa * cbt - cab * cat) * db) / det
     # written so that a NaN fails the check
-    if not ((caa > PAIR_RTOL * sums[3]).all() and (cbb > PAIR_RTOL * sums[6]).all()
-            and (det > PAIR_RTOL * caa * cbb).all()):
-        return None
-    # the forecast from origin k0 + j uses design row i0 + h + j
-    da, db, dt = v[:, i0 + h:] - means
-    e1 = dt - (cat / caa) * da
-    e2 = dt - ((cbb * cat - cab * cbt) * da + (caa * cbt - cab * cat) * db) / det
+    certified = (finite & (caa > PAIR_RTOL * sums[..., 3, :]).all(axis=-1)
+                 & (cbb > PAIR_RTOL * sums[..., 6, :]).all(axis=-1)
+                 & (det > PAIR_RTOL * caa * cbb).all(axis=-1)
+                 & np.isfinite(e1).all(axis=-1) & np.isfinite(e2).all(axis=-1))
+    e1[~certified] = np.nan
+    e2[~certified] = np.nan
     return e1, e2
 
 

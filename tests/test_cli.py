@@ -17,6 +17,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_rejected(capsys, *argv):
+    """(exit code, stdout, stderr) of a command line that the argument parser rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 def _table_body(stdout: str) -> str:
     """Everything after the config-echo line."""
     lines = stdout.splitlines()
@@ -47,10 +55,10 @@ class TestCmdTest:
         assert row["centering"] == "segment"
 
     def test_mu0_half_exits_2(self, capsys, data_dir):
-        code, _, err = run_cli(capsys, "test", str(data_dir / "errors_fixture.csv"),
-                               "--mu0", "0.5")
+        code, out, err = run_rejected(capsys, "test", str(data_dir / "errors_fixture.csv"),
+                                      "--mu0", "0.5")
         assert code == 2
-        assert "mu0" in err
+        assert out == "" and "argument --mu0: " in err
 
     def test_constant_errors(self, capsys, tmp_path):
         path = tmp_path / "const.csv"
@@ -322,11 +330,11 @@ class TestInflationCommand:
         assert "p_mu0_0.3" in header and "p_mu0_0.45" in header
 
     def test_mu0_sharing_a_label_exits_2(self, capsys, fixture_panel_path):
-        code, out, err = run_cli(capsys, "inflation", fixture_panel_path,
-                                 "--mu0", "0.4", "0.4000001", "--format", "csv")
+        code, out, err = run_rejected(capsys, "inflation", fixture_panel_path,
+                                      "--mu0", "0.4", "0.4000001", "--format", "csv")
         assert code == 2
-        assert len(out.splitlines()) == 1  # the config echo, no results
-        assert "share the label 0.4" in err
+        assert out == ""  # rejected before the config echo
+        assert "argument --mu0: " in err and "share the label 0.4" in err
 
     def test_repeat_run_identical_bytes(self, capsys, fixture_panel_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -362,3 +370,29 @@ def test_config_echo_printed_before_results(capsys, tmp_path, data_dir, command,
     code, out, _ = run_cli(capsys, command, str(source), *argv[1:])
     assert code == 0
     assert out.splitlines()[0] == "# config: " + echo.format(source)
+
+
+@pytest.mark.parametrize("command, argv, option", [
+    ("test", ["errors_fixture.csv", "--mu0", "0.95"], "--mu0"),
+    ("test", ["errors_fixture.csv", "--h", "0"], "--h"),
+    ("test", ["errors_fixture.csv", "--k0", "-1"], "--k0"),
+    ("test", ["errors_fixture.csv", "--bandwidth", "0"], "--bandwidth"),
+    ("test", ["errors_fixture.csv", "--bandwidth-c", "0"], "--bandwidth-c"),
+    ("inflation", ["fixture_panel.csv", "--pi0", "1.5"], "--pi0"),
+    ("inflation", ["fixture_panel.csv", "--mu0", "0.4", "0.5"], "--mu0"),
+    ("inflation", ["fixture_panel.csv", "--h", "0"], "--h"),
+    ("inflation", ["fixture_panel.csv", "--p2", "-1"], "--p2"),
+    ("inflation", ["fixture_panel.csv", "--p-max", "-1"], "--p-max"),
+    ("inflation", ["fixture_panel.csv", "--start", "1970Q5"], "--start"),
+    ("inflation", ["fixture_panel.csv", "--end", "soon"], "--end"),
+    ("inflation", ["fixture_panel.csv", "--bandwidth-c", "-1"], "--bandwidth-c"),
+    ("local-power", ["blocks_fixture.json", "--mu0", "0.3", "0.49"], "--mu0"),
+    ("local-power", ["blocks_fixture.json", "--pi0", "0"], "--pi0"),
+    ("local-power", ["blocks_fixture.json", "--level", "1.5"], "--level"),
+    ("local-power", ["blocks_fixture.json", "--phi2", "0"], "--phi2"),
+])
+def test_bad_option_rejected_before_the_echo(capsys, data_dir, command, argv, option):
+    code, out, err = run_rejected(capsys, command, str(data_dir / argv[0]), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: " in err

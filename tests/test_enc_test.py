@@ -26,6 +26,7 @@ from splitenc.enc_test import (
     encompassing_test,
     local_power_stationary,
     sample_mse,
+    split_statistic,
 )
 from splitenc.errors import (
     BandwidthOutOfRange,
@@ -291,6 +292,37 @@ class TestEncompassingTest:
         assert res.mse1 == sample_mse(e1)
         assert res.mse2 == sample_mse(e2)
         assert 0.0 <= res.p_value <= 1.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(12, 150),
+           st.sampled_from([0.2, 0.3, 0.4, 0.45, 0.6]),
+           st.sampled_from(["segment", "global"]))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_statistic_matches_direct_formula_oracle(self, seed, rows, n, mu0,
+                                                             centering):
+        g = np.random.default_rng(seed)
+        e1 = g.standard_normal((rows, n))
+        e2 = e1 + 0.5 * g.standard_normal((rows, n))
+        try:
+            m0 = SplitSpec(mu0).m0(n)
+        except InvalidSplit:
+            return
+        M = max(1, n // 10)
+        statistic, dbar, omega2 = split_statistic(e1, e2, m0, M, centering)
+        assert statistic.shape == dbar.shape == omega2.shape == (rows,)
+        for b in range(rows):
+            oracle = statistic_direct(e1[b], e2[b], m0, M, centering)
+            assert_allclose(statistic[b], oracle["statistic"], rtol=1e-12, atol=1e-12)
+            assert_allclose(dbar[b], oracle["dbar"], rtol=1e-12, atol=1e-12)
+            assert_allclose(omega2[b], oracle["omega2"], rtol=1e-12, atol=1e-12)
+
+    def test_batched_statistic_masks_degenerate_rows_only(self):
+        e1, e2 = np.stack([GOLDEN_E1, np.zeros(12), GOLDEN_E1, np.ones(12)]), \
+            np.stack([GOLDEN_E2, np.zeros(12), GOLDEN_E2, np.ones(12)])
+        statistic, _, _ = split_statistic(e1, e2, 4, 2)
+        assert np.isnan(statistic[[1, 3]]).all()
+        res = encompassing_test(ForecastErrorSet(GOLDEN_E1, GOLDEN_E2), SplitSpec(0.40),
+                                HacConfig(bandwidth=2))
+        assert statistic[0] == statistic[2] == res.statistic
 
     def test_demeaned_split_terms_unknown_centering(self):
         with pytest.raises(ValueError):

@@ -8,20 +8,24 @@ import textwrap
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy.stats import norm
 
 import splitenc.monte_carlo as mc
 from splitenc.cli import main
-from splitenc.dgp import SIGMA2, Dgp1Spec, Dgp2Spec
-from splitenc.enc_test import HacConfig
+from splitenc.dgp import SIGMA2, Dgp1Spec, Dgp2Spec, RngStream
+from splitenc.enc_test import HacConfig, SplitSpec
 from splitenc.errors import (
     BandwidthOutOfRange,
     ConfigError,
+    DegenerateSpectrum,
     DegenerateVariance,
     InsufficientData,
     InvalidSplit,
     NumericalError,
+    SplitEncError,
 )
 from splitenc.monte_carlo import (
     McCell,
@@ -44,14 +48,15 @@ def _cell(T=250, h=1, rho=0.25, beta2=0.0, mu0=0.45, pi0=0.25, **kw):
 class TestRunReplication:
     def test_bit_identical_across_calls(self):
         cell = _cell()
-        a = run_replication([cell], 7, 99)
-        b = run_replication([cell], 7, 99)
-        assert isinstance(a, np.ndarray) and a.shape == (1,)
+        a = run_replication([cell], range(7, 10), 99)
+        b = run_replication([cell], range(7, 10), 99)
+        assert isinstance(a, np.ndarray) and a.shape == (1, 3)
         assert a.tobytes() == b.tobytes()
 
     def test_distinct_reps_differ(self):
         cell = _cell()
-        assert run_replication([cell], 0, 99)[0] != run_replication([cell], 1, 99)[0]
+        a, b = run_replication([cell], range(0, 2), 99)[0]
+        assert a != b
 
     def test_reject_uses_normal_critical_value(self):
         for level in (0.05, 0.10):
@@ -73,7 +78,8 @@ class TestRunReplication:
 
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
-        assert math.isfinite(run_replication([cell], 0, 5)[0])
+        stats = run_replication([cell], range(0, 2), 5)
+        assert stats.shape == (1, 2) and np.all(np.isfinite(stats))
 
 
 class TestExperiments:
@@ -118,17 +124,18 @@ class TestExperiments:
     def test_mc_se_uses_completed_replications(self, monkeypatch):
         real = mc.run_replication
 
-        def every_third_fails(cells, rep_id, base_seed):
-            if rep_id % 3 == 0:
+        def every_third_fails(cells, reps, base_seed):
+            # the chunk holds rep 0, so it fails and its replications rerun one by one
+            if any(rep % 3 == 0 for rep in reps):
                 raise NumericalError("injected")
-            return real(cells, rep_id, base_seed)
+            return real(cells, reps, base_seed)
 
         monkeypatch.setattr(mc, "run_replication", every_third_fails)
         c = run_size_experiment([_cell(T=100)], reps=30, base_seed=3).cells[0]
         assert c.failures == 10 and not c.reliable
         p = c.rejection_frequency
         crit = float(norm.ppf(0.90))
-        assert p == sum(real([_cell(T=100)], rep, 3)[0] > crit
+        assert p == sum(real([_cell(T=100)], range(rep, rep + 1), 3)[0, 0] > crit
                         for rep in range(30) if rep % 3) / 20
         assert c.mc_se == math.sqrt(p * (1.0 - p) / 20)
 
@@ -162,6 +169,40 @@ class TestExperiments:
             stats = mc._run_cells(list(config.cells), config.reps, config.seed, 1)
             assert np.all(np.isfinite(stats))
         assert fallbacks == []
+
+
+class TestBatchedReplications:
+    """A chunk of replications gives the same bits as its replications run one at a time."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(60, 400), st.integers(1, 24),
+           st.floats(0.0, 0.95), st.sampled_from([0.0, 0.3]), st.integers(0, 1000),
+           st.integers(1, 12), st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_dgp1_chunk_equals_split_and_single_runs(self, seed, T, h, rho, beta2, a,
+                                                     length, cut):
+        spec = Dgp1Spec(T=T, h=h, rho=rho, beta2=beta2)
+        cells = [McCell(dgp=spec, mu0=m) for m in (0.35, 0.45)]
+        try:
+            cells[0].forecast_origin()
+            cells[1].forecast_origin()
+        except SplitEncError:
+            assume(False)
+        b, c = a + length, a + min(cut, length)
+        block = run_replication(cells, range(a, b), seed)
+        assert block.shape == (2, length)
+        split = np.concatenate([run_replication(cells, part, seed)
+                                for part in (range(a, c), range(c, b)) if part], axis=1)
+        singles = np.concatenate([run_replication(cells, range(r, r + 1), seed)
+                                  for r in range(a, b)], axis=1)
+        assert block.tobytes() == split.tobytes() == singles.tobytes()
+
+    def test_dgp2_chunk_equals_single_runs(self):
+        cells = [McCell(dgp=Dgp2Spec(T=80, N=12, h=2, beta2=0.3), mu0=m) for m in (0.35, 0.45)]
+        block = run_replication(cells, range(4, 9), 31)
+        singles = np.concatenate([run_replication(cells, range(r, r + 1), 31)
+                                  for r in range(4, 9)], axis=1)
+        assert block.shape == (2, 5) and np.all(np.isfinite(block))
+        assert block.tobytes() == singles.tobytes()
 
 
 def _row_alone(cell, reps, seed):
@@ -206,21 +247,23 @@ class TestDesignGroups:
         report = run_power_experiment(config.cells, config.reps, config.seed)
         assert len(report.cells) == 8
         assert all(c.failures == 0 for c in report.cells)
-        assert calls == {"simulate_dgp2": 4, "estimate_factor": 4, "_forecast_error_pair": 4}
+        # dgp2 simulates and extracts per replication; the pair runs once per (group, chunk)
+        assert calls == {"simulate_dgp2": 4, "estimate_factor": 4, "_forecast_error_pair": 2}
 
     def test_test_failure_fails_its_cell_only(self, monkeypatch):
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
-        clean = run_replication(group, 3, 17)
-        real = mc.encompassing_test
+        clean = run_replication(group, range(3, 8), 17)
+        real = mc.split_statistic
+        m0_040 = SplitSpec(0.40).m0(75)  # n = 75 forecast errors at T=100, h=1, pi0=0.25
 
-        def fails_at_040(fes, split, hac):
-            if split.mu0 == 0.40:
+        def fails_at_040(e1, e2, m0, M):
+            if m0 == m0_040:
                 raise DegenerateVariance("injected")
-            return real(fes, split, hac)
+            return real(e1, e2, m0, M)
 
-        monkeypatch.setattr(mc, "encompassing_test", fails_at_040)
-        got = run_replication(group, 3, 17)
-        assert math.isnan(got[1])
+        monkeypatch.setattr(mc, "split_statistic", fails_at_040)
+        got = run_replication(group, range(3, 8), 17)
+        assert np.isnan(got[1]).all()
         assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
 
     def test_simulation_failure_fails_every_cell_of_its_group(self, monkeypatch):
@@ -229,20 +272,61 @@ class TestDesignGroups:
         clean = mc._run_cells([*group, other], 10, 19, 1)
         real, seen = mc.simulate_dgp1, []
 
-        def first_call_fails(spec, stream):
-            seen.append(stream.stream_id)
-            if len(seen) == 1:
+        def rep0_of_first_group_fails(spec, streams):
+            seen.append([s.stream_id for s in streams])
+            if spec.T == 100 and 0 in seen[-1]:
                 raise NumericalError("injected")
-            return real(spec, stream)
+            return real(spec, streams)
 
-        monkeypatch.setattr(mc, "simulate_dgp1", first_call_fails)
+        monkeypatch.setattr(mc, "simulate_dgp1", rep0_of_first_group_fails)
         report = run_size_experiment([*group, other], reps=10, base_seed=19)
         assert [c.failures for c in report.cells] == [1, 1, 1, 0]
-        assert len(seen) == 20  # one simulation per (group, replication)
+        # one simulation per (group, chunk), then one per replication of the failed chunk
+        assert seen == [list(range(10)), *([rep] for rep in range(10)), list(range(10))]
         seen.clear()
         again = mc._run_cells([*group, other], 10, 19, 1)
         assert np.isnan(again[:3, 0]).all()
         assert again[:, 1:].tobytes() == clean[:, 1:].tobytes()
+
+    def test_non_finite_replication_fails_its_group_only(self, monkeypatch):
+        group = [_cell(T=100, mu0=m) for m in (0.30, 0.45)]
+        other = _cell(T=120, rho=0.9, mu0=0.45)
+        clean = mc._run_cells([*group, other], 10, 29, 1)
+        real = mc.simulate_dgp1
+
+        def nan_in_rep3(spec, rng):
+            sim = real(spec, rng)
+            ids = [rng.stream_id] if isinstance(rng, RngStream) else [s.stream_id for s in rng]
+            if spec.T == 100 and 3 in ids:
+                y = sim["y"].copy()
+                np.atleast_2d(y)[ids.index(3), 50] = np.nan
+                sim = {**sim, "y": y}
+            return sim
+
+        monkeypatch.setattr(mc, "simulate_dgp1", nan_in_rep3)
+        report = run_size_experiment([*group, other], reps=10, base_seed=29)
+        assert [c.failures for c in report.cells] == [1, 1, 0]
+        got = mc._run_cells([*group, other], 10, 29, 1)
+        keep = np.arange(10) != 3
+        assert np.isnan(got[:2, 3]).all()
+        assert got[:2, keep].tobytes() == clean[:2, keep].tobytes()
+        assert got[2].tobytes() == clean[2].tobytes()
+
+    def test_factor_failure_fails_its_replication_only(self, monkeypatch):
+        cells = [McCell(dgp=Dgp2Spec(T=80, N=12, h=2), mu0=m) for m in (0.35, 0.45)]
+        clean = run_replication(cells, range(0, 3), 37)
+        real, calls = mc.estimate_factor, []
+
+        def second_call_fails(X):
+            calls.append(X)
+            if len(calls) == 2:
+                raise DegenerateSpectrum("injected")
+            return real(X)
+
+        monkeypatch.setattr(mc, "estimate_factor", second_call_fails)
+        got = run_replication(cells, range(0, 3), 37)
+        assert np.isnan(got[:, 1]).all()
+        assert got[:, [0, 2]].tobytes() == clean[:, [0, 2]].tobytes()
 
     def test_multi_group_grid_same_for_one_and_two_workers(self):
         # interleaved groups, two pi0 for one spec, and two chunks per group

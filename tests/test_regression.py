@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import lfilter
 
+import splitenc.monte_carlo as mc
 from _oracles import expanding_refit_oracle, ols_normal_equations
 from splitenc.dgp import RngStream
 from splitenc.errors import InsufficientData, RankDeficient
@@ -161,6 +162,11 @@ def _oracle_errors(design, k0):
     return design.targets[i0 + design.h:] - np.einsum("ij,ij->i", coefs, rows)
 
 
+def _uncertified(pair):
+    """Whether the kernel left every error of a 1-D pair to the generic path (all NaN)."""
+    return pair is not None and all(np.isnan(e).all() for e in pair)
+
+
 def _error_repr(call):
     try:
         call()
@@ -207,9 +213,25 @@ class TestNestedPairKernel:
         g = np.random.default_rng(3)
         y = g.standard_normal(250)
         x = 3.0 * y + eps * g.standard_normal(250)
-        assert nested_pair_forecast_errors(y, x, 1, 62) is None
+        assert _uncertified(nested_pair_forecast_errors(y, x, 1, 62))
         got = _forecast_error_pair(y, x, 1, 62)
         for a, b in zip(got, _generic_pair(y, x, 1, 62)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_batch_sends_only_the_uncertified_row_to_the_generic_path(self, monkeypatch):
+        g = np.random.default_rng(5)
+        y, x = g.standard_normal((4, 250)), g.standard_normal((4, 250))
+        x[2] = 3.0 * y[2] + 1e-5 * g.standard_normal(250)  # near-collinear row
+        singles = [_forecast_error_pair(y[b], x[b], 1, 62) for b in range(4)]
+        generic_rows = []
+        real = mc._generic_pair
+        monkeypatch.setattr(mc, "_generic_pair",
+                            lambda *args: generic_rows.append(args[0]) or real(*args))
+        e1, e2 = _forecast_error_pair(y, x, 1, 62)
+        assert len(generic_rows) == 1 and generic_rows[0].tobytes() == y[2].tobytes()
+        for b, (s1, s2) in enumerate(singles):
+            assert e1[b].tobytes() == s1.tobytes() and e2[b].tobytes() == s2.tobytes()
+        for a, b in zip((e1[2], e2[2]), _generic_pair(y[2], x[2], 1, 62)):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("T,h", [(250, 1), (500, 4), (100, 12)])
@@ -226,7 +248,7 @@ class TestNestedPairKernel:
                 cases.append((y_bad, x_bad))
                 cases.append((y, np.where(np.arange(T) == pos, bad, x_bad)))
         for yc, xc in cases:
-            assert nested_pair_forecast_errors(yc, xc, h, k0) is None
+            assert _uncertified(nested_pair_forecast_errors(yc, xc, h, k0))
             expected = _error_repr(lambda: _generic_pair(yc, xc, h, k0))
             assert expected is not None
             assert _error_repr(lambda: _forecast_error_pair(yc, xc, h, k0)) == expected
