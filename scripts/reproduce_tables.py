@@ -20,6 +20,7 @@ from splitenc.monte_carlo import (
     replication_count,
     run_power_experiment,
     run_size_experiment,
+    seed_value,
 )
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -36,7 +37,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=replication_count, default=None,
                         help="override config reps")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=seed_value, default=None)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--only", nargs="+", choices=sorted(TABLES), default=sorted(TABLES))
     parser.add_argument("--out-dir", default="results")

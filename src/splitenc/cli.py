@@ -43,6 +43,7 @@ from .monte_carlo import (
     replication_count,
     run_power_experiment,
     run_size_experiment,
+    seed_value,
     unit_fraction,
 )
 from .tables import csv_text, json_text, markdown_text
@@ -279,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config_file", help="YAML experiment definition")
         p.add_argument("--reps", type=_option_type(replication_count), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--seed", type=_option_type(seed_value), default=None)
+        p.add_argument("--threads", type=_int_at_least(1), default=1)
         _add_common(p)
         p.set_defaults(func=func)
 

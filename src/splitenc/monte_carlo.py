@@ -15,8 +15,7 @@ level.
 The forecast errors of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]
 come from the closed-form kernel ``regression.nested_pair_forecast_errors``,
 which certifies each replication on its own.  A replication it cannot
-certify runs the two generic ``DirectDesign`` fits on its own, which raise
-what they always raised.
+certify runs the two generic ``DirectDesign`` fits on its own.
 
 Determinism: the random stream of a replication is keyed by
 (base seed, digest of the DGP spec, replication id) only, and every step of
@@ -25,13 +24,14 @@ across worker counts, chunkings and execution orders, and a cell's
 statistics do not change when it runs alone, in a reordered grid or beside
 unrelated cells.  All mu0 of a design group see common random numbers.
 
-Failures are masks, not aborts.  A replication whose simulated series are
-not finite, or whose dgp2 factor is not identified, is NaN in every cell of
-its group; a degenerate long-run variance is NaN in its own entry.  When a
-chunk raises instead (a failed simulation or generic fit), its replications
-run again one at a time, and only those that still raise are NaN in every
-cell of the group.  NaN is dropped and counted as a failure, and a cell
-with 1% or more failures is flagged unreliable.
+Failures are masks, not aborts.  Every cell is resolved once, before any
+replication runs: a cell whose forecast origin, split or bandwidth does not
+resolve runs no replication and is NaN throughout.  A replication whose
+simulated series are not finite, whose dgp2 factor is not identified, or
+whose generic fit fails (a singular window) is NaN in every cell of its
+group; a degenerate long-run variance is NaN in its own entry.  NaN is
+dropped and counted as a failure, and a cell with 1% or more failures is
+flagged unreliable.
 """
 
 from __future__ import annotations
@@ -156,16 +156,17 @@ def _generic_pair(y, extra, h: int, k0: int):
 def _forecast_error_pair(y, extra, h: int, k0: int):
     """Expanding-window errors of the nested pair [1, y_t] vs [1, y_t, extra_t], row by row.
 
-    y and extra are (..., T).  The closed-form kernel answers for every row
-    it certifies; each other row runs the two generic fits on its own,
-    which raise what they always raised.
+    y and extra are (..., T), and k0 is a resolved first origin (see
+    ``_first_origin``).  The closed-form kernel answers for every row it
+    certifies; each other row runs the two generic fits on its own, and a
+    row whose fits fail stays NaN.
     """
-    pair = nested_pair_forecast_errors(y, extra, h, k0)
-    if pair is None:  # a k0 outside the kernel's range: the generic path raises
-        return _generic_pair(y, extra, h, k0)
-    e1, e2 = pair
+    e1, e2 = nested_pair_forecast_errors(y, extra, h, k0)
     for row in map(tuple, np.argwhere(np.isnan(e1[..., 0]))):
-        e1[row], e2[row] = _generic_pair(y[row], extra[row], h, k0)
+        try:
+            e1[row], e2[row] = _generic_pair(y[row], extra[row], h, k0)
+        except _FAILURES:
+            pass
     return e1, e2
 
 
@@ -205,16 +206,14 @@ def _simulate(dgp, streams) -> tuple:
 def run_replication(cells, reps: range, base_seed: int) -> np.ndarray:
     """(cells, len(reps)) statistics of one design group over a run of replications.
 
-    The cells share one DGP spec and one pi0, so they share the forecast
-    errors: the chunk is simulated and fitted once, and the statistic runs
-    once per cell over all its replications.  Replication r draws from its
-    own stream, keyed by (base_seed, spec digest, r), and every step acts on
-    one replication at a time, so an entry does not depend on which
-    replications share the call.  A replication whose simulated series are
-    not finite (or whose dgp2 factor is not identified) is NaN in every
-    cell; a degenerate variance is NaN in its own entry; a cell whose split
-    or bandwidth does not resolve is NaN throughout.  Anything else that
-    fails, such as a simulation or a generic fit, raises for the chunk.
+    The cells resolve and share one DGP spec and one pi0, so the chunk is
+    simulated and fitted once and the statistic runs once per cell.
+    Replication r draws from its own stream, keyed by (base_seed, spec
+    digest, r), and every step acts on one replication at a time, so an
+    entry does not depend on which replications share the call.  A
+    replication whose path is not finite, whose dgp2 factor is not
+    identified or whose generic fit fails is NaN in every cell; a
+    degenerate variance is NaN in its own entry.
     """
     dgp = cells[0].dgp
     k0, n = _first_origin(dgp, cells[0].pi0)
@@ -224,58 +223,44 @@ def run_replication(cells, reps: range, base_seed: int) -> np.ndarray:
     e1, e2 = _forecast_error_pair(y[finite], extra[finite], dgp.h, k0)
     stats = np.full((len(cells), len(reps)), np.nan)
     for i, cell in enumerate(cells):
-        try:
-            m0, M = SplitSpec(cell.mu0).m0(n), cell.hac.resolve(n)
-            stats[i, finite] = split_statistic(e1, e2, m0, M)[0]
-        except _FAILURES:
-            pass
+        m0, M = SplitSpec(cell.mu0).m0(n), cell.hac.resolve(n)
+        stats[i, finite] = split_statistic(e1, e2, m0, M)[0]
     return stats
 
 
 def _design_groups(cells) -> list:
-    """Cell indices per design group (one DGP spec and one pi0), in order of first appearance."""
-    groups = {}
+    """Cell indices per design group (one DGP spec and one pi0), in order of first appearance.
+
+    A cell that does not resolve (``McCell.forecast_origin``) joins no group.
+    """
+    digests, groups = {}, {}  # digests: one per distinct spec object
     for i, cell in enumerate(cells):
-        groups.setdefault((_spec_digest(cell.dgp), cell.pi0), []).append(i)
+        try:
+            cell.forecast_origin()
+        except _FAILURES:
+            continue
+        if id(cell.dgp) not in digests:
+            digests[id(cell.dgp)] = _spec_digest(cell.dgp)
+        groups.setdefault((digests[id(cell.dgp)], cell.pi0), []).append(i)
     return list(groups.values())
 
 
-def _run_chunk(cells, base_seed: int, start: int, stop: int) -> np.ndarray:
-    """(cells, stop - start) statistics of replications start..stop-1 of one group.
-
-    One ``run_replication`` call computes the chunk.  If it raises, each
-    replication runs again on its own, and one that still raises leaves NaN
-    in every cell of the group; an entry is the same bits either way.
-    """
-    try:
-        return run_replication(cells, range(start, stop), base_seed)
-    except _FAILURES:
-        pass
-    stats = np.full((len(cells), stop - start), np.nan)
-    for rep in range(start, stop):
-        try:
-            stats[:, rep - start] = run_replication(cells, range(rep, rep + 1), base_seed)[:, 0]
-        except _FAILURES:
-            pass
-    return stats
-
-
 def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
-    """Statistics of every (cell, replication) as a (cells, reps) array."""
+    """Statistics of every (cell, replication) as a (cells, reps) array; NaN marks a failure."""
     if reps < 1:
         raise ValueError("need at least one replication")
     chunk = min(reps, 250)
-    tasks = [(group, start, min(start + chunk, reps))
+    tasks = [(group, range(start, min(start + chunk, reps)))
              for group in _design_groups(cells) for start in range(0, reps, chunk)]
-    args = [([cells[i] for i in group], base_seed, start, stop) for group, start, stop in tasks]
+    args = [([cells[i] for i in group], part, base_seed) for group, part in tasks]
     if workers <= 1:
-        chunks = [_run_chunk(*a) for a in args]
+        blocks = [run_replication(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, *zip(*args)))
-    stats = np.empty((len(cells), reps))
-    for (group, start, stop), block in zip(tasks, chunks):
-        stats[group, start:stop] = block
+            blocks = list(pool.map(run_replication, *zip(*args)))
+    stats = np.full((len(cells), reps), np.nan)
+    for (group, part), block in zip(tasks, blocks):
+        stats[group, part.start:part.stop] = block
     return stats
 
 
@@ -395,6 +380,14 @@ def replication_count(value) -> int:
     return reps
 
 
+def seed_value(value) -> int:
+    """A non-negative base seed (config key ``seed``, option ``--seed``)."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def unit_fraction(value) -> float:
     """A fraction strictly inside (0, 1) (config keys ``level`` and ``pi0``, their options)."""
     value = float(value)
@@ -497,7 +490,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("experiment.kind", f"must be 'size' or 'power', got {kind!r}")
     reps = _convert("experiment.reps", replication_count, exp.get("reps", 10000))
     seed = exp.get("seed")
-    seed = DEFAULT_SEED if seed is None else _convert("experiment.seed", int, seed)
+    seed = DEFAULT_SEED if seed is None else _convert("experiment.seed", seed_value, seed)
     mu0s = _convert("experiment.mu0", distinct_mu0_list, _as_list(exp["mu0"]))
     if "bandwidth" in exp and "bandwidth_c" in exp:
         raise ConfigError("experiment.bandwidth", "give either bandwidth or bandwidth_c, not both")

@@ -205,6 +205,19 @@ class TestMcCommands:
         assert captured.out == ""
         assert "--reps" in captured.err
 
+    @pytest.mark.parametrize("option, value, reason", [
+        ("--seed", "-3", "must be non-negative, got -3"),
+        ("--threads", "0", "must be at least 1, got 0"),
+        ("--threads", "-2", "must be at least 1, got -2"),
+    ])
+    def test_bad_seed_or_threads_rejected_when_parsed(self, capsys, tmp_path, option, value,
+                                                      reason):
+        config = tmp_path / "size.yaml"
+        config.write_text(textwrap.dedent(TINY_SIZE_CONFIG))
+        code, out, err = run_rejected(capsys, "mc-size", str(config), option, value)
+        assert code == 2 and out == ""
+        assert f"argument {option}: {reason}" in err
+
     def test_power_config_without_beta2_fails_at_load(self, capsys, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(mc, "run_replication", lambda *a: calls.append(a))

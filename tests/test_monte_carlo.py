@@ -21,10 +21,8 @@ from splitenc.errors import (
     BandwidthOutOfRange,
     ConfigError,
     DegenerateSpectrum,
-    DegenerateVariance,
     InsufficientData,
     InvalidSplit,
-    NumericalError,
     SplitEncError,
 )
 from splitenc.monte_carlo import (
@@ -122,22 +120,42 @@ class TestExperiments:
         assert math.isnan(c.rejection_frequency)
 
     def test_mc_se_uses_completed_replications(self, monkeypatch):
-        real = mc.run_replication
+        real = run_replication
+        simulate = mc.simulate_dgp1
 
-        def every_third_fails(cells, reps, base_seed):
-            # the chunk holds rep 0, so it fails and its replications rerun one by one
-            if any(rep % 3 == 0 for rep in reps):
-                raise NumericalError("injected")
-            return real(cells, reps, base_seed)
+        def every_third_not_finite(spec, streams):
+            sim = simulate(spec, streams)
+            y = sim["y"].copy()
+            y[[s.stream_id % 3 == 0 for s in streams], 10] = np.inf
+            return {**sim, "y": y}
 
-        monkeypatch.setattr(mc, "run_replication", every_third_fails)
+        monkeypatch.setattr(mc, "simulate_dgp1", every_third_not_finite)
         c = run_size_experiment([_cell(T=100)], reps=30, base_seed=3).cells[0]
+        monkeypatch.undo()
         assert c.failures == 10 and not c.reliable
         p = c.rejection_frequency
         crit = float(norm.ppf(0.90))
         assert p == sum(real([_cell(T=100)], range(rep, rep + 1), 3)[0, 0] > crit
                         for rep in range(30) if rep % 3) / 20
         assert c.mc_se == math.sqrt(p * (1.0 - p) / 20)
+
+    def test_infeasible_cell_runs_no_replication(self, monkeypatch):
+        # bad as in test_failures_counted_not_raised: cells are resolved before any replication
+        bad = McCell(dgp=Dgp1Spec(T=60, h=1), mu0=0.45, pi0=0.02, label="bad", group="g")
+        good = _cell(T=100)
+        expected = (run_size_experiment([bad], reps=8, base_seed=2).cells
+                    + run_size_experiment([good], reps=8, base_seed=2).cells)
+        real, calls = mc.run_replication, []
+
+        def counted(cells, reps, base_seed):
+            calls.append((cells, reps))
+            return real(cells, reps, base_seed)
+
+        monkeypatch.setattr(mc, "run_replication", counted)
+        report = run_size_experiment([bad, good], reps=8, base_seed=2)
+        assert calls == [([good], range(0, 8))]
+        assert repr(report.cells) == repr(expected)  # NaN frequencies compare by repr
+        assert report.cells[0].failures == 8
 
     def test_collect_statistics(self):
         stats = collect_statistics(_cell(T=100), reps=30, base_seed=9)
@@ -257,36 +275,40 @@ class TestDesignGroups:
         m0_040 = SplitSpec(0.40).m0(75)  # n = 75 forecast errors at T=100, h=1, pi0=0.25
 
         def fails_at_040(e1, e2, m0, M):
-            if m0 == m0_040:
-                raise DegenerateVariance("injected")
-            return real(e1, e2, m0, M)
+            statistic, dbar, omega2 = real(e1, e2, m0, M)
+            if m0 == m0_040:  # as for a degenerate variance in every replication
+                statistic = np.full_like(statistic, np.nan)
+            return statistic, dbar, omega2
 
         monkeypatch.setattr(mc, "split_statistic", fails_at_040)
         got = run_replication(group, range(3, 8), 17)
         assert np.isnan(got[1]).all()
         assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
 
-    def test_simulation_failure_fails_every_cell_of_its_group(self, monkeypatch):
+    def test_singular_fit_fails_every_cell_of_its_group(self, monkeypatch):
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
         other = _cell(T=120, rho=0.9, mu0=0.45)
         clean = mc._run_cells([*group, other], 10, 19, 1)
         real, seen = mc.simulate_dgp1, []
 
-        def rep0_of_first_group_fails(spec, streams):
+        def constant_x_in_rep0_of_first_group(spec, streams):
             seen.append([s.stream_id for s in streams])
-            if spec.T == 100 and 0 in seen[-1]:
-                raise NumericalError("injected")
-            return real(spec, streams)
+            sim = real(spec, streams)
+            if spec.T == 100:
+                x = sim["x"].copy()
+                x[seen[-1].index(0)] = 1.0  # x collinear with the intercept
+                sim = {**sim, "x": x}
+            return sim
 
-        monkeypatch.setattr(mc, "simulate_dgp1", rep0_of_first_group_fails)
+        monkeypatch.setattr(mc, "simulate_dgp1", constant_x_in_rep0_of_first_group)
         report = run_size_experiment([*group, other], reps=10, base_seed=19)
         assert [c.failures for c in report.cells] == [1, 1, 1, 0]
-        # one simulation per (group, chunk), then one per replication of the failed chunk
-        assert seen == [list(range(10)), *([rep] for rep in range(10)), list(range(10))]
-        seen.clear()
+        # one simulation per (group, chunk); the singular fit is masked, not rerun
+        assert seen == [list(range(10)), list(range(10))]
         again = mc._run_cells([*group, other], 10, 19, 1)
         assert np.isnan(again[:3, 0]).all()
         assert again[:, 1:].tobytes() == clean[:, 1:].tobytes()
+        assert again[3].tobytes() == clean[3].tobytes()
 
     def test_non_finite_replication_fails_its_group_only(self, monkeypatch):
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.45)]
@@ -527,6 +549,7 @@ class TestConfigLoading:
         ("experiment.level", [0.1]),
         ("experiment.reps", "abc"),
         ("experiment.seed", [1]),
+        ("experiment.seed", -1),
         ("experiment.bandwidth_c", [1]),
         ("experiment.mu0", [0.50]),
         ("experiment.mu0", [0.40, 0.4000001]),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ from scipy.signal import lfilter
 
 import splitenc.monte_carlo as mc
 from _oracles import expanding_refit_oracle, ols_normal_equations
-from splitenc.dgp import RngStream
+from splitenc.dgp import Dgp1Spec, RngStream
 from splitenc.errors import InsufficientData, RankDeficient
 from splitenc.monte_carlo import _forecast_error_pair
 from splitenc.regression import (
@@ -247,11 +249,28 @@ class TestNestedPairKernel:
                 y_bad[pos] = bad
                 cases.append((y_bad, x_bad))
                 cases.append((y, np.where(np.arange(T) == pos, bad, x_bad)))
+        singular = []
         for yc, xc in cases:
             assert _uncertified(nested_pair_forecast_errors(yc, xc, h, k0))
             expected = _error_repr(lambda: _generic_pair(yc, xc, h, k0))
-            assert expected is not None
-            assert _error_repr(lambda: _forecast_error_pair(yc, xc, h, k0)) == expected
+            if np.isfinite(yc).all() and np.isfinite(xc).all():
+                assert expected[0] is RankDeficient
+                assert re.fullmatch(r"(zero regressor column|cross-product matrix singular)"
+                                    r" in window ending at t=\d+", expected[1])
+                singular.append((yc, xc))
+            else:
+                # not a numerical failure: the engine drops non-finite rows before fitting
+                assert expected == (ValueError, "design entries must be finite")
+                assert _error_repr(lambda: _forecast_error_pair(yc, xc, h, k0)) == expected
+        # a singular fit is a mask: exactly its rows stay NaN, beside a certified row
+        ys = np.stack([y] + [yc for yc, _ in singular])
+        xs = np.stack([g.standard_normal(T)] + [xc for _, xc in singular])
+        e1, e2 = _forecast_error_pair(ys, xs, h, k0)
+        assert len(singular) == 6
+        assert np.isnan(e1[1:]).all() and np.isnan(e2[1:]).all()
+        assert np.isfinite(e1[0]).all() and np.isfinite(e2[0]).all()
+        for got, alone in zip((e1[0], e2[0]), _forecast_error_pair(ys[0], xs[0], h, k0)):
+            assert got.tobytes() == alone.tobytes()
 
     # at T=100, h=4 the large model needs 3 + h <= k0 <= T - h
     @pytest.mark.parametrize("k0,certified", [(0, False), (6, False), (7, True), (96, True),
@@ -266,7 +285,9 @@ class TestNestedPairKernel:
             assert_allclose(np.concatenate(pair), np.concatenate(_generic_pair(y, x, 4, k0)),
                             rtol=0, atol=1e-12)
         else:
-            assert _error_repr(lambda: _forecast_error_pair(y, x, 4, k0)) == expected
+            # the engine resolves k0 first, so it never asks the kernel for this origin
+            with pytest.raises(InsufficientData):
+                mc._first_origin(Dgp1Spec(T=100, h=4), k0 / 100)
 
 
 class TestBicSelectLag:
