@@ -21,6 +21,7 @@ from splitenc.monte_carlo import (
     run_power_experiment,
     run_size_experiment,
     seed_value,
+    worker_count,
 )
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -38,7 +39,7 @@ def main() -> int:
     parser.add_argument("--reps", type=replication_count, default=None,
                         help="override config reps")
     parser.add_argument("--seed", type=seed_value, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=worker_count, default=1)
     parser.add_argument("--only", nargs="+", choices=sorted(TABLES), default=sorted(TABLES))
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()

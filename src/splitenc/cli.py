@@ -45,6 +45,7 @@ from .monte_carlo import (
     run_size_experiment,
     seed_value,
     unit_fraction,
+    worker_count,
 )
 from .tables import csv_text, json_text, markdown_text
 
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config_file", help="YAML experiment definition")
         p.add_argument("--reps", type=_option_type(replication_count), default=None)
         p.add_argument("--seed", type=_option_type(seed_value), default=None)
-        p.add_argument("--threads", type=_int_at_least(1), default=1)
+        p.add_argument("--threads", type=_option_type(worker_count), default=1)
         _add_common(p)
         p.set_defaults(func=func)
 

@@ -134,8 +134,9 @@ class Dgp2Spec:
             raise InvalidSpec("burn_in must be >= 0")
 
 
-# scipy.signal is imported where a path is filtered, not at module import:
-# it is the slowest import of the package, and only the simulators use it.
+# scipy is imported where a path is filtered or the eigensolver falls back,
+# not at module import: it is the slowest import of the package, and the
+# commands that simulate nothing (test, inflation, local-power) never need it.
 
 def _ar1_path(innov: np.ndarray, coeff: float, axis: int = -1) -> np.ndarray:
     # x_t = coeff * x_{t-1} + innov_t with x_0 = 0, along the given axis
@@ -145,10 +146,16 @@ def _ar1_path(innov: np.ndarray, coeff: float, axis: int = -1) -> np.ndarray:
 
 
 def _ma_path(innov: np.ndarray, theta: float, h: int) -> np.ndarray:
-    # w_t = sum_{j=0}^{h-1} theta^j innov_{t-j} along the last axis, missing pre-sample terms as 0
-    from scipy.signal import lfilter
-
-    return lfilter(theta ** np.arange(h), [1.0], innov)
+    # w_t = sum_{j=0}^{h-1} theta^j innov_{t-j} along the last axis, missing pre-sample terms as 0;
+    # one np.convolve per row is what lfilter's FIR branch runs, so the bits are lfilter's
+    if h == 1:
+        return innov.copy()
+    weights = theta ** np.arange(h)
+    T = innov.shape[-1]
+    out = np.empty(innov.shape)
+    for row in np.ndindex(innov.shape[:-1]):
+        out[row] = np.convolve(weights, innov[row])[:T]
+    return out
 
 
 def _h_step_ar(drive: np.ndarray, beta1: float, h: int) -> np.ndarray:

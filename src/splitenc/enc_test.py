@@ -36,8 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .errors import (
     BandwidthOutOfRange,
     DegenerateVariance,
@@ -283,7 +283,7 @@ def encompassing_test(
     statistic, dbar, omega2 = (float(v) for v in split_statistic(fes.e1, fes.e2, m0, M, centering))
     if math.isnan(statistic):
         raise DegenerateVariance(f"long-run variance {omega2:g} too small to studentize")
-    p_value = min(max(float(ndtr(-statistic)), 0.0), 1.0)
+    p_value = min(max(ndtr(-statistic), 0.0), 1.0)
     return EncompassingResult(
         statistic=statistic,
         p_value=p_value,
@@ -377,5 +377,5 @@ def local_power_stationary(inp: LocalPowerInput) -> dict:
     if drift == 0.0:
         power = inp.level  # analytic simplification: the null case is size
     else:
-        power = float(ndtr(-(ndtri(1.0 - inp.level) - drift)))
+        power = ndtr(-(ndtri(1.0 - inp.level) - drift))
     return {"drift": drift, "power": power}

@@ -40,13 +40,11 @@ import functools
 import hashlib
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import yaml
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .dgp import SIGMA1, SIGMA2, Dgp1Spec, Dgp2Spec, RngStream, estimate_factor, simulate_dgp1, simulate_dgp2
 from .enc_test import HacConfig, SplitSpec, distinct_mu0_list, split_statistic
 # the engine runs split_statistic; perfbench/mc.py wraps this name in this module
@@ -173,7 +171,7 @@ def _forecast_error_pair(y, extra, h: int, k0: int):
 @functools.cache
 def _critical_value(level: float) -> float:
     """One-sided standard-normal critical value at the nominal level."""
-    return float(ndtri(1.0 - level))
+    return ndtri(1.0 - level)
 
 
 def _dgp2_replication(dgp, stream) -> tuple:
@@ -256,6 +254,9 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     if workers <= 1:
         blocks = [run_replication(*a) for a in args]
     else:
+        # imported here, not at module import: only a pooled run needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(run_replication, *zip(*args)))
     stats = np.full((len(cells), reps), np.nan)
@@ -380,6 +381,14 @@ def replication_count(value) -> int:
     return reps
 
 
+def worker_count(value) -> int:
+    """A worker-process count of at least 1 (option ``--threads``)."""
+    workers = int(value)
+    if workers < 1:
+        raise ValueError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def seed_value(value) -> int:
     """A non-negative base seed (config key ``seed``, option ``--seed``)."""
     seed = int(value)
@@ -462,6 +471,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     Unknown keys, bad values, infeasible cells and a beta2 that breaks the
     kind's rule (size: 0, power: > 0) raise ConfigError with their key path.
     """
+    # imported here, not at module import: only the mc commands read a config
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)

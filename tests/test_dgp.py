@@ -121,6 +121,23 @@ class TestHStepAr:
                            h_step_ar_by_residue_class(drive, beta1, h).view(np.int64))
 
 
+class TestMaPath:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.floats(-2.0, 2.0),
+           st.sampled_from([(), (1,), (3,), (2, 2)]), st.integers(1, 120), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_lfilter(self, seed, h, theta, batch, T, strided):
+        # includes T < h and the strided column view simulate_dgp1 passes
+        from scipy.signal import lfilter
+
+        draws = np.random.default_rng(seed).standard_normal(batch + (T, 2))
+        innov = draws[..., 0] if strided else np.ascontiguousarray(draws[..., 0])
+        w = dgp_module._ma_path(innov, theta, h)
+        expected = lfilter(theta ** np.arange(h), [1.0], innov)
+        assert w.shape == expected.shape == innov.shape
+        assert_array_equal(w.view(np.int64), expected.view(np.int64))
+        assert not np.shares_memory(w, innov)  # callers add to it in place
+
+
 class TestDgp2:
     def test_reproducible(self):
         spec = Dgp2Spec(T=100, N=20, h=2, beta2=0.3)

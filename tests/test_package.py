@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import splitenc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -63,6 +65,19 @@ def test_reproduce_tables_rejects_negative_seed(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_reproduce_tables_rejects_threads_below_one(tmp_path, threads):
+    out_dir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"),
+         "--only", "table1", "--threads", threads, "--out-dir", str(out_dir)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--threads" in proc.stderr
+    assert not out_dir.exists()
+
+
 def _owner(node, aliases):
     """The object an owner expression names: an imported alias, then attributes."""
     if isinstance(node, ast.Attribute):
@@ -108,22 +123,27 @@ def test_benchmark_trace_targets_exist():
         assert name in vars(owner), f"perfbench/{file} traces {owner.__name__}.{name}"
 
 
-# Runs in a fresh interpreter; the last stdout line is "<exit code> <loaded modules>".
+# Runs in a fresh interpreter; the last stdout line is "<exit code> <guarded modules loaded>".
 _IMPORT_GUARD = """
 import sys
-heavy = ("scipy.stats", "scipy.signal")
 import splitenc.cli
-loaded = [m for m in heavy if m in sys.modules]
-code = splitenc.cli.main(["test", sys.argv[1]])
-loaded += [m for m in heavy if m in sys.modules]
-print(code, sorted(set(loaded)))
+code = splitenc.cli.main(sys.argv[1:])
+guarded = ("scipy", "yaml", "concurrent.futures.process")
+print(code, sorted(m for m in sys.modules if m in guarded or m.startswith(("scipy.", "yaml."))))
 """
 
 
-def test_cli_test_command_loads_neither_scipy_stats_nor_signal():
-    # each costs about a second of cold start; the test path needs neither
+@pytest.mark.parametrize("argv", [
+    ["test", "errors_fixture.csv"],
+    ["inflation", "fixture_panel.csv"],
+    ["local-power", "blocks_fixture.json"],
+], ids=lambda argv: argv[0])
+def test_cli_commands_load_no_scipy_yaml_or_pool(argv):
+    # scipy is most of a cold start; these commands simulate nothing, read no
+    # YAML config and run no process pool, so none of the three may load
+    argv = [argv[0], str(ROOT / "tests" / "data" / argv[1])]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, str(ROOT / "tests" / "data" / "errors_fixture.csv")],
+        [sys.executable, "-c", _IMPORT_GUARD, *argv],
         check=True, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.stdout.splitlines()[-1] == "0 []"
