@@ -16,6 +16,8 @@ panel of the factor design starts from its stationary law instead.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +136,11 @@ class Dgp2Spec:
             raise InvalidSpec("burn_in must be >= 0")
 
 
+# The Dgp2Spec fields that the draws, the panel X and the factor path depend
+# on; the other fields (h, alpha, beta1, beta2, theta) act on y alone.
+DGP2_PANEL_FIELDS = ("N", "T", "alpha1", "rho_i", "loading_std", "burn_in")
+
+
 # scipy is imported where a path is filtered or the eigensolver falls back,
 # not at module import: it is the slowest import of the package, and the
 # commands that simulate nothing (test, inflation, local-power) never need it.
@@ -199,28 +206,72 @@ def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
     return {"y": y[0], "x": x[0]} if single else {"y": y, "x": x}
 
 
+_PANEL_BLOCK = 1 << 15  # panel entries (256 KB) filtered and assembled at once
+
+
+def _assemble_panel(E: np.ndarray, f: np.ndarray, lam: np.ndarray, rho: float) -> None:
+    """Turn the T x N innovations E into the panel f lam' + AR(rho) of E, in place.
+
+    The idiosyncratic AR(rho) columns are filtered one block of rows (about
+    _PANEL_BLOCK entries) at a time, lfilter carrying each column's state
+    from block to block, and the block's common component f_t lam' is
+    formed in the panel rows themselves.  Each entry is rounded as in
+    ``outer(f, lam) + _ar1_path(E, rho, axis=0)``, so the bits are the
+    same, and the working memory is one block rather than three panels.
+    """
+    from scipy.signal import lfilter
+
+    step = max(1, _PANEL_BLOCK // E.shape[1])
+    state = np.zeros((1, E.shape[1]))
+    for start in range(0, len(E), step):
+        rows = E[start:start + step]
+        idio, state = lfilter([1.0], [1.0, -rho], rows, axis=0, zi=state)
+        np.multiply.outer(f[start:start + len(rows)], lam, out=rows)
+        rows += idio
+
+
+def dgp2_outcome(spec: Dgp2Spec, f_path: np.ndarray, w_innov: np.ndarray) -> np.ndarray:
+    """y of the factor design, burn-in dropped, from its factor path and disturbance draws.
+
+    ``f_path`` and ``w_innov`` are simulate_dgp2's entries of those names,
+    one replication per row of (..., burn_in + T) arrays.  Every step acts
+    on one row at a time, so a row is the same bits whatever rows share the
+    call.  The draws depend on the panel fields alone (DGP2_PANEL_FIELDS),
+    so one replication's draws give the y of every spec that shares them.
+    """
+    drive = _ma_path(w_innov, spec.theta, spec.h)
+    drive += spec.alpha
+    drive[..., spec.h:] += spec.beta2 * f_path[..., :-spec.h]
+    return _h_step_ar(drive, spec.beta1, spec.h)[..., spec.burn_in:]
+
+
 def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
-    """Simulate the factor-augmented design; returns {"y", "X", "f_true"}.
+    """Simulate the factor-augmented design; returns {"y", "X", "f_true", "f_path", "w_innov"}.
 
     "X" is the T x N observed panel from which the factor proxy is to be
     extracted, "f_true" the latent factor path (for diagnostics only).
+    "f_path" is that path from t = 0, burn-in included, and "w_innov" the
+    burn_in + T standard normals behind the disturbances w: with them
+    ``dgp2_outcome`` gives the y of any spec that shares this one's panel.
     The idiosyncratic AR(rho_i) columns need no burn-in: their first row is
     drawn from the stationary law N(0, 1/(1 - rho_i^2)), so every row has
     that law exactly; ``burn_in`` applies to y and f only.
+
+    The draws come in a fixed order and count for every h (loadings,
+    factor innovations, panel, disturbances).  The panel is assembled in
+    its own draw buffer (see ``_assemble_panel``).
     """
     g = rng.generator()
     total = spec.burn_in + spec.T
     lam = spec.loading_std * g.standard_normal(spec.N)
     f = _ar1_path(g.standard_normal(total), spec.alpha1)
-    innov = g.standard_normal((spec.T, spec.N))
-    innov[0] /= np.sqrt(1.0 - spec.rho_i * spec.rho_i)
-    keep = slice(spec.burn_in, None)
-    X = f[keep, None] * lam[None, :] + _ar1_path(innov, spec.rho_i, axis=0)
-    w = _ma_path(g.standard_normal(total), spec.theta, spec.h)
-    drive = w + spec.alpha
-    drive[spec.h:] += spec.beta2 * f[:-spec.h]
-    y = _h_step_ar(drive, spec.beta1, spec.h)
-    return {"y": y[keep], "X": X, "f_true": f[keep]}
+    X = g.standard_normal((spec.T, spec.N))
+    X[0] /= np.sqrt(1.0 - spec.rho_i * spec.rho_i)
+    f_true = f[spec.burn_in:]
+    _assemble_panel(X, f_true, lam, spec.rho_i)
+    w_innov = g.standard_normal(total)
+    return {"y": dgp2_outcome(spec, f, w_innov), "X": X, "f_true": f_true,
+            "f_path": f, "w_innov": w_innov}
 
 
 def _power_top_eigenvector(A: np.ndarray):
@@ -270,6 +321,35 @@ def _exact_top_eigenvector(A: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
+class _FactorWork(threading.local):
+    def __init__(self):
+        self.buffers = {}  # role -> flat float64 buffer, kept between calls on this thread
+
+
+_FACTOR_WORK = _FactorWork()
+_FACTOR_WORK_KEEP = 1 << 21  # entries (16 MB) up to which a work buffer is kept between calls
+
+
+def _work_array(role: str, shape: tuple, order: str = "C") -> np.ndarray:
+    """An uninitialised work array of estimate_factor, reusing this thread's buffer for the role.
+
+    The demeaned panel and the Gram matrix are each up to panel-sized.
+    Allocated afresh per call, they go back to the system when the call
+    ends and the next call faults their pages in again: about 1000 pages,
+    a fifth of the call, at N = T = 500.  So each role keeps one buffer per
+    thread, grown to the largest shape seen and viewed at the shape and
+    memory order asked for; an array above _FACTOR_WORK_KEEP entries is
+    allocated per call.
+    """
+    size = math.prod(shape)
+    if size > _FACTOR_WORK_KEEP:
+        return np.empty(shape, order=order)
+    buffer = _FACTOR_WORK.buffers.get(role)
+    if buffer is None or len(buffer) < size:
+        buffer = _FACTOR_WORK.buffers[role] = np.empty(size)
+    return buffer[:size].reshape(shape, order=order)
+
+
 def estimate_factor(X) -> np.ndarray:
     """Leading principal component of a T x N panel, one factor assumed.
 
@@ -289,16 +369,24 @@ def estimate_factor(X) -> np.ndarray:
     degeneracy decision.
 
     Raises DegenerateSpectrum when the top eigenvalue is not simple to
-    working precision (the direction is then not identified).
+    working precision (the direction is then not identified).  The
+    demeaned panel and the Gram matrix live in work buffers kept between
+    calls (see ``_work_array``); the result never refers to them.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 2:
         raise ValueError("X must be a T x N panel with T >= 2 and N >= 2")
     T, N = X.shape
-    Xd = X - X.mean(axis=0)
-    # Use the smaller of the two Gram matrices; the non-zero spectra
-    # coincide and the eigenvectors map through Xd.
-    A = (Xd.T @ Xd) / (T * N) if N < T else (Xd @ Xd.T) / (T * N)
+    # X itself is left as it was: Xd is the one copy of the panel, laid out
+    # as X is (as X - mean would be), since BLAS rounds the products of the
+    # two layouts differently.  Use the smaller of the two Gram matrices;
+    # the non-zero spectra coincide and the eigenvectors map through Xd.
+    order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
+    Xd = np.subtract(X, X.mean(axis=0), out=_work_array("demeaned", (T, N), order))
+    k = min(T, N)
+    gram = _work_array("gram", (k, k))
+    A = np.matmul(Xd.T, Xd, out=gram) if N < T else np.matmul(Xd, Xd.T, out=gram)
+    A /= T * N
     v = _power_top_eigenvector(A)
     if v is None:
         v = _exact_top_eigenvector(A)

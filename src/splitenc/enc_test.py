@@ -132,6 +132,19 @@ def distinct_mu0_list(values) -> tuple:
     return mu0s
 
 
+def unit_fraction(value, name: str = "") -> float:
+    """A fraction strictly inside (0, 1): a level or a forecast start fraction pi0.
+
+    The one check of the config keys ``level`` and ``pi0``, their options
+    and the fields of those names; ``name`` starts the error message.
+    """
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        message = f"must lie in (0, 1), got {value:g}"
+        raise ValueError(f"{name} {message}" if name else message)
+    return value
+
+
 @dataclass(frozen=True)
 class HacConfig:
     """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3)))."""
@@ -338,10 +351,8 @@ class LocalPowerInput:
             raise ValueError(f"c must have length {p2}")
         if self.phi2 <= 0.0:
             raise ValueError("phi2 must be positive")
-        if not (0.0 < self.pi0 < 1.0):
-            raise ValueError("pi0 must lie in (0, 1)")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError("level must lie in (0, 1)")
+        unit_fraction(self.pi0, "pi0")
+        unit_fraction(self.level, "level")
         SplitSpec(self.mu0)  # validates the split bounds
         for name, val in (("c", c), ("b11", b11), ("b12", b12), ("b21", b21), ("b22", b22)):
             if not np.all(np.isfinite(val)):

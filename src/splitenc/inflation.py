@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enc_test import ForecastErrorSet, HacConfig, SplitSpec, distinct_mu0_list, encompassing_test
+from .enc_test import (
+    ForecastErrorSet,
+    HacConfig,
+    SplitSpec,
+    distinct_mu0_list,
+    encompassing_test,
+    unit_fraction,
+)
 from .errors import (
     CoverageError,
     EmptyQuarter,
@@ -133,8 +140,7 @@ class CountryStudyConfig:
     def __post_init__(self):
         if self.h < 1 or self.p2 < 0 or self.p_max < 0:
             raise ValueError("need h >= 1, p2 >= 0, p_max >= 0")
-        if not (0.0 < self.pi0 < 1.0):
-            raise ValueError("pi0 must lie in (0, 1)")
+        unit_fraction(self.pi0, "pi0")
         if len(self.mu0_list) == 0:
             raise ValueError("mu0_list must not be empty")
         object.__setattr__(self, "mu0_list", distinct_mu0_list(self.mu0_list))

@@ -2,36 +2,50 @@
 
 Each experiment cell pairs a simulation design with the test's tuning inputs
 (split fraction, bandwidth policy, nominal level, forecast start fraction).
-Cells that share one DGP spec and one pi0 form a design group.  The
-replications of a group run in chunks of up to 250, and one
+Cells are grouped three ways:
+
+* a stream group holds the DGP specs that draw the same random numbers:
+  one dgp1 spec, or every dgp2 spec on one panel (the same
+  ``dgp.DGP2_PANEL_FIELDS``: N, T, alpha1, rho_i, loading_std, burn_in);
+* a design is one spec and one pi0 within a group;
+* a cell is one mu0 of a design.
+
+The replications of a group run in chunks of up to 250, and one
 ``run_replication`` call computes a whole chunk as (replications, T)
-arrays: it simulates the chunk, produces recursive expanding-window
-forecasts from both nested models starting at k0 = floor(T * pi0), and
-runs the split statistic once per cell over every replication's
-forecast-error pair.  The test is one-sided, so a cell's replication
-rejects when its statistic exceeds the normal critical value at the cell's
-level.
+arrays.  It simulates the chunk once: dgp1 in one batch, dgp2 one
+replication at a time, simulating and factoring each panel once, with
+every design of the panel building its y from that replication's factor
+path and disturbance draws.  Each design then produces recursive
+expanding-window forecasts from both nested models starting at
+k0 = floor(T * pi0), and the split statistic runs once per cell over every
+replication's forecast-error pair.  The test is one-sided, so a cell's
+replication rejects when its statistic exceeds the normal critical value
+at the cell's level.
 
 The forecast errors of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]
 come from the closed-form kernel ``regression.nested_pair_forecast_errors``,
 which certifies each replication on its own.  A replication it cannot
 certify runs the two generic ``DirectDesign`` fits on its own.
 
-Determinism: the random stream of a replication is keyed by
-(base seed, digest of the DGP spec, replication id) only, and every step of
-a chunk acts on one replication at a time, so reports are bit-identical
-across worker counts, chunkings and execution orders, and a cell's
-statistics do not change when it runs alone, in a reordered grid or beside
-unrelated cells.  All mu0 of a design group see common random numbers.
+Determinism: the random stream of a replication is keyed by (base seed,
+stream digest, replication id) only, where the stream digest is that of
+the whole dgp1 spec or of the dgp2 panel fields; ``_design_groups``
+computes it once per group.  Every step of a chunk acts on one replication
+at a time, so reports are bit-identical across worker counts, chunkings
+and execution orders, and a cell's statistics do not change when it runs
+alone, in a reordered grid or beside other cells, of its panel or not.
+All designs and mu0 of a stream group see common random numbers: cells
+that differ in h, alpha, beta1, beta2, theta or mu0 are dependent within
+a replication, while each cell's own law is unchanged.
 
 Failures are masks, not aborts.  Every cell is resolved once, before any
 replication runs: a cell whose forecast origin, split or bandwidth does not
 resolve runs no replication and is NaN throughout.  A replication whose
-simulated series are not finite, whose dgp2 factor is not identified, or
-whose generic fit fails (a singular window) is NaN in every cell of its
-group; a degenerate long-run variance is NaN in its own entry.  NaN is
-dropped and counted as a failure, and a cell with 1% or more failures is
-flagged unreliable.
+dgp2 factor is not identified is NaN in every cell of its group; one whose
+simulated series are not finite or whose generic fit fails (a singular
+window) is NaN in every cell of its design; a degenerate long-run variance
+is NaN in its own entry.  NaN is dropped and counted as a failure, and a
+cell with 1% or more failures is flagged unreliable.
 """
 
 from __future__ import annotations
@@ -45,8 +59,19 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ._normal import ndtri
-from .dgp import SIGMA1, SIGMA2, Dgp1Spec, Dgp2Spec, RngStream, estimate_factor, simulate_dgp1, simulate_dgp2
-from .enc_test import HacConfig, SplitSpec, distinct_mu0_list, split_statistic
+from .dgp import (
+    DGP2_PANEL_FIELDS,
+    SIGMA1,
+    SIGMA2,
+    Dgp1Spec,
+    Dgp2Spec,
+    RngStream,
+    dgp2_outcome,
+    estimate_factor,
+    simulate_dgp1,
+    simulate_dgp2,
+)
+from .enc_test import HacConfig, SplitSpec, distinct_mu0_list, split_statistic, unit_fraction
 # the engine runs split_statistic; perfbench/mc.py wraps this name in this module
 from .enc_test import encompassing_test  # noqa: F401
 from .errors import ConfigError, InsufficientData, SplitEncError
@@ -76,18 +101,24 @@ def _first_origin(dgp, pi0: float) -> tuple:
     return k0, n
 
 
-def _spec_digest(spec) -> int:
+def _spec_digest(spec, names=None) -> int:
     """Canonical digest of a DGP spec: its type name and each field's name and float64 bytes.
 
-    The spec holds an ndarray (``sigma``), so the frozen dataclass itself is
+    ``names`` restricts the digest to those fields, in that order.  The
+    spec holds an ndarray (``sigma``), so the frozen dataclass itself is
     not hashable; equal specs give equal digests in every process (adding
     0.0 maps -0.0 to 0.0).
     """
     digest = hashlib.sha256(type(spec).__name__.encode())
-    for f in fields(spec):
-        digest.update(f.name.encode())
-        digest.update((np.asarray(getattr(spec, f.name), dtype=np.float64) + 0.0).tobytes())
+    for name in names or [f.name for f in fields(spec)]:
+        digest.update(name.encode())
+        digest.update((np.asarray(getattr(spec, name), dtype=np.float64) + 0.0).tobytes())
     return int.from_bytes(digest.digest(), "little")
+
+
+def _stream_digest(spec) -> int:
+    """The digest that keys a replication's stream: dgp1's whole spec, dgp2's panel fields only."""
+    return _spec_digest(spec, DGP2_PANEL_FIELDS if isinstance(spec, Dgp2Spec) else None)
 
 
 @dataclass(frozen=True)
@@ -103,10 +134,8 @@ class McCell:
     group: str = ""  # label without the mu0 part; used for table pivots
 
     def __post_init__(self):
-        if not (0.0 < self.pi0 < 1.0):
-            raise ValueError("pi0 must lie in (0, 1)")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError("level must lie in (0, 1)")
+        unit_fraction(self.pi0, "pi0")
+        unit_fraction(self.level, "level")
         SplitSpec(self.mu0)  # validates the split bounds
 
     def forecast_origin(self) -> int:
@@ -175,72 +204,92 @@ def _critical_value(level: float) -> float:
 
 
 def _dgp2_replication(dgp, stream) -> tuple:
-    """(y, factor) of one dgp2 replication; the factor is NaN when it is not identified."""
+    """(y, f_path, w_innov, factor) of one dgp2 replication; factor NaN when not identified.
+
+    The panel lives only inside this call, so one T x N panel is alive at once.
+    """
     sim = simulate_dgp2(dgp, stream)
     try:
-        return sim["y"], estimate_factor(sim["X"])
+        factor = estimate_factor(sim["X"])
     except _FAILURES:
-        return sim["y"], np.nan
+        factor = np.nan
+    return sim["y"], sim["f_path"], sim["w_innov"], factor
 
 
-def _simulate(dgp, streams) -> tuple:
-    """(y, extra) as (len(streams), T) arrays, row b from stream b.
+def _simulate(dgp, streams):
+    """A function of a design's spec giving its (y, extra), row b from stream b.
 
-    dgp1 simulates every stream in one call.  dgp2 simulates and extracts
-    the factor one stream at a time, so only one T x N panel is alive at
-    once (a 250-stream panel batch would hold 250 of them).
+    dgp1 simulates every stream in one call, and each pi0 of the spec sees
+    the same series.  dgp2 simulates and extracts the factor one stream at a
+    time (a 250-stream panel batch would hold 250 panels).  The y of the
+    spec it simulates comes with the panel; every other spec sharing the
+    panel builds its y from the same factor path and disturbance draws.
     """
     if isinstance(dgp, Dgp1Spec):
         sim = simulate_dgp1(dgp, streams)
-        return sim["y"], sim["x"]
+        return lambda spec: (sim["y"], sim["x"])
     if isinstance(dgp, Dgp2Spec):
-        y, extra = np.empty((2, len(streams), dgp.T))
+        total = dgp.burn_in + dgp.T
+        y, factor = np.empty((2, len(streams), dgp.T))
+        f_path, w_innov = np.empty((2, len(streams), total))
         for b, stream in enumerate(streams):
-            y[b], extra[b] = _dgp2_replication(dgp, stream)
-        return y, extra
+            y[b], f_path[b], w_innov[b], factor[b] = _dgp2_replication(dgp, stream)
+        return lambda spec: (y if spec is dgp else dgp2_outcome(spec, f_path, w_innov), factor)
     raise ValueError(f"unsupported DGP type {type(dgp).__name__}")
 
 
-def run_replication(cells, reps: range, base_seed: int) -> np.ndarray:
-    """(cells, len(reps)) statistics of one design group over a run of replications.
-
-    The cells resolve and share one DGP spec and one pi0, so the chunk is
-    simulated and fitted once and the statistic runs once per cell.
-    Replication r draws from its own stream, keyed by (base_seed, spec
-    digest, r), and every step acts on one replication at a time, so an
-    entry does not depend on which replications share the call.  A
-    replication whose path is not finite, whose dgp2 factor is not
-    identified or whose generic fit fails is NaN in every cell; a
-    degenerate variance is NaN in its own entry.
-    """
+def _design_statistics(cells, y, extra) -> np.ndarray:
+    """(cells, replications) statistics of one design (one spec and one pi0) from its series."""
     dgp = cells[0].dgp
     k0, n = _first_origin(dgp, cells[0].pi0)
-    digest = _spec_digest(dgp)
-    y, extra = _simulate(dgp, [RngStream((base_seed, digest), rep) for rep in reps])
     finite = np.isfinite(y).all(axis=1) & np.isfinite(extra).all(axis=1)
     e1, e2 = _forecast_error_pair(y[finite], extra[finite], dgp.h, k0)
-    stats = np.full((len(cells), len(reps)), np.nan)
+    stats = np.full((len(cells), len(y)), np.nan)
     for i, cell in enumerate(cells):
         m0, M = SplitSpec(cell.mu0).m0(n), cell.hac.resolve(n)
         stats[i, finite] = split_statistic(e1, e2, m0, M)[0]
     return stats
 
 
-def _design_groups(cells) -> list:
-    """Cell indices per design group (one DGP spec and one pi0), in order of first appearance.
+def run_replication(designs, reps: range, key: tuple) -> np.ndarray:
+    """Statistics of one stream group over a run of replications, one row per cell.
 
-    A cell that does not resolve (``McCell.forecast_origin``) joins no group.
+    ``designs`` lists the group's designs, each a list of resolved cells
+    that share one DGP spec and one pi0; the rows follow the cells in that
+    order.  Every spec of the group draws the same random numbers, so the
+    chunk is simulated once (for dgp2: each replication's panel and factor
+    once), each design is fitted once and the statistic runs once per cell.
+    Replication r draws from its own stream, keyed by (key, r) with ``key``
+    = (base seed, stream digest), and every step acts on one replication
+    at a time, so an entry does not depend on which replications share the
+    call.  A replication whose factor is not identified is NaN in every
+    cell of the group; one whose path is not finite or whose generic fit
+    fails is NaN in every cell of its design; a degenerate variance is NaN
+    in its own entry.
     """
-    digests, groups = {}, {}  # digests: one per distinct spec object
+    series = _simulate(designs[0][0].dgp, [RngStream(key, rep) for rep in reps])
+    return np.concatenate([_design_statistics(cells, *series(cells[0].dgp)) for cells in designs])
+
+
+def _design_groups(cells) -> list:
+    """(stream digest, designs) per stream group, in order of first appearance.
+
+    A group holds the cells whose specs draw the same random numbers (one
+    dgp1 spec; one dgp2 panel), split into designs of one spec and one
+    pi0, each a list of cell indices.  A cell that does not resolve
+    (``McCell.forecast_origin``) joins no group.
+    """
+    digests, groups = {}, {}  # digests: (stream, spec) digests per distinct spec object
     for i, cell in enumerate(cells):
         try:
             cell.forecast_origin()
         except _FAILURES:
             continue
         if id(cell.dgp) not in digests:
-            digests[id(cell.dgp)] = _spec_digest(cell.dgp)
-        groups.setdefault((digests[id(cell.dgp)], cell.pi0), []).append(i)
-    return list(groups.values())
+            digests[id(cell.dgp)] = (_stream_digest(cell.dgp), _spec_digest(cell.dgp))
+        stream, spec = digests[id(cell.dgp)]
+        groups.setdefault(stream, {}).setdefault((spec, cell.pi0), []).append(i)
+    return [(stream, list(designs.values())) for stream, designs in groups.items()]
 
 
 def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
@@ -248,9 +297,10 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     if reps < 1:
         raise ValueError("need at least one replication")
     chunk = min(reps, 250)
-    tasks = [(group, range(start, min(start + chunk, reps)))
-             for group in _design_groups(cells) for start in range(0, reps, chunk)]
-    args = [([cells[i] for i in group], part, base_seed) for group, part in tasks]
+    tasks = [(designs, digest, range(start, min(start + chunk, reps)))
+             for digest, designs in _design_groups(cells) for start in range(0, reps, chunk)]
+    args = [([[cells[i] for i in design] for design in designs], part, (base_seed, digest))
+            for designs, digest, part in tasks]
     if workers <= 1:
         blocks = [run_replication(*a) for a in args]
     else:
@@ -260,8 +310,8 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(run_replication, *zip(*args)))
     stats = np.full((len(cells), reps), np.nan)
-    for (group, part), block in zip(tasks, blocks):
-        stats[group, part.start:part.stop] = block
+    for (designs, _, part), block in zip(tasks, blocks):
+        stats[list(itertools.chain(*designs)), part.start:part.stop] = block
     return stats
 
 
@@ -395,14 +445,6 @@ def seed_value(value) -> int:
     if seed < 0:
         raise ValueError(f"must be non-negative, got {seed}")
     return seed
-
-
-def unit_fraction(value) -> float:
-    """A fraction strictly inside (0, 1) (config keys ``level`` and ``pi0``, their options)."""
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"must lie in (0, 1), got {value:g}")
-    return value
 
 
 def _sigma(value):

@@ -134,3 +134,81 @@ def expanding_refit_oracle(Z, y, k0_row, n_fits=None):
     for stop in range(k0_row + 1, k0_row + 1 + n_fits):
         out.append(np.linalg.lstsq(Z[:stop], y[:stop], rcond=None)[0])
     return np.array(out)
+
+
+def simulate_dgp2_copying(spec, base_seed, stream_id):
+    """The factor design as first written: {"y", "X", "f_true"} from whole-array filters and copies.
+
+    Draws in the package's order (loadings, factor innovations, panel,
+    disturbances) from the generator of (base_seed, stream_id); the
+    idiosyncratic AR is one lfilter over the panel, the common component a
+    separate outer product, the MA disturbances an FIR lfilter and y one
+    filter per residue class.
+    """
+    from scipy.signal import lfilter
+
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(stream_id,))
+    g = np.random.Generator(np.random.PCG64(seq))
+    total = spec.burn_in + spec.T
+    lam = spec.loading_std * g.standard_normal(spec.N)
+    f = lfilter([1.0], [1.0, -spec.alpha1], g.standard_normal(total))
+    innov = g.standard_normal((spec.T, spec.N))
+    innov[0] /= np.sqrt(1.0 - spec.rho_i * spec.rho_i)
+    keep = slice(spec.burn_in, None)
+    X = f[keep, None] * lam[None, :] + lfilter([1.0], [1.0, -spec.rho_i], innov, axis=0)
+    w = lfilter(spec.theta ** np.arange(spec.h), [1.0], g.standard_normal(total))
+    drive = w + spec.alpha
+    drive[spec.h:] += spec.beta2 * f[:-spec.h]
+    y = h_step_ar_by_residue_class(drive, spec.beta1, spec.h)
+    return {"y": y[keep], "X": X, "f_true": f[keep]}
+
+
+def _certified_power_iteration(A, gap_rtol, power_rtol, power_max_iter):
+    """Top eigenvector by power iteration, or None unless it converged with a certified gap."""
+    v = A[:, np.argmax(np.diagonal(A))]
+    size = np.linalg.norm(v)
+    if not size > 0.0:
+        return None
+    v = v / size
+    for _ in range(power_max_iter):
+        w = A @ v
+        theta = v @ w
+        r = np.linalg.norm(w - theta * v)
+        if r <= power_rtol * theta:
+            break
+        v = w / np.linalg.norm(w)
+    else:
+        return None
+    lam2_up = np.sqrt(max(0.0, np.vdot(A, A) - theta * theta - 2.0 * r * r)) + r
+    return v if theta - lam2_up - r > gap_rtol * (theta + r) else None
+
+
+def estimate_factor_copying(X, gap_rtol=1e-12, power_rtol=1e-14, power_max_iter=200):
+    """Leading principal component as first written, or None when the top eigenvalue is not simple.
+
+    Demeaned copy, Gram matrix divided into a new array, the certified
+    power iteration from the largest diagonal entry, and scipy's eigh when
+    that does not certify; sign from the first non-negligible column.
+    """
+    from scipy.linalg import eigh
+
+    X = np.asarray(X, dtype=float)
+    T, N = X.shape
+    Xd = X - X.mean(axis=0)
+    A = (Xd.T @ Xd) / (T * N) if N < T else (Xd @ Xd.T) / (T * N)
+    v = _certified_power_iteration(A, gap_rtol, power_rtol, power_max_iter)
+    if v is None:
+        n = A.shape[0]
+        vals, vecs = eigh(A, subset_by_index=[n - 2, n - 1])
+        if vals[-1] <= 0.0 or (vals[-1] - vals[0]) <= gap_rtol * vals[-1]:
+            return None
+        v = vecs[:, -1]
+    if N < T:
+        f = Xd @ v
+        f /= np.linalg.norm(f)
+    else:
+        f = v
+    f = f * np.sqrt(T)
+    p = f @ Xd
+    anchor = p[np.argmax(np.abs(p) > gap_rtol * np.max(np.abs(p)))]
+    return -f if anchor < 0.0 else f

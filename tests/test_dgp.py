@@ -5,13 +5,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import splitenc.dgp as dgp_module
-from _oracles import h_step_ar_by_residue_class, ma_autocov_theory
+from _oracles import (
+    estimate_factor_copying,
+    h_step_ar_by_residue_class,
+    ma_autocov_theory,
+    simulate_dgp2_copying,
+)
 from splitenc.dgp import (
     SIGMA1,
     SIGMA2,
     Dgp1Spec,
     Dgp2Spec,
     RngStream,
+    dgp2_outcome,
     estimate_factor,
     simulate_dgp1,
     simulate_dgp2,
@@ -273,3 +279,98 @@ class TestEstimateFactor:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             estimate_factor(np.zeros((5, 1)))
+
+
+def _factor_or_none(X):
+    try:
+        return estimate_factor(X)
+    except DegenerateSpectrum:
+        return None
+
+
+class TestPanelKernel:
+    """The in-place panel kernel against the whole-panel copying oracle, bit for bit."""
+
+    @pytest.mark.parametrize("rho_sign", [-1.0, 0.0, 1.0])
+    @given(st.integers(0, 2**32 - 1), st.integers(50, 80), st.sampled_from([-1, 0, 1]),
+           st.integers(1, 30), st.floats(0.01, 0.95), st.floats(-0.9, 0.9),
+           st.floats(0.05, 3.0), st.integers(1, 12), st.integers(0, 60), st.integers(1, 3000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_copying_oracle(self, rho_sign, seed, T, order, gap, rho, alpha1,
+                                    loading_std, h, burn_in, block):
+        # N < T, N = T and N > T; panel blocks from one row to the whole panel
+        N = T + order * gap
+        spec = Dgp2Spec(T=T, N=N, h=h, beta2=0.4, alpha=0.2, rho_i=rho_sign * rho,
+                        alpha1=alpha1, loading_std=loading_std, burn_in=burn_in)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dgp_module, "_PANEL_BLOCK", block)
+            sim = simulate_dgp2(spec, RngStream((seed, 7), 3))
+        expected = simulate_dgp2_copying(spec, (seed, 7), 3)
+        for key in ("y", "X", "f_true"):
+            assert sim[key].tobytes() == expected[key].tobytes(), key
+        panel = sim["X"].copy()
+        factor, oracle = _factor_or_none(sim["X"]), estimate_factor_copying(expected["X"])
+        assert (factor is None) == (oracle is None)
+        if factor is not None:
+            assert factor.tobytes() == oracle.tobytes()
+        assert sim["X"].tobytes() == panel.tobytes()  # the argument is left as it was
+
+    @pytest.mark.parametrize("N, T", [(20, 60), (60, 60), (70, 55)])
+    def test_eigh_fallback_matches_oracle(self, N, T, monkeypatch):
+        # loadings this small leave a pure-noise panel: no certified eigengap
+        spec = Dgp2Spec(T=T, N=N, loading_std=1e-6, rho_i=0.0)
+        X = simulate_dgp2(spec, RngStream(3, 1))["X"]
+        calls = _count_exact_calls(monkeypatch)
+        assert estimate_factor(X).tobytes() == estimate_factor_copying(X).tobytes()
+        assert calls == [(min(N, T), min(N, T))]
+
+    @pytest.mark.parametrize("layout", [
+        np.ascontiguousarray,
+        np.asfortranarray,
+        lambda P: P[::2, ::3],
+        lambda P: P[::-1],
+        lambda P: np.asfortranarray(P)[:, 1::2],
+    ], ids=["C", "F", "strided", "reversed-rows", "F-strided"])
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 90), st.integers(20, 90))
+    @settings(max_examples=15, deadline=None)
+    def test_any_memory_layout_matches_oracle(self, layout, seed, T, N):
+        # the demeaned copy follows X's layout, which BLAS rounds differently
+        g = np.random.default_rng(seed)
+        X = layout(np.outer(g.standard_normal(T), 1.0 + g.random(N))
+                   + 0.3 * g.standard_normal((T, N)))
+        panel = X.tobytes()
+        assert estimate_factor(X).tobytes() == estimate_factor_copying(X).tobytes()
+        assert X.tobytes() == panel
+
+    def test_degenerate_panel_matches_oracle(self):
+        f1 = np.array([1.0, -1.0, 1.0, -1.0])
+        f2 = np.array([1.0, 1.0, -1.0, -1.0])
+        X = np.outer(f1, [1.0, 0.0, 1.0, 0.0]) + np.outer(f2, [0.0, 1.0, 0.0, -1.0])
+        assert estimate_factor_copying(X) is None
+        with pytest.raises(DegenerateSpectrum):
+            estimate_factor(X)
+
+    def test_results_do_not_share_the_work_buffers(self):
+        # the demeaned panel and Gram matrix are kept between calls; results must not alias them
+        panels = [simulate_dgp2(Dgp2Spec(T=60, N=N), RngStream(4, N))["X"] for N in (40, 60, 80)]
+        first = [estimate_factor(X) for X in panels]
+        kept = [f.copy() for f in first]
+        again = [estimate_factor(X) for X in panels[::-1]][::-1]
+        for f, k, a in zip(first, kept, again):
+            assert f.tobytes() == k.tobytes() == a.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(-0.9, 0.9),
+           st.floats(0.0, 0.8), st.floats(-1.0, 1.0), st.floats(-0.9, 0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_outcome_of_any_spec_sharing_the_panel(self, seed, h, beta1, beta2, alpha, theta):
+        # every h draws the same numbers, so one replication's draws give every design's y
+        base = Dgp2Spec(T=60, N=12, h=2, burn_in=30)
+        other = Dgp2Spec(T=60, N=12, burn_in=30, h=h, beta1=beta1, beta2=beta2, alpha=alpha,
+                         theta=theta)
+        sims = [simulate_dgp2(base, RngStream(seed, r)) for r in range(3)]
+        alone = [simulate_dgp2(other, RngStream(seed, r)) for r in range(3)]
+        rows = dgp2_outcome(other, np.stack([s["f_path"] for s in sims]),
+                            np.stack([s["w_innov"] for s in sims]))
+        for sim, single, row in zip(sims, alone, rows):
+            assert single["X"].tobytes() == sim["X"].tobytes()
+            assert single["y"].tobytes() == row.tobytes()

@@ -400,6 +400,12 @@ class TestLocalPower:
             LocalPowerInput(c=[1.0, 2.0], b11=[[1.0]], b12=[[0.0]], b21=[[0.0]],
                             b22=[[1.0]], phi2=1.0, mu0=0.45)
 
+    @pytest.mark.parametrize("field, value", [("pi0", 0.0), ("pi0", 1.0), ("level", 1.5),
+                                              ("level", float("nan"))])
+    def test_fraction_outside_unit_interval_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \(0, 1\)"):
+            _scalar_input(1.0, **{field: value})
+
 
 class TestForecastErrorSet:
     def test_validation(self):

@@ -319,6 +319,11 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="mu0_list"):
             CountryStudyConfig(mu0_list=())
 
+    @pytest.mark.parametrize("pi0", [0.0, 1.0, -0.2])
+    def test_pi0_outside_unit_interval_rejected(self, pi0):
+        with pytest.raises(ValueError, match=r"^pi0 must lie in \(0, 1\)"):
+            CountryStudyConfig(pi0=pi0)
+
     @pytest.mark.parametrize("mu0_list", [(0.40, 0.45, 0.40), (0.40, 0.4000001)])
     def test_mu0_list_sharing_a_label_rejected(self, mu0_list):
         # the p-value columns are labelled p_mu0_{mu0:g}

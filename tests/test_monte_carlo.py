@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy.stats import norm
 
+import splitenc.dgp as dgp_module
 import splitenc.monte_carlo as mc
+from _oracles import estimate_factor_copying, simulate_dgp2_copying
 from splitenc.cli import main
 from splitenc.dgp import SIGMA2, Dgp1Spec, Dgp2Spec, RngStream
 from splitenc.enc_test import HacConfig, SplitSpec
@@ -36,6 +38,14 @@ from splitenc.monte_carlo import (
 )
 
 
+def _replicate(cells, reps, seed):
+    """run_replication over the one stream group of ``cells``, rows in cell order."""
+    ((digest, designs),) = mc._design_groups(cells)
+    designs_of_cells = [[cells[i] for i in design] for design in designs]
+    block = run_replication(designs_of_cells, reps, (seed, digest))
+    return block[np.argsort(np.concatenate(designs))]
+
+
 def _cell(T=250, h=1, rho=0.25, beta2=0.0, mu0=0.45, pi0=0.25, **kw):
     spec = Dgp1Spec(T=T, h=h, rho=rho, beta2=beta2)
     group = f"dgp1,h={h},T={T},rho={rho:g}"
@@ -46,14 +56,14 @@ def _cell(T=250, h=1, rho=0.25, beta2=0.0, mu0=0.45, pi0=0.25, **kw):
 class TestRunReplication:
     def test_bit_identical_across_calls(self):
         cell = _cell()
-        a = run_replication([cell], range(7, 10), 99)
-        b = run_replication([cell], range(7, 10), 99)
+        a = _replicate([cell], range(7, 10), 99)
+        b = _replicate([cell], range(7, 10), 99)
         assert isinstance(a, np.ndarray) and a.shape == (1, 3)
         assert a.tobytes() == b.tobytes()
 
     def test_distinct_reps_differ(self):
         cell = _cell()
-        a, b = run_replication([cell], range(0, 2), 99)[0]
+        a, b = _replicate([cell], range(0, 2), 99)[0]
         assert a != b
 
     def test_reject_uses_normal_critical_value(self):
@@ -76,7 +86,7 @@ class TestRunReplication:
 
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
-        stats = run_replication([cell], range(0, 2), 5)
+        stats = _replicate([cell], range(0, 2), 5)
         assert stats.shape == (1, 2) and np.all(np.isfinite(stats))
 
 
@@ -120,7 +130,6 @@ class TestExperiments:
         assert math.isnan(c.rejection_frequency)
 
     def test_mc_se_uses_completed_replications(self, monkeypatch):
-        real = run_replication
         simulate = mc.simulate_dgp1
 
         def every_third_not_finite(spec, streams):
@@ -135,7 +144,7 @@ class TestExperiments:
         assert c.failures == 10 and not c.reliable
         p = c.rejection_frequency
         crit = float(norm.ppf(0.90))
-        assert p == sum(real([_cell(T=100)], range(rep, rep + 1), 3)[0, 0] > crit
+        assert p == sum(_replicate([_cell(T=100)], range(rep, rep + 1), 3)[0, 0] > crit
                         for rep in range(30) if rep % 3) / 20
         assert c.mc_se == math.sqrt(p * (1.0 - p) / 20)
 
@@ -147,13 +156,13 @@ class TestExperiments:
                     + run_size_experiment([good], reps=8, base_seed=2).cells)
         real, calls = mc.run_replication, []
 
-        def counted(cells, reps, base_seed):
-            calls.append((cells, reps))
-            return real(cells, reps, base_seed)
+        def counted(designs, reps, key):
+            calls.append((designs, reps))
+            return real(designs, reps, key)
 
         monkeypatch.setattr(mc, "run_replication", counted)
         report = run_size_experiment([bad, good], reps=8, base_seed=2)
-        assert calls == [([good], range(0, 8))]
+        assert calls == [([[good]], range(0, 8))]
         assert repr(report.cells) == repr(expected)  # NaN frequencies compare by repr
         assert report.cells[0].failures == 8
 
@@ -206,18 +215,18 @@ class TestBatchedReplications:
         except SplitEncError:
             assume(False)
         b, c = a + length, a + min(cut, length)
-        block = run_replication(cells, range(a, b), seed)
+        block = _replicate(cells, range(a, b), seed)
         assert block.shape == (2, length)
-        split = np.concatenate([run_replication(cells, part, seed)
+        split = np.concatenate([_replicate(cells, part, seed)
                                 for part in (range(a, c), range(c, b)) if part], axis=1)
-        singles = np.concatenate([run_replication(cells, range(r, r + 1), seed)
+        singles = np.concatenate([_replicate(cells, range(r, r + 1), seed)
                                   for r in range(a, b)], axis=1)
         assert block.tobytes() == split.tobytes() == singles.tobytes()
 
     def test_dgp2_chunk_equals_single_runs(self):
         cells = [McCell(dgp=Dgp2Spec(T=80, N=12, h=2, beta2=0.3), mu0=m) for m in (0.35, 0.45)]
-        block = run_replication(cells, range(4, 9), 31)
-        singles = np.concatenate([run_replication(cells, range(r, r + 1), 31)
+        block = _replicate(cells, range(4, 9), 31)
+        singles = np.concatenate([_replicate(cells, range(r, r + 1), 31)
                                   for r in range(4, 9)], axis=1)
         assert block.shape == (2, 5) and np.all(np.isfinite(block))
         assert block.tobytes() == singles.tobytes()
@@ -227,8 +236,32 @@ def _row_alone(cell, reps, seed):
     return mc._run_cells([cell], reps, seed, 1)[0]
 
 
+_PANEL_GRID = """\
+experiment:
+  kind: power
+  reps: 3
+  mu0: [0.35, 0.45]
+  seed: 41
+dgp:
+  family: dgp2
+  NT: [[12, 60], [64, 56]]
+  h: [1, 3]
+  beta2: [0.2, 0.4, 0.6]
+"""
+
+
+def _panel_grid(tmp_path):
+    """A table-shaped dgp2 grid: 2 panels (N < T, N > T) x 2 h x 3 beta2 x 2 mu0 = 24 cells."""
+    path = tmp_path / "panels.yaml"
+    path.write_text(_PANEL_GRID)
+    config = load_experiment_config(path)
+    assert len(config.cells) == 24
+    return list(config.cells), config.reps, config.seed
+
+
 class TestDesignGroups:
-    """Cells that share a DGP spec and pi0 are simulated and fitted once per replication."""
+    """Cells whose specs draw the same numbers (one dgp1 spec, one dgp2 panel) share one
+    simulation per replication; each design (spec and pi0) is fitted once."""
 
     def test_cell_row_independent_of_grid(self):
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
@@ -246,6 +279,25 @@ class TestDesignGroups:
         for other in (Dgp1Spec(T=101), Dgp1Spec(T=100, sigma=SIGMA2),
                       Dgp1Spec(T=100, burn_in=201), Dgp2Spec(T=100, N=10)):
             assert mc._spec_digest(other) != base
+
+    def test_dgp2_stream_key_is_the_panel(self):
+        spec = Dgp2Spec(T=100, N=10)
+        panel = mc._stream_digest(spec)
+        design_fields = {"h": 4, "theta": 0.1, "alpha": 1.5, "beta1": -0.5, "beta2": 0.3}
+        assert set(dgp_module.DGP2_PANEL_FIELDS) | set(design_fields) == {
+            f.name for f in dataclasses.fields(Dgp2Spec)}
+        for name, value in design_fields.items():
+            other = dataclasses.replace(spec, **{name: value})
+            assert mc._stream_digest(other) == panel
+            assert mc._spec_digest(other) != mc._spec_digest(spec)
+        changed = {"N": 11, "T": 101, "alpha1": 0.4, "rho_i": -0.5, "loading_std": 2.0,
+                   "burn_in": 100}
+        assert set(changed) == set(dgp_module.DGP2_PANEL_FIELDS)
+        for name, value in changed.items():
+            assert mc._stream_digest(dataclasses.replace(spec, **{name: value})) != panel
+        assert panel != mc._spec_digest(spec)
+        for dgp1 in (Dgp1Spec(T=100), Dgp1Spec(T=10 * 10, h=4), Dgp1Spec(T=100, burn_in=0)):
+            assert mc._stream_digest(dgp1) == mc._spec_digest(dgp1) != panel
 
     def test_one_simulation_and_fit_per_group_replication(self, tmp_path, monkeypatch):
         # the mc-dgp2 sub-grid of perfbench/inputs.py: 2 groups x 4 mu0, 2 reps
@@ -265,12 +317,83 @@ class TestDesignGroups:
         report = run_power_experiment(config.cells, config.reps, config.seed)
         assert len(report.cells) == 8
         assert all(c.failures == 0 for c in report.cells)
-        # dgp2 simulates and extracts per replication; the pair runs once per (group, chunk)
+        # one design per panel: each panel is simulated and factored per replication,
+        # and the pair runs once per (design, chunk)
         assert calls == {"simulate_dgp2": 4, "estimate_factor": 4, "_forecast_error_pair": 2}
+
+    def test_panel_simulated_and_factored_once_per_replication(self, tmp_path, monkeypatch):
+        cells, reps, seed = _panel_grid(tmp_path)
+        calls, pairs = {"simulate_dgp2": 0, "estimate_factor": 0}, []
+        for name in calls:
+            def counted(*args, _real=getattr(mc, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mc, name, counted)
+        real_pair = mc._forecast_error_pair
+
+        def recorded(y, extra, h, k0):
+            pairs.append((y.copy(), extra.copy(), h))
+            return real_pair(y, extra, h, k0)
+
+        monkeypatch.setattr(mc, "_forecast_error_pair", recorded)
+        report = run_power_experiment(cells, reps, seed)
+        assert all(c.failures == 0 for c in report.cells)
+        assert calls == {"simulate_dgp2": 2 * reps, "estimate_factor": 2 * reps}
+        assert len(pairs) == 12  # one per design: 2 panels x 2 h x 3 beta2, one chunk
+        # each design's y and factor against the whole-panel oracle, replication by replication
+        designs = list(dict.fromkeys(cell.dgp for cell in cells))
+        panels = list(dict.fromkeys((spec.N, spec.T) for spec in designs))
+        designs = [spec for panel in panels for spec in designs if (spec.N, spec.T) == panel]
+        for (y, extra, h), spec in zip(pairs, designs):
+            assert h == spec.h and y.shape == extra.shape == (reps, spec.T)
+            key = (seed, mc._stream_digest(spec))
+            for rep in range(reps):
+                sim = simulate_dgp2_copying(spec, key, rep)
+                assert y[rep].tobytes() == sim["y"].tobytes()
+                assert extra[rep].tobytes() == estimate_factor_copying(sim["X"]).tobytes()
+        # two designs of one panel see one factor estimate; the two panels differ
+        by_panel = {}
+        for (_, extra, _), spec in zip(pairs, designs):
+            by_panel.setdefault((spec.N, spec.T), set()).add(extra.tobytes())
+        assert [len(v) for v in by_panel.values()] == [1, 1]
+
+    def test_cell_row_independent_of_panel_grid(self, tmp_path):
+        cells, reps, seed = _panel_grid(tmp_path)
+        labels = [c.label for c in cells]
+        target = labels.index("dgp2,h=1,N=64,T=56,beta2=0.6,mu0=0.45")
+        alone = _row_alone(cells[target], reps, seed)
+        same_panel = [c for c in cells if c.dgp.N == 64]
+        for grid in (cells, cells[::-1], same_panel, same_panel[5:]):
+            row = mc._run_cells(grid, reps, seed, 1)[grid.index(cells[target])]
+            assert row.tobytes() == alone.tobytes()
+
+    def test_degenerate_panel_fails_its_replication_in_every_design(self, tmp_path, monkeypatch):
+        cells, reps, seed = _panel_grid(tmp_path)
+        clean = mc._run_cells(cells, reps, seed, 1)
+        real = mc.simulate_dgp2
+
+        def constant_panel_in_rep1_of_wide_panel(spec, stream):
+            sim = real(spec, stream)
+            if spec.N == 64 and stream.stream_id == 1:
+                sim = {**sim, "X": np.ones_like(sim["X"])}  # no simple top eigenvalue
+            return sim
+
+        monkeypatch.setattr(mc, "simulate_dgp2", constant_panel_in_rep1_of_wide_panel)
+        got = mc._run_cells(cells, reps, seed, 1)
+        wide = np.array([c.dgp.N == 64 for c in cells])
+        assert np.isnan(got[wide, 1]).all()
+        assert got[wide][:, [0, 2]].tobytes() == clean[wide][:, [0, 2]].tobytes()
+        assert got[~wide].tobytes() == clean[~wide].tobytes()
+
+    def test_dgp2_panel_grid_csv_same_for_one_and_two_workers(self, tmp_path):
+        cells, reps, seed = _panel_grid(tmp_path)
+        serial = run_power_experiment(cells, reps, seed, workers=1)
+        pooled = run_power_experiment(cells, reps, seed, workers=2)
+        assert render_report(serial, "csv") == render_report(pooled, "csv")
 
     def test_test_failure_fails_its_cell_only(self, monkeypatch):
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
-        clean = run_replication(group, range(3, 8), 17)
+        clean = _replicate(group, range(3, 8), 17)
         real = mc.split_statistic
         m0_040 = SplitSpec(0.40).m0(75)  # n = 75 forecast errors at T=100, h=1, pi0=0.25
 
@@ -281,7 +404,7 @@ class TestDesignGroups:
             return statistic, dbar, omega2
 
         monkeypatch.setattr(mc, "split_statistic", fails_at_040)
-        got = run_replication(group, range(3, 8), 17)
+        got = _replicate(group, range(3, 8), 17)
         assert np.isnan(got[1]).all()
         assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
 
@@ -336,7 +459,7 @@ class TestDesignGroups:
 
     def test_factor_failure_fails_its_replication_only(self, monkeypatch):
         cells = [McCell(dgp=Dgp2Spec(T=80, N=12, h=2), mu0=m) for m in (0.35, 0.45)]
-        clean = run_replication(cells, range(0, 3), 37)
+        clean = _replicate(cells, range(0, 3), 37)
         real, calls = mc.estimate_factor, []
 
         def second_call_fails(X):
@@ -346,7 +469,7 @@ class TestDesignGroups:
             return real(X)
 
         monkeypatch.setattr(mc, "estimate_factor", second_call_fails)
-        got = run_replication(cells, range(0, 3), 37)
+        got = _replicate(cells, range(0, 3), 37)
         assert np.isnan(got[:, 1]).all()
         assert got[:, [0, 2]].tobytes() == clean[:, [0, 2]].tobytes()
 
@@ -601,7 +724,9 @@ class TestConfigLoading:
             assert config.reps == 10000
 
     def test_mc_cell_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pi0 must lie in \(0, 1\), got 1.5"):
             McCell(dgp=Dgp1Spec(T=100, h=1), mu0=0.45, pi0=1.5)
+        with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\), got 0"):
+            McCell(dgp=Dgp1Spec(T=100, h=1), mu0=0.45, level=0.0)
         with pytest.raises(InvalidSplit):
             McCell(dgp=Dgp1Spec(T=100, h=1), mu0=0.50)
