@@ -10,7 +10,10 @@ inflation    run the country-level inflation study on a CSV panel
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical
 degeneracy.  A bad option value fails while the arguments are parsed,
-naming the option, before anything is printed on stdout.  Every run echoes
+naming the option, before anything is printed on stdout; parsed values
+that contradict one another (``inflation --start`` after ``--end``, a
+country named twice) are rejected next, also before stdout, with exit 2.
+Each command imports the modules it runs when it runs.  Every run echoes
 its resolved configuration before results;
 ``--out`` writes the primary artifact to a file (byte-identical across
 repeated runs with the same flags and seed).
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -34,20 +38,29 @@ from .enc_test import (
     distinct_mu0_list,
     encompassing_test,
     local_power_stationary,
+    unit_fraction,
 )
 from .errors import NumericalError, ParseError, SplitEncError, ValidationError
-from .inflation import CountryStudyConfig, load_panel, parse_quarter, run_study
-from .monte_carlo import (
-    load_experiment_config,
-    render_report,
-    replication_count,
-    run_power_experiment,
-    run_size_experiment,
-    seed_value,
-    unit_fraction,
-    worker_count,
-)
 from .tables import csv_text, json_text, markdown_text
+
+
+# The mc and inflation commands import their modules when they run, so a
+# command loads only what it uses.  These three names stay module globals
+# that forward to their module: the commands look them up here, and perfbench
+# wraps them here to time each call.
+def load_experiment_config(path):
+    from .monte_carlo import load_experiment_config
+    return load_experiment_config(path)
+
+
+def load_panel(path, countries=None, start=None, end=None):
+    from .inflation import load_panel
+    return load_panel(path, countries=countries, start=start, end=end)
+
+
+def run_study(panel, config):
+    from .inflation import run_study
+    return run_study(panel, config)
 
 
 def _echo_config(options: dict) -> None:
@@ -112,6 +125,7 @@ def _cmd_test(args) -> int:
 
 
 def _run_mc(args, runner, expected_kind: str) -> int:
+    from .monte_carlo import render_report
     config = load_experiment_config(args.config_file)
     if config.kind != expected_kind:
         raise ValidationError(
@@ -128,10 +142,12 @@ def _run_mc(args, runner, expected_kind: str) -> int:
 
 
 def _cmd_mc_size(args) -> int:
+    from .monte_carlo import run_size_experiment
     return _run_mc(args, run_size_experiment, "size")
 
 
 def _cmd_mc_power(args) -> int:
+    from .monte_carlo import run_power_experiment
     return _run_mc(args, run_power_experiment, "power")
 
 
@@ -181,7 +197,21 @@ def _cmd_local_power(args) -> int:
     return 0
 
 
+def _check_inflation_options(args) -> None:
+    """Reject --start after --end, and a country named twice in --countries."""
+    from .inflation import parse_quarter
+    if args.start is not None and args.end is not None \
+            and parse_quarter(args.start) > parse_quarter(args.end):
+        raise ValidationError(f"--start {args.start} is later than --end {args.end}")
+    if args.countries is not None:
+        repeated = sorted({c for c in args.countries if args.countries.count(c) > 1})
+        if repeated:
+            raise ValidationError(f"--countries names {', '.join(repeated)} more than once")
+
+
 def _cmd_inflation(args) -> int:
+    from .inflation import CountryStudyConfig
+    _check_inflation_options(args)
     _echo_config(vars(args))
     panel = load_panel(args.panel_file, countries=args.countries,
                        start=args.start, end=args.end)
@@ -225,14 +255,31 @@ def _positive_float(text) -> float:
     return value
 
 
+def _finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value:g}")
+    return value
+
+
 def _quarter(text) -> str:
+    from .inflation import parse_quarter
     parse_quarter(text)
     return text
+
+
+def _mc_value(name: str):
+    """An option type running the monte_carlo validator ``name``, imported when used."""
+    def convert(text):
+        from . import monte_carlo
+        return getattr(monte_carlo, name)(text)
+    return _option_type(convert)
 
 
 _SPLIT = _option_type(lambda text: SplitSpec(float(text)).mu0)
 _FRACTION = _option_type(unit_fraction)
 _POSITIVE = _option_type(_positive_float)
+_FINITE = _option_type(_finite_float)
 _BANDWIDTH = _option_type(lambda text: HacConfig(bandwidth=int(text)).bandwidth)
 _BANDWIDTH_C = _option_type(lambda text: HacConfig(c=float(text)).c)
 _QUARTER = _option_type(_quarter)
@@ -280,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config_file", help="YAML experiment definition")
-        p.add_argument("--reps", type=_option_type(replication_count), default=None)
-        p.add_argument("--seed", type=_option_type(seed_value), default=None)
-        p.add_argument("--threads", type=_option_type(worker_count), default=1)
+        p.add_argument("--reps", type=_mc_value("replication_count"), default=None)
+        p.add_argument("--seed", type=_mc_value("seed_value"), default=None)
+        p.add_argument("--threads", type=_mc_value("worker_count"), default=1)
         _add_common(p)
         p.set_defaults(func=func)
 
@@ -292,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi0", type=_FRACTION, default=0.25)
     p.add_argument("--phi2", type=_POSITIVE, default=1.0)
     p.add_argument("--level", type=_FRACTION, default=0.10)
-    p.add_argument("--c-scale", type=float, nargs="+", default=[1.0],
+    p.add_argument("--c-scale", type=_FINITE, nargs="+", default=[1.0],
                    help="scale factors applied to the c vector")
     _add_common(p)
     p.set_defaults(func=_cmd_local_power)

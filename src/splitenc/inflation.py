@@ -155,15 +155,19 @@ class CountryResult:
     n_forecasts: int
 
 
-def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
-    """Read and validate a long-format CSV panel.
+def _read_panel_rows(path):
+    """({country: {quarter index: row}}, price per row) of a panel CSV.
 
-    Optional filters restrict to the requested countries and quarter range
-    before coverage rules apply.  Each country keeps its longest contiguous
-    block of quarters (earliest on ties) and must retain at least
-    ``MIN_QUARTERS`` of them; at least two countries must survive.
+    Rows count the file's non-blank data rows in order.  Each distinct
+    quarter label is parsed once, and the prices are converted after the
+    rows are read.  A faulty file raises the ParseError of its first faulty
+    line, and on that line the first of: field count, country code, quarter,
+    price, duplicate entry.
     """
-    rows = {}
+    by_country = {}
+    quarters = {}          # label text -> quarter index
+    texts, lines = [], []  # price text and line number per row
+    fault = None           # the first fault other than a bad price
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -173,30 +177,70 @@ def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
         if [c.strip().lower() for c in header] != ["country", "date", "hcpi"]:
             raise ParseError(f"expected header country,date,hcpi, got {','.join(header)!r}")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            name = row[0].strip()
+            name = row[0].strip() if len(row) == 3 else ""
             if not name:
-                raise ParseError(f"line {lineno}: empty country code")
-            try:
-                qidx = parse_quarter(row[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            try:
-                price = float(row[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad price {row[2]!r}") from None
-            if not math.isfinite(price) or price <= 0.0:
-                raise ParseError(f"line {lineno}: price must be positive, got {row[2]}")
-            if (name, qidx) in rows:
-                raise ParseError(f"line {lineno}: duplicate entry for {name} {row[1]}")
-            rows[(name, qidx)] = price
+                if not any(c.strip() for c in row):
+                    continue
+                fault = f"expected 3 fields, got {len(row)}" if len(row) != 3 \
+                    else "empty country code"
+                break
+            label = row[1]
+            qidx = quarters.get(label)
+            if qidx is None:
+                try:
+                    qidx = quarters[label] = parse_quarter(label)
+                except ValueError as exc:
+                    fault = str(exc)
+                    break
+            texts.append(row[2])
+            lines.append(lineno)
+            series = by_country.get(name)
+            if series is None:
+                series = by_country[name] = {}
+            if qidx in series:
+                fault = f"duplicate entry for {name} {label}"
+                break
+            series[qidx] = len(texts) - 1
+    # the rows read so far end at the faulty line, whose own price comes
+    # before a duplicate entry in the order of checks
+    prices = _price_vector(texts, lines)
+    if fault is not None:
+        raise ParseError(f"line {lineno}: {fault}")
+    return by_country, prices
 
-    by_country = {}
-    for (name, qidx), price in rows.items():
-        by_country.setdefault(name, {})[qidx] = price
+
+def _price_vector(texts, lines) -> np.ndarray:
+    """The price texts as floats; the first line with a bad price raises ParseError."""
+    try:
+        prices = np.fromiter(map(float, texts), float, len(texts))
+        n_numbers = len(texts)
+    except ValueError:
+        n_numbers = 0
+        for text in texts:
+            try:
+                float(text)
+            except ValueError:
+                break
+            n_numbers += 1
+        prices = np.fromiter(map(float, texts[:n_numbers]), float, n_numbers)
+    bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise ParseError(f"line {lines[i]}: price must be positive, got {texts[i]}")
+    if n_numbers < len(texts):
+        raise ParseError(f"line {lines[n_numbers]}: bad price {texts[n_numbers]!r}")
+    return prices
+
+
+def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
+    """Read and validate a long-format CSV panel.
+
+    Optional filters restrict to the requested countries and quarter range
+    before coverage rules apply.  Each country keeps its longest contiguous
+    block of quarters (earliest on ties) and must retain at least
+    ``MIN_QUARTERS`` of them; at least two countries must survive.
+    """
+    by_country, prices = _read_panel_rows(path)
     if countries is not None:
         missing = [c for c in countries if c not in by_country]
         if missing:
@@ -221,7 +265,7 @@ def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
                 f"country {name} has {best_len} usable quarters (< {MIN_QUARTERS})"
             )
         kept = qs[best_start: best_start + best_len]
-        blocks[name] = (_quarter_label(kept[0]), np.array([series[q] for q in kept]))
+        blocks[name] = (_quarter_label(kept[0]), prices[[series[q] for q in kept]])
     if len(blocks) < 2:
         raise CoverageError("need at least 2 countries after filtering")
     return InflationPanel.from_blocks(blocks)

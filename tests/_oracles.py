@@ -6,9 +6,13 @@ every dual-route check, so they must stay naive and readable rather than
 fast.
 """
 
+import csv
 import math
+import re
 
 import numpy as np
+
+from splitenc.errors import CoverageError, ParseError
 
 
 def normal_cdf(x: float) -> float:
@@ -212,3 +216,94 @@ def estimate_factor_copying(X, gap_rtol=1e-12, power_rtol=1e-14, power_max_iter=
     p = f @ Xd
     anchor = p[np.argmax(np.abs(p) > gap_rtol * np.max(np.abs(p)))]
     return -f if anchor < 0.0 else f
+
+
+_QUARTER_RE = re.compile(r"^(\d{4})-?[Qq]([1-4])$")
+
+
+def _quarter_index(text):
+    m = _QUARTER_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"bad quarter label {text!r} (expected YYYYQq or YYYY-Qq)")
+    return int(m.group(1)) * 4 + int(m.group(2)) - 1
+
+
+def load_panel_rows(path, countries=None, start=None, end=None, min_quarters=80):
+    """The panel reader as first written, one row and one quarter label at a time.
+
+    Returns (countries, dates, prices, coverage) of the panel that
+    ``inflation.load_panel`` builds, with NaN prices outside coverage, and
+    raises its error classes with its messages.
+    """
+    rows = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file") from None
+        if [c.strip().lower() for c in header] != ["country", "date", "hcpi"]:
+            raise ParseError(f"expected header country,date,hcpi, got {','.join(header)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 3:
+                raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            name = row[0].strip()
+            if not name:
+                raise ParseError(f"line {lineno}: empty country code")
+            try:
+                qidx = _quarter_index(row[1])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            try:
+                price = float(row[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad price {row[2]!r}") from None
+            if not math.isfinite(price) or price <= 0.0:
+                raise ParseError(f"line {lineno}: price must be positive, got {row[2]}")
+            if (name, qidx) in rows:
+                raise ParseError(f"line {lineno}: duplicate entry for {name} {row[1]}")
+            rows[(name, qidx)] = price
+
+    by_country = {}
+    for (name, qidx), price in rows.items():
+        by_country.setdefault(name, {})[qidx] = price
+    if countries is not None:
+        missing = [c for c in countries if c not in by_country]
+        if missing:
+            raise CoverageError(f"countries not in file: {', '.join(missing)}")
+        by_country = {c: by_country[c] for c in countries}
+    q_lo = _quarter_index(start) if start is not None else None
+    q_hi = _quarter_index(end) if end is not None else None
+
+    blocks = {}
+    for name, series in by_country.items():
+        qs = sorted(q for q in series
+                    if (q_lo is None or q >= q_lo) and (q_hi is None or q <= q_hi))
+        best_start, best_len, run_start = None, 0, None
+        for i, q in enumerate(qs):
+            if i == 0 or q != qs[i - 1] + 1:
+                run_start = i
+            run_len = i - run_start + 1
+            if run_len > best_len:
+                best_start, best_len = run_start, run_len
+        if best_len < min_quarters:
+            raise CoverageError(
+                f"country {name} has {best_len} usable quarters (< {min_quarters})"
+            )
+        kept = qs[best_start: best_start + best_len]
+        blocks[name] = (kept[0], [series[q] for q in kept])
+    if len(blocks) < 2:
+        raise CoverageError("need at least 2 countries after filtering")
+
+    lo = min(q0 for q0, _ in blocks.values())
+    hi = max(q0 + len(vals) - 1 for q0, vals in blocks.values())
+    dates = tuple(f"{q // 4}Q{q % 4 + 1}" for q in range(lo, hi + 1))
+    prices = np.full((len(dates), len(blocks)), np.nan)
+    coverage = np.zeros((len(dates), len(blocks)), dtype=bool)
+    for j, (q0, vals) in enumerate(blocks.values()):
+        for i, value in enumerate(vals):
+            prices[q0 - lo + i, j] = value
+            coverage[q0 - lo + i, j] = True
+    return tuple(blocks), dates, prices, coverage

@@ -403,9 +403,23 @@ def test_config_echo_printed_before_results(capsys, tmp_path, data_dir, command,
     ("local-power", ["blocks_fixture.json", "--pi0", "0"], "--pi0"),
     ("local-power", ["blocks_fixture.json", "--level", "1.5"], "--level"),
     ("local-power", ["blocks_fixture.json", "--phi2", "0"], "--phi2"),
+    ("local-power", ["blocks_fixture.json", "--c-scale", "nan"], "--c-scale"),
+    ("local-power", ["blocks_fixture.json", "--c-scale", "1", "inf"], "--c-scale"),
 ])
 def test_bad_option_rejected_before_the_echo(capsys, data_dir, command, argv, option):
     code, out, err = run_rejected(capsys, command, str(data_dir / argv[0]), *argv[1:])
     assert code == 2
     assert out == ""
     assert f"argument {option}: " in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--start", "2000Q1", "--end", "1990Q1"], "--start 2000Q1 is later than --end 1990Q1"),
+    (["--countries", "bbb", "aaa", "ccc", "aaa", "bbb"], "--countries names aaa, bbb more than once"),
+], ids=["start-after-end", "repeated-country"])
+def test_conflicting_inflation_options_rejected_before_the_echo(capsys, fixture_panel_path,
+                                                                argv, message):
+    code, out, err = run_cli(capsys, "inflation", fixture_panel_path, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import _oracles
 import splitenc.inflation as inflation
 from splitenc.dgp import RngStream
 from splitenc.errors import (
@@ -141,6 +144,103 @@ class TestLoadPanel:
         path = tmp_path / "one.csv"
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(CoverageError, match="2 countries"):
+            load_panel(path)
+
+
+_PANEL_NAMES = ("aaa", "bbb", "ccc", "ddd")
+_LABEL_STYLES = ("{y}Q{q}", "{y}-Q{q}", "{y}q{q}", " {y}Q{q} ")
+_BLANK_ROWS = ("", "   ", ",,", " , , ")
+_BAD_FIELDS = ("aaa,1990Q1", "aaa,1990Q1,100,1", " ,1990Q1,100")
+_BAD_LABELS = ("1990Q5", "90Q1", "", "1990Q1x")
+_BAD_PRICES = ("abc", "", "nan", "inf", "-inf", "1e400", "0", "-2.5", "0x10")
+
+
+def _label(q, style):
+    return _LABEL_STYLES[style].format(y=q // 4, q=q % 4 + 1)
+
+
+@st.composite
+def _panel_files(draw):
+    """(CSV text, load_panel keywords): country blocks with gaps, faulty rows and filters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []  # [name, quarter index, price text]
+    names = _PANEL_NAMES[:draw(st.integers(2, 4))]
+    for name in names:
+        first = 4 * 1990 + draw(st.integers(0, 8))
+        length = draw(st.integers(80, 130))
+        gaps = set(draw(st.lists(st.integers(1, length - 2), max_size=1)))
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.5, 1.0, length)) / 400.0)
+        rows += [[name, first + i, repr(float(prices[i]))]
+                 for i in range(length) if i not in gaps]
+    if draw(st.booleans()):
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    lines = [f"{' ' * int(rng.integers(2))}{name},{_label(q, int(rng.integers(4)))},{price}"
+             for name, q, price in rows]
+    faults = draw(st.lists(st.tuples(
+        st.sampled_from(("blank", "fields", "label", "price", "duplicate")),
+        st.integers(0, 10**6), st.integers(0, 10**6)), max_size=2))
+    for kind, at, pick in faults:
+        name, q, price = rows[pick % len(rows)]
+        if kind == "blank":
+            line = _BLANK_ROWS[pick % len(_BLANK_ROWS)]
+        elif kind == "fields":
+            line = _BAD_FIELDS[pick % len(_BAD_FIELDS)]
+        elif kind == "label":
+            line = f"{name},{_BAD_LABELS[pick % len(_BAD_LABELS)]},{price}"
+        elif kind == "price":
+            # a repeated quarter half of the time: the price fault comes first
+            q = q if pick % 2 else 4 * 1800
+            line = f"{name},{_label(q, pick % 4)},{_BAD_PRICES[pick % len(_BAD_PRICES)]}"
+        else:
+            line = f"{name},{_label(q, pick % 4)},{float(price) * 1.01!r}"
+        lines.insert(at % (len(lines) + 1), line)
+    kwargs = draw(st.fixed_dictionaries({}, optional={
+        "countries": st.lists(st.sampled_from(names), min_size=1, max_size=4)
+        | st.just(["aaa", "zzz"]),
+        "start": st.integers(4 * 1989, 4 * 1994).map(lambda q: _label(q, 0)) | st.just("1995Q7"),
+        "end": st.integers(4 * 2012, 4 * 2022).map(lambda q: _label(q, 1)),
+    }))
+    return "country,date,hcpi\n" + "\n".join(lines) + "\n", kwargs
+
+
+class TestLoadPanelOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_panel_files())
+    def test_same_panel_or_same_error_as_the_row_reader(self, tmp_path_factory, case):
+        text, kwargs = case
+        path = tmp_path_factory.getbasetemp() / "oracle_panel.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            countries, dates, prices, coverage = _oracles.load_panel_rows(path, **kwargs)
+        except (SplitEncError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                load_panel(path, **kwargs)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        panel = load_panel(path, **kwargs)
+        assert panel.countries == countries
+        assert panel.dates == dates
+        assert panel.prices.tobytes() == prices.tobytes()
+        assert_array_equal(panel.coverage, coverage)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["aaa,1970Q2,0", "aaa,1970Q3,abc"], "line 3: price must be positive, got 0"),
+        (["aaa,1970Q2,abc", "aaa,1970Q3,-1"], "line 3: bad price 'abc'"),
+        (["aaa,1970Q2,nan", "aaa,1970Q3"], "line 3: price must be positive, got nan"),
+        (["aaa,1970Q2", "aaa,1970Q3,nan"], "line 3: expected 3 fields, got 2"),
+        (["aaa,1970-Q1,inf"], "line 3: price must be positive, got inf"),
+        (["aaa,1970-Q1,7", "aaa,1970Q2,x"], "line 3: duplicate entry for aaa 1970-Q1"),
+        (["", " , ", "aaa,1970Q2,1", " ,1970Q3,1"], "line 6: empty country code"),
+    ])
+    def test_first_faulty_line_wins(self, tmp_path, rows, message):
+        # a later fault of an earlier kind must not shadow an earlier line's fault
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(["country,date,hcpi", "aaa,1970Q1,100", *rows]) + "\n")
+        with pytest.raises(ParseError) as oracle:
+            _oracles.load_panel_rows(path)
+        assert str(oracle.value) == message
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_panel(path)
 
 

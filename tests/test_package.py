@@ -147,3 +147,51 @@ def test_cli_commands_load_no_scipy_yaml_or_pool(argv):
         check=True, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+# Runs in a fresh interpreter: imports splitenc.cli, runs the command line if
+# one is given, and prints "<exit code> <command modules loaded>" last.
+_COMMAND_MODULE_GUARD = """
+import sys
+import splitenc.cli
+code = splitenc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+modules = ("splitenc.monte_carlo", "splitenc.inflation", "splitenc.dgp")
+print(code, sorted(m for m in sys.modules if m in modules))
+"""
+
+_TINY_SIZE_CONFIG = """\
+experiment: {kind: size, reps: 30, mu0: [0.45], seed: 7}
+dgp: {family: dgp1, T: 150, h: 1, rho: 0.25, beta2: 0.0}
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], "[]"),
+    (["test", "errors_fixture.csv"], "[]"),
+    (["local-power", "blocks_fixture.json"], "[]"),
+    (["inflation", "fixture_panel.csv"], "['splitenc.inflation']"),
+    (["mc-size", "size.yaml", "--reps", "1"], "['splitenc.dgp', 'splitenc.monte_carlo']"),
+], ids=["import", "test", "local-power", "inflation", "mc-size"])
+def test_cli_commands_load_only_their_modules(tmp_path, argv, loaded):
+    # a cold command imports the simulation and inflation modules only when it runs them
+    (tmp_path / "size.yaml").write_text(_TINY_SIZE_CONFIG)
+    if argv:
+        source = tmp_path / argv[1] if argv[1].endswith(".yaml") else ROOT / "tests" / "data" / argv[1]
+        argv = [argv[0], str(source), *argv[2:]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_MODULE_GUARD, *argv],
+        check=True, env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_benchmark_setup_child_resolves_cli_loaders():
+    # perfbench/setup_child.py loads its inputs through splitenc.cli's loaders
+    data = ROOT / "tests" / "data"
+    for argv in (["mc", ROOT / "configs" / "table1.yaml"],
+                 ["cli", data / "fixture_panel.csv", data / "errors_fixture.csv"]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "setup_child.py"), *map(str, argv)],
+            check=True, env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.splitlines()[-1].startswith('{"import_ms": ')
