@@ -3,7 +3,8 @@
 
 Full-fidelity runs use 10000 replications per cell (hours of CPU for the
 complete grids); pass --reps 2000 for a desk-mode pass with wider Monte
-Carlo error, or --only to select specific tables.
+Carlo error, or --only to select specific tables.  Every selected config
+is loaded and checked before the first table runs.
 
 Usage:
     python scripts/reproduce_tables.py --reps 2000 --out-dir results/
@@ -14,6 +15,7 @@ import pathlib
 import sys
 import time
 
+from splitenc.errors import ConfigError
 from splitenc.monte_carlo import (
     load_experiment_config,
     render_report,
@@ -34,7 +36,7 @@ TABLES = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=replication_count, default=None,
                         help="override config reps")
@@ -42,12 +44,19 @@ def main() -> int:
     parser.add_argument("--threads", type=worker_count, default=1)
     parser.add_argument("--only", nargs="+", choices=sorted(TABLES), default=sorted(TABLES))
     parser.add_argument("--out-dir", default="results")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
+    configs = {}
+    for name in args.only:
+        path = CONFIG_DIR / TABLES[name]
+        try:
+            configs[name] = load_experiment_config(path)
+        except (ConfigError, OSError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in args.only:
-        config = load_experiment_config(CONFIG_DIR / TABLES[name])
+    for name, config in configs.items():
         reps = args.reps if args.reps is not None else config.reps
         seed = args.seed if args.seed is not None else config.seed
         runner = run_size_experiment if config.kind == "size" else run_power_experiment

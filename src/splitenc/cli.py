@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -268,6 +269,18 @@ def _quarter(text) -> str:
     return text
 
 
+def _out_path(text) -> str:
+    """A file the run can write: not a directory, in an existing, writable directory."""
+    if os.path.isdir(text):
+        raise ValueError(f"{text} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"directory {parent} does not exist")
+    if not os.access(parent, os.W_OK) or (os.path.exists(text) and not os.access(text, os.W_OK)):
+        raise ValueError(f"{text} is not writable")
+    return text
+
+
 def _mc_value(name: str):
     """An option type running the monte_carlo validator ``name``, imported when used."""
     def convert(text):
@@ -283,6 +296,7 @@ _FINITE = _option_type(_finite_float)
 _BANDWIDTH = _option_type(lambda text: HacConfig(bandwidth=int(text)).bandwidth)
 _BANDWIDTH_C = _option_type(lambda text: HacConfig(c=float(text)).c)
 _QUARTER = _option_type(_quarter)
+_OUT = _option_type(_out_path)
 
 
 class _DistinctMu0(argparse.Action):
@@ -299,7 +313,8 @@ class _DistinctMu0(argparse.Action):
 def _add_common(parser) -> None:
     parser.add_argument("--format", choices=["csv", "json", "markdown"],
                         default="markdown")
-    parser.add_argument("--out", default=None, help="write the primary output to a file")
+    parser.add_argument("--out", type=_OUT, default=None,
+                        help="write the primary output to a file")
 
 
 def build_parser() -> argparse.ArgumentParser:

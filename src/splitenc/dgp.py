@@ -136,6 +136,10 @@ class Dgp2Spec:
             raise InvalidSpec("burn_in must be >= 0")
 
 
+# The Dgp1Spec fields that the draws, the shocks (eps, v) and the x path depend
+# on; the other fields (h, beta1, beta2, theta) act on y alone.
+DGP1_STREAM_FIELDS = ("T", "rho", "sigma", "burn_in")
+
 # The Dgp2Spec fields that the draws, the panel X and the factor path depend
 # on; the other fields (h, alpha, beta1, beta2, theta) act on y alone.
 DGP2_PANEL_FIELDS = ("N", "T", "alpha1", "rho_i", "loading_std", "burn_in")
@@ -181,14 +185,30 @@ def _h_step_ar(drive: np.ndarray, beta1: float, h: int) -> np.ndarray:
     return y.reshape(padded.shape)[..., :T]
 
 
+def dgp1_outcome(spec: Dgp1Spec, eps: np.ndarray, x_path: np.ndarray) -> np.ndarray:
+    """y of the predictive regression, burn-in dropped, from its shocks eps and predictor path.
+
+    ``eps`` and ``x_path`` are simulate_dgp1's entries of those names, one
+    replication per row of (..., burn_in + T) arrays; neither is written.
+    Every step acts on one row at a time, so a row is the same bits whatever
+    rows share the call.  The draws depend on DGP1_STREAM_FIELDS alone, so
+    one replication's draws give the y of every spec that shares them.
+    """
+    drive = _ma_path(eps, spec.theta, spec.h)
+    drive[..., spec.h:] += spec.beta2 * x_path[..., :-spec.h]  # x_{t-h} enters once it exists
+    return _h_step_ar(drive, spec.beta1, spec.h)[..., spec.burn_in:]
+
+
 def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
-    """Simulate the predictive-regression design; returns {"y", "x"}.
+    """Simulate the predictive-regression design; returns {"y", "x", "eps", "x_path"}.
 
     ``rng`` is one RngStream, giving paths of length T, or a sequence of
     them, giving (len(rng), T) arrays whose row b is the path of stream b.
     Each stream fills its own row of the normal draws, and every later step
     acts on one row at a time, so a row is the same bits whatever streams
-    share the call.
+    share the call.  "eps" and "x_path" are the y shocks and the predictor
+    path from t = 0, burn-in included: with them ``dgp1_outcome`` gives the
+    y of any spec that shares this one's DGP1_STREAM_FIELDS.
     """
     single = isinstance(rng, RngStream)
     streams = [rng] if single else rng
@@ -197,13 +217,11 @@ def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
     for row, stream in zip(normals, streams):
         stream.generator().standard_normal(out=row)
     shocks = normals @ np.linalg.cholesky(spec.sigma).T
-    eps, v = shocks[..., 0], shocks[..., 1]
-    x = _ar1_path(v, spec.rho)
-    drive = _ma_path(eps, spec.theta, spec.h)
-    drive[:, spec.h:] += spec.beta2 * x[:, :-spec.h]  # x_{t-h} enters once it exists
-    y = _h_step_ar(drive, spec.beta1, spec.h)[:, spec.burn_in:]
-    x = x[:, spec.burn_in:]
-    return {"y": y[0], "x": x[0]} if single else {"y": y, "x": x}
+    eps = np.ascontiguousarray(shocks[..., 0])  # a copy: the caller keeps eps, not the v half
+    x_path = _ar1_path(shocks[..., 1], spec.rho)
+    out = {"y": dgp1_outcome(spec, eps, x_path), "x": x_path[:, spec.burn_in:],
+           "eps": eps, "x_path": x_path}
+    return {name: path[0] for name, path in out.items()} if single else out
 
 
 _PANEL_BLOCK = 1 << 15  # panel entries (256 KB) filtered and assembled at once

@@ -5,17 +5,19 @@ Each experiment cell pairs a simulation design with the test's tuning inputs
 Cells are grouped three ways:
 
 * a stream group holds the DGP specs that draw the same random numbers:
-  one dgp1 spec, or every dgp2 spec on one panel (the same
+  every dgp1 spec with the same ``dgp.DGP1_STREAM_FIELDS`` (T, rho, sigma,
+  burn_in), or every dgp2 spec on one panel (the same
   ``dgp.DGP2_PANEL_FIELDS``: N, T, alpha1, rho_i, loading_std, burn_in);
 * a design is one spec and one pi0 within a group;
 * a cell is one mu0 of a design.
 
 The replications of a group run in chunks of up to 250, and one
 ``run_replication`` call computes a whole chunk as (replications, T)
-arrays.  It simulates the chunk once: dgp1 in one batch, dgp2 one
-replication at a time, simulating and factoring each panel once, with
-every design of the panel building its y from that replication's factor
-path and disturbance draws.  Each design then produces recursive
+arrays.  It simulates the chunk once: dgp1 in one batch, with every
+design sharing x and building its y from the shocks and predictor path;
+dgp2 one replication at a time, simulating and factoring each panel once,
+with every design of the panel building its y from that replication's
+factor path and disturbance draws.  Each design then produces recursive
 expanding-window forecasts from both nested models starting at
 k0 = floor(T * pi0), and the split statistic runs once per cell over every
 replication's forecast-error pair.  The test is one-sided, so a cell's
@@ -29,11 +31,11 @@ certify runs the two generic ``DirectDesign`` fits on its own.
 
 Determinism: the random stream of a replication is keyed by (base seed,
 stream digest, replication id) only, where the stream digest is that of
-the whole dgp1 spec or of the dgp2 panel fields; ``_design_groups``
-computes it once per group.  Every step of a chunk acts on one replication
-at a time, so reports are bit-identical across worker counts, chunkings
-and execution orders, and a cell's statistics do not change when it runs
-alone, in a reordered grid or beside other cells, of its panel or not.
+the spec's stream-group fields; ``_design_groups`` computes it once per
+group.  Every step of a chunk acts on one replication at a time, so
+reports are bit-identical across worker counts, chunkings and execution
+orders, and a cell's statistics do not change when it runs alone, in a
+reordered grid or beside other cells, of its group or not.
 All designs and mu0 of a stream group see common random numbers: cells
 that differ in h, alpha, beta1, beta2, theta or mu0 are dependent within
 a replication, while each cell's own law is unchanged.
@@ -60,12 +62,14 @@ import numpy as np
 
 from ._normal import ndtri
 from .dgp import (
+    DGP1_STREAM_FIELDS,
     DGP2_PANEL_FIELDS,
     SIGMA1,
     SIGMA2,
     Dgp1Spec,
     Dgp2Spec,
     RngStream,
+    dgp1_outcome,
     dgp2_outcome,
     estimate_factor,
     simulate_dgp1,
@@ -117,8 +121,9 @@ def _spec_digest(spec, names=None) -> int:
 
 
 def _stream_digest(spec) -> int:
-    """The digest that keys a replication's stream: dgp1's whole spec, dgp2's panel fields only."""
-    return _spec_digest(spec, DGP2_PANEL_FIELDS if isinstance(spec, Dgp2Spec) else None)
+    """The digest that keys a replication's stream: the spec's fields that its draws depend on."""
+    names = DGP2_PANEL_FIELDS if isinstance(spec, Dgp2Spec) else DGP1_STREAM_FIELDS
+    return _spec_digest(spec, names)
 
 
 @dataclass(frozen=True)
@@ -219,15 +224,18 @@ def _dgp2_replication(dgp, stream) -> tuple:
 def _simulate(dgp, streams):
     """A function of a design's spec giving its (y, extra), row b from stream b.
 
-    dgp1 simulates every stream in one call, and each pi0 of the spec sees
-    the same series.  dgp2 simulates and extracts the factor one stream at a
-    time (a 250-stream panel batch would hold 250 panels).  The y of the
-    spec it simulates comes with the panel; every other spec sharing the
-    panel builds its y from the same factor path and disturbance draws.
+    dgp1 simulates every stream in one call; every spec of the group shares
+    its x, and builds its y from the same shocks and predictor path.  dgp2
+    simulates and extracts the factor one stream at a time (a 250-stream
+    panel batch would hold 250 panels); every spec sharing the panel builds
+    its y from the same factor path and disturbance draws.  In both, the y
+    of the spec simulated comes with the simulation, and each pi0 of a spec
+    sees the same series.
     """
     if isinstance(dgp, Dgp1Spec):
         sim = simulate_dgp1(dgp, streams)
-        return lambda spec: (sim["y"], sim["x"])
+        y, x, eps, x_path = sim["y"], sim["x"], sim["eps"], sim["x_path"]
+        return lambda spec: (y if spec is dgp else dgp1_outcome(spec, eps, x_path), x)
     if isinstance(dgp, Dgp2Spec):
         total = dgp.burn_in + dgp.T
         y, factor = np.empty((2, len(streams), dgp.T))
@@ -257,8 +265,9 @@ def run_replication(designs, reps: range, key: tuple) -> np.ndarray:
     ``designs`` lists the group's designs, each a list of resolved cells
     that share one DGP spec and one pi0; the rows follow the cells in that
     order.  Every spec of the group draws the same random numbers, so the
-    chunk is simulated once (for dgp2: each replication's panel and factor
-    once), each design is fitted once and the statistic runs once per cell.
+    chunk is simulated once (dgp1 in one batch; dgp2 each replication's
+    panel and factor once), each design is fitted once and the statistic
+    runs once per cell.
     Replication r draws from its own stream, keyed by (key, r) with ``key``
     = (base seed, stream digest), and every step acts on one replication
     at a time, so an entry does not depend on which replications share the
@@ -274,9 +283,9 @@ def run_replication(designs, reps: range, key: tuple) -> np.ndarray:
 def _design_groups(cells) -> list:
     """(stream digest, designs) per stream group, in order of first appearance.
 
-    A group holds the cells whose specs draw the same random numbers (one
-    dgp1 spec; one dgp2 panel), split into designs of one spec and one
-    pi0, each a list of cell indices.  A cell that does not resolve
+    A group holds the cells whose specs draw the same random numbers (the
+    same dgp1 stream fields; one dgp2 panel), split into designs of one
+    spec and one pi0, each a list of cell indices.  A cell that does not resolve
     (``McCell.forecast_origin``) joins no group.
     """
     digests, groups = {}, {}  # digests: (stream, spec) digests per distinct spec object

@@ -140,6 +140,27 @@ def expanding_refit_oracle(Z, y, k0_row, n_fits=None):
     return np.array(out)
 
 
+def simulate_dgp1_filters(spec, base_seed, stream_id):
+    """The predictive regression of one stream, {"y", "x"}, from whole-path filters.
+
+    Draws the burn_in + T pairs of normals from the generator of
+    (base_seed, stream_id); x is an AR lfilter, the MA disturbances an FIR
+    lfilter and y one filter per residue class.
+    """
+    from scipy.signal import lfilter
+
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(stream_id,))
+    g = np.random.Generator(np.random.PCG64(seq))
+    total = spec.burn_in + spec.T
+    eps, v = (g.standard_normal((total, 2)) @ np.linalg.cholesky(spec.sigma).T).T
+    x = lfilter([1.0], [1.0, -spec.rho], v)
+    drive = lfilter(spec.theta ** np.arange(spec.h), [1.0], eps)
+    drive[spec.h:] += spec.beta2 * x[:-spec.h]
+    y = h_step_ar_by_residue_class(drive, spec.beta1, spec.h)
+    keep = slice(spec.burn_in, None)
+    return {"y": y[keep], "x": x[keep]}
+
+
 def simulate_dgp2_copying(spec, base_seed, stream_id):
     """The factor design as first written: {"y", "X", "f_true"} from whole-array filters and copies.
 

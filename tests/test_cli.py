@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+import splitenc.cli as cli
 import splitenc.monte_carlo as mc
 from splitenc.cli import main
 
@@ -411,6 +412,34 @@ def test_bad_option_rejected_before_the_echo(capsys, data_dir, command, argv, op
     assert code == 2
     assert out == ""
     assert f"argument {option}: " in err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("ran despite an unusable --out")
+
+
+@pytest.mark.parametrize("command, source, runner", [
+    ("test", "errors_fixture.csv", (cli, "encompassing_test")),
+    ("mc-size", "size.yaml", (mc, "run_size_experiment")),
+    ("mc-power", "power.yaml", (mc, "run_power_experiment")),
+    ("local-power", "blocks_fixture.json", (cli, "local_power_stationary")),
+    ("inflation", "fixture_panel.csv", (cli, "run_study")),
+])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/report.txt", "does not exist"),
+    (".", "is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unusable_out_rejected_before_the_echo(capsys, monkeypatch, tmp_path, data_dir,
+                                               command, source, runner, target, reason):
+    (tmp_path / "size.yaml").write_text(textwrap.dedent(TINY_SIZE_CONFIG))
+    (tmp_path / "power.yaml").write_text(textwrap.dedent(TINY_POWER_CONFIG))
+    monkeypatch.setattr(*runner, _never_called)
+    source = tmp_path / source if source.endswith(".yaml") else data_dir / source
+    code, out, err = run_rejected(capsys, command, str(source), "--out",
+                                  str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert "argument --out: " in err and reason in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -9,6 +9,7 @@ from _oracles import (
     estimate_factor_copying,
     h_step_ar_by_residue_class,
     ma_autocov_theory,
+    simulate_dgp1_filters,
     simulate_dgp2_copying,
 )
 from splitenc.dgp import (
@@ -17,6 +18,7 @@ from splitenc.dgp import (
     Dgp1Spec,
     Dgp2Spec,
     RngStream,
+    dgp1_outcome,
     dgp2_outcome,
     estimate_factor,
     simulate_dgp1,
@@ -114,6 +116,38 @@ class TestDgp1:
             Dgp1Spec(T=100, h=1, sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+_DGP1_DESIGN = st.tuples(st.integers(1, 12), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),
+                         st.floats(-1.0, 1.0))  # h, theta, beta1, beta2
+
+
+class TestDgp1Outcome:
+    @given(st.integers(0, 2**32 - 1), st.integers(50, 160), st.floats(-0.95, 0.95),
+           st.sampled_from(["SIGMA1", "SIGMA2"]), st.integers(0, 60),
+           st.lists(_DGP1_DESIGN, min_size=2, max_size=4), st.sampled_from([None, 1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_outcome_of_any_spec_sharing_the_draws(self, seed, T, rho, sigma, burn_in,
+                                                  designs, batch):
+        # spec A is simulated; every design, A included, builds its y from A's draws
+        specs = [Dgp1Spec(T=T, rho=rho, sigma=getattr(dgp_module, sigma), burn_in=burn_in,
+                          h=h, theta=theta, beta1=beta1, beta2=beta2)
+                 for h, theta, beta1, beta2 in designs]
+        streams = RngStream(seed, 0) if batch is None else [RngStream(seed, r)
+                                                             for r in range(batch)]
+        shared = simulate_dgp1(specs[0], streams)
+        eps, x_path = shared["eps"].copy(), shared["x_path"].copy()
+        for spec in specs:
+            y = dgp1_outcome(spec, shared["eps"], shared["x_path"])
+            alone = simulate_dgp1(spec, streams)
+            assert y.tobytes() == alone["y"].tobytes()
+            assert alone["x"].tobytes() == shared["x"].tobytes()
+            oracle = [simulate_dgp1_filters(spec, seed, r) for r in range(batch or 1)]
+            assert np.stack([o["y"] for o in oracle]).tobytes() == y.tobytes()
+            assert np.stack([o["x"] for o in oracle]).tobytes() == shared["x"].tobytes()
+            # the draws the designs share are never written
+            assert shared["eps"].tobytes() == eps.tobytes()
+            assert shared["x_path"].tobytes() == x_path.tobytes()
+
+
 class TestHStepAr:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 30),
            st.floats(-0.99, 0.99))
@@ -132,7 +166,7 @@ class TestMaPath:
            st.sampled_from([(), (1,), (3,), (2, 2)]), st.integers(1, 120), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_same_bits_as_lfilter(self, seed, h, theta, batch, T, strided):
-        # includes T < h and the strided column view simulate_dgp1 passes
+        # includes T < h and strided column views
         from scipy.signal import lfilter
 
         draws = np.random.default_rng(seed).standard_normal(batch + (T, 2))

@@ -259,9 +259,46 @@ def _panel_grid(tmp_path):
     return list(config.cells), config.reps, config.seed
 
 
+# family -> (spec, its stream fields, design-field values, stream-field values)
+_STREAM_KEYS = {
+    "dgp1": (Dgp1Spec(T=100), dgp_module.DGP1_STREAM_FIELDS,
+             {"h": 4, "theta": 0.1, "beta1": -0.5, "beta2": 0.3},
+             {"T": 101, "rho": 0.9, "sigma": SIGMA2, "burn_in": 100}),
+    "dgp2": (Dgp2Spec(T=100, N=10), dgp_module.DGP2_PANEL_FIELDS,
+             {"h": 4, "theta": 0.1, "alpha": 1.5, "beta1": -0.5, "beta2": 0.3},
+             {"N": 11, "T": 101, "alpha1": 0.4, "rho_i": -0.5, "loading_std": 2.0,
+              "burn_in": 100}),
+}
+
+
+_DGP1_GRID = """\
+experiment:
+  kind: power
+  reps: 12
+  mu0: [0.35, 0.45]
+  seed: 43
+dgp:
+  family: dgp1
+  T: [90, 140]
+  h: [1, 3]
+  rho: [0.25, 0.9]
+  beta2: [0.2, 0.5]
+  sigma: sigma2
+"""
+
+
+def _dgp1_grid(tmp_path):
+    """A table-shaped dgp1 grid: 2 T x 2 rho stream groups of 2 h x 2 beta2 x 2 mu0 cells."""
+    path = tmp_path / "dgp1.yaml"
+    path.write_text(_DGP1_GRID)
+    config = load_experiment_config(path)
+    assert len(config.cells) == 32
+    return list(config.cells), config.reps, config.seed
+
+
 class TestDesignGroups:
-    """Cells whose specs draw the same numbers (one dgp1 spec, one dgp2 panel) share one
-    simulation per replication; each design (spec and pi0) is fitted once."""
+    """Cells whose specs draw the same numbers (the same dgp1 stream fields, one dgp2 panel)
+    share one simulation per replication; each design (spec and pi0) is fitted once."""
 
     def test_cell_row_independent_of_grid(self):
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
@@ -280,24 +317,23 @@ class TestDesignGroups:
                       Dgp1Spec(T=100, burn_in=201), Dgp2Spec(T=100, N=10)):
             assert mc._spec_digest(other) != base
 
-    def test_dgp2_stream_key_is_the_panel(self):
-        spec = Dgp2Spec(T=100, N=10)
-        panel = mc._stream_digest(spec)
-        design_fields = {"h": 4, "theta": 0.1, "alpha": 1.5, "beta1": -0.5, "beta2": 0.3}
-        assert set(dgp_module.DGP2_PANEL_FIELDS) | set(design_fields) == {
-            f.name for f in dataclasses.fields(Dgp2Spec)}
+    @pytest.mark.parametrize("family", sorted(_STREAM_KEYS))
+    def test_stream_key_is_the_draw_fields(self, family):
+        spec, stream_fields, design_fields, changed = _STREAM_KEYS[family]
+        key = mc._stream_digest(spec)
+        assert set(stream_fields) | set(design_fields) == {
+            f.name for f in dataclasses.fields(spec)}
         for name, value in design_fields.items():
             other = dataclasses.replace(spec, **{name: value})
-            assert mc._stream_digest(other) == panel
+            assert mc._stream_digest(other) == key
             assert mc._spec_digest(other) != mc._spec_digest(spec)
-        changed = {"N": 11, "T": 101, "alpha1": 0.4, "rho_i": -0.5, "loading_std": 2.0,
-                   "burn_in": 100}
-        assert set(changed) == set(dgp_module.DGP2_PANEL_FIELDS)
+        assert set(changed) == set(stream_fields)
         for name, value in changed.items():
-            assert mc._stream_digest(dataclasses.replace(spec, **{name: value})) != panel
-        assert panel != mc._spec_digest(spec)
-        for dgp1 in (Dgp1Spec(T=100), Dgp1Spec(T=10 * 10, h=4), Dgp1Spec(T=100, burn_in=0)):
-            assert mc._stream_digest(dgp1) == mc._spec_digest(dgp1) != panel
+            assert mc._stream_digest(dataclasses.replace(spec, **{name: value})) != key
+        assert key != mc._spec_digest(spec)
+        # the other family's spec has the same T and burn_in
+        assert key not in [mc._stream_digest(other) for other, *_ in _STREAM_KEYS.values()
+                           if other is not spec]
 
     def test_one_simulation_and_fit_per_group_replication(self, tmp_path, monkeypatch):
         # the mc-dgp2 sub-grid of perfbench/inputs.py: 2 groups x 4 mu0, 2 reps
@@ -320,6 +356,60 @@ class TestDesignGroups:
         # one design per panel: each panel is simulated and factored per replication,
         # and the pair runs once per (design, chunk)
         assert calls == {"simulate_dgp2": 4, "estimate_factor": 4, "_forecast_error_pair": 2}
+
+    def test_dgp1_subgrid_simulated_once_per_stream_group(self, tmp_path, monkeypatch):
+        # the mc-dgp1 sub-grid of perfbench/inputs.py: 4 stream groups (T, rho) of 2 h,
+        # 4 mu0 each, 10 reps in one chunk
+        path = tmp_path / "dgp1.yaml"
+        path.write_text(
+            "experiment:\n  kind: size\n  reps: 10\n  mu0: [0.30, 0.35, 0.40, 0.45]\n"
+            "  bandwidth_c: 1.0\n  seed: 1\n"
+            "dgp:\n  family: dgp1\n  T: [250, 1000]\n  h: [1, 24]\n  rho: [0.25, 0.95]\n"
+            "  beta1: 0.3\n  beta2: 0.0\n  theta: 0.5\n  sigma: sigma1\n")
+        config = load_experiment_config(path)
+        calls, pairs = {"simulate_dgp1": 0}, []
+        real_simulate, real_pair = mc.simulate_dgp1, mc._forecast_error_pair
+
+        def counted(spec, streams):
+            calls["simulate_dgp1"] += 1
+            return real_simulate(spec, streams)
+
+        def recorded(y, extra, h, k0):
+            pairs.append((y.copy(), extra.copy(), h))
+            return real_pair(y, extra, h, k0)
+
+        monkeypatch.setattr(mc, "simulate_dgp1", counted)
+        monkeypatch.setattr(mc, "_forecast_error_pair", recorded)
+        report = run_size_experiment(config.cells, config.reps, config.seed)
+        assert len(report.cells) == 32
+        assert all(c.failures == 0 for c in report.cells)
+        assert calls == {"simulate_dgp1": 4}
+        assert len(pairs) == 8  # one per design: 4 groups x 2 h, one chunk
+        # each design's series are those it simulates on its own
+        designs = list({id(cell.dgp): cell.dgp for cell in config.cells}.values())
+        groups = list(dict.fromkeys((spec.T, spec.rho) for spec in designs))
+        designs = [spec for group in groups for spec in designs if (spec.T, spec.rho) == group]
+        for (y, extra, h), spec in zip(pairs, designs):
+            streams = [RngStream((config.seed, mc._stream_digest(spec)), r) for r in range(10)]
+            alone = real_simulate(spec, streams)
+            assert h == spec.h
+            assert y.tobytes() == alone["y"].tobytes() and extra.tobytes() == alone["x"].tobytes()
+
+    def test_cell_row_independent_of_dgp1_grid(self, tmp_path):
+        cells, reps, seed = _dgp1_grid(tmp_path)
+        pooled = mc._run_cells(cells, reps, seed, 2)
+        serial = mc._run_cells(cells, reps, seed, 1)
+        assert pooled.tobytes() == serial.tobytes()
+        reversed_grid = mc._run_cells(cells[::-1], reps, seed, 1)[::-1]
+        assert reversed_grid.tobytes() == serial.tobytes()
+        # a cell of each h and beta2 in one group: the first spec of the group is simulated,
+        # every other one builds its y from that spec's draws
+        for label in ("dgp1,h=1,T=140,rho=0.9,beta2=0.2,mu0=0.35",
+                      "dgp1,h=3,T=140,rho=0.9,beta2=0.5,mu0=0.45"):
+            target = [c.label for c in cells].index(label)
+            alone = _row_alone(cells[target], reps, seed)
+            assert np.isfinite(alone).all()
+            assert serial[target].tobytes() == alone.tobytes()
 
     def test_panel_simulated_and_factored_once_per_replication(self, tmp_path, monkeypatch):
         cells, reps, seed = _panel_grid(tmp_path)

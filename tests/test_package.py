@@ -1,6 +1,7 @@
 import ast
 import csv
 import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -75,6 +76,29 @@ def test_reproduce_tables_rejects_threads_below_one(tmp_path, threads):
     )
     assert proc.returncode == 2
     assert proc.stdout == "" and "--threads" in proc.stderr
+    assert not out_dir.exists()
+
+
+def test_reproduce_tables_checks_every_config_before_the_first_table(tmp_path, monkeypatch,
+                                                                     capsys):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    bad = tmp_path / "table5.yaml"
+    bad.write_text((ROOT / "configs" / "table5_dgp2_power.yaml").read_text()
+                   .replace("dgp:\n", "dgp:\n  colour: red\n"))
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("a table ran before every config was checked")
+
+    monkeypatch.setattr(script, "TABLES", {**script.TABLES, "table5": str(bad)})
+    monkeypatch.setattr(script, "run_size_experiment", never_called)
+    monkeypatch.setattr(script, "run_power_experiment", never_called)
+    out_dir = tmp_path / "out"
+    assert script.main(["--reps", "1", "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{bad}: " in err and "dgp.colour" in err
     assert not out_dir.exists()
 
 
