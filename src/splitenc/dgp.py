@@ -16,12 +16,12 @@ panel of the factor design starts from its stationary law instead.
 
 from __future__ import annotations
 
-import math
-import threading
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._work import work_array
 from .errors import DegenerateSpectrum, InvalidSpec
 
 # Innovation covariances used throughout the predictive-regression studies:
@@ -32,6 +32,27 @@ SIGMA2 = np.array([[1.0, -0.4], [-0.4, 0.25]])
 EIGENGAP_RTOL = 1e-12  # relative gap below which the top eigenvalue is not simple
 POWER_RTOL = 1e-14  # relative eigen-residual at which the power iteration stops
 POWER_MAX_ITER = 200
+
+
+@functools.lru_cache(maxsize=256)
+def _entropy_words(key) -> np.ndarray:
+    """The uint32 words SeedSequence makes of an int or tuple-of-ints key, as a read-only array.
+
+    Each non-negative int becomes its 32-bit words, least significant first
+    (0 is one zero word), and a tuple's words are its items' in order.
+    Given these words as its entropy, SeedSequence builds the same pool.
+    """
+    words = []
+    for part in key if isinstance(key, tuple) else (key,):
+        if part < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(part & 0xFFFFFFFF)
+        while part > 0xFFFFFFFF:
+            part >>= 32
+            words.append(part & 0xFFFFFFFF)
+    words = np.array(words, dtype=np.uint32)
+    words.flags.writeable = False
+    return words
 
 
 @dataclass(frozen=True)
@@ -46,7 +67,11 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.base_seed, spawn_key=(self.stream_id,))
+        # the streams of one key share its entropy words, converted once per key
+        key = self.base_seed
+        plain = type(key) is int or (type(key) is tuple and all(type(k) is int for k in key))
+        entropy = _entropy_words(key) if plain else key
+        ss = np.random.SeedSequence(entropy=entropy, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -339,35 +364,6 @@ def _exact_top_eigenvector(A: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
-class _FactorWork(threading.local):
-    def __init__(self):
-        self.buffers = {}  # role -> flat float64 buffer, kept between calls on this thread
-
-
-_FACTOR_WORK = _FactorWork()
-_FACTOR_WORK_KEEP = 1 << 21  # entries (16 MB) up to which a work buffer is kept between calls
-
-
-def _work_array(role: str, shape: tuple, order: str = "C") -> np.ndarray:
-    """An uninitialised work array of estimate_factor, reusing this thread's buffer for the role.
-
-    The demeaned panel and the Gram matrix are each up to panel-sized.
-    Allocated afresh per call, they go back to the system when the call
-    ends and the next call faults their pages in again: about 1000 pages,
-    a fifth of the call, at N = T = 500.  So each role keeps one buffer per
-    thread, grown to the largest shape seen and viewed at the shape and
-    memory order asked for; an array above _FACTOR_WORK_KEEP entries is
-    allocated per call.
-    """
-    size = math.prod(shape)
-    if size > _FACTOR_WORK_KEEP:
-        return np.empty(shape, order=order)
-    buffer = _FACTOR_WORK.buffers.get(role)
-    if buffer is None or len(buffer) < size:
-        buffer = _FACTOR_WORK.buffers[role] = np.empty(size)
-    return buffer[:size].reshape(shape, order=order)
-
-
 def estimate_factor(X) -> np.ndarray:
     """Leading principal component of a T x N panel, one factor assumed.
 
@@ -389,7 +385,9 @@ def estimate_factor(X) -> np.ndarray:
     Raises DegenerateSpectrum when the top eigenvalue is not simple to
     working precision (the direction is then not identified).  The
     demeaned panel and the Gram matrix live in work buffers kept between
-    calls (see ``_work_array``); the result never refers to them.
+    calls (see ``_work.work_array``): allocated afresh at N = T = 500 they
+    fault in about 1000 pages, a fifth of the call.  The result never
+    refers to them.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 2:
@@ -400,9 +398,9 @@ def estimate_factor(X) -> np.ndarray:
     # two layouts differently.  Use the smaller of the two Gram matrices;
     # the non-zero spectra coincide and the eigenvectors map through Xd.
     order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
-    Xd = np.subtract(X, X.mean(axis=0), out=_work_array("demeaned", (T, N), order))
+    Xd = np.subtract(X, X.mean(axis=0), out=work_array("factor.demeaned", (T, N), order))
     k = min(T, N)
-    gram = _work_array("gram", (k, k))
+    gram = work_array("factor.gram", (k, k))
     A = np.matmul(Xd.T, Xd, out=gram) if N < T else np.matmul(Xd, Xd.T, out=gram)
     A /= T * N
     v = _power_top_eigenvector(A)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtr, ndtri
+from ._work import work_array
 from .errors import (
     BandwidthOutOfRange,
     DegenerateVariance,
@@ -52,6 +53,7 @@ MU0_HALF_GAP = 0.02  # exclusion band around 1/2
 
 # Relative floor below which the studentization is numerically meaningless.
 OMEGA2_FLOOR = 1e-14
+_STAT_BLOCK = 1 << 17  # split terms (1 MB) of one row block of split_statistic, every m0 together
 
 
 @dataclass(frozen=True)
@@ -203,13 +205,27 @@ def classic_moment(fes: ForecastErrorSet) -> float:
     return float((np.sum(e1 * e1) - np.sum(e1 * e2)) / n)
 
 
-def _split_terms(e1: np.ndarray, e2: np.ndarray, m0: int) -> np.ndarray:
-    """Per-observation split-sample moment terms along the last axis (unvalidated core)."""
+def _split_terms(e1: np.ndarray, e2: np.ndarray, m0, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-observation split-sample moment terms along the last axis (unvalidated core).
+
+    Each term is e1^2 - w e1 e2 with w = 0.5 n / m0 before the split and
+    0.5 n / (n - m0) after it.  A sequence of m0 gives the terms a leading
+    axis with one row per m0, all from one e1*e1 and one e1*e2, which are
+    formed in a work array kept between calls (see ``_work.work_array``).
+    The terms go to ``out`` when given, else to a new array.
+    """
     n = e1.shape[-1]
-    d = e1 * e1
-    d[..., :m0] -= (0.5 * n / m0) * (e1[..., :m0] * e2[..., :m0])
-    d[..., m0:] -= (0.5 * n / (n - m0)) * (e1[..., m0:] * e2[..., m0:])
-    return d
+    single = np.ndim(m0) == 0
+    m0s = [m0] if single else m0
+    weights = np.empty((len(m0s),) + (1,) * (e1.ndim - 1) + (n,))
+    for row, m in zip(weights, m0s):
+        row[..., :m] = 0.5 * n / m
+        row[..., m:] = 0.5 * n / (n - m)
+    squares, products = work_array("stat.products", (2,) + e1.shape)
+    np.multiply(e1, e1, out=squares)
+    np.multiply(e1, e2, out=products)
+    d = np.subtract(squares, np.multiply(weights, products, out=out), out=out)
+    return d[0] if single else d
 
 
 def bartlett_lrv(q, M: int):
@@ -233,24 +249,37 @@ def bartlett_lrv(q, M: int):
     return np.maximum(total, 0.0)
 
 
-def demeaned_split_terms(d: np.ndarray, m0: int, centering: str = "segment") -> np.ndarray:
+def _check_centering(centering: str) -> None:
+    if centering not in ("segment", "global"):
+        raise ValueError(f"unknown centering {centering!r} (use 'segment' or 'global')")
+
+
+def demeaned_split_terms(d: np.ndarray, m0, centering: str = "segment",
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Center the split-sample moment terms, along the last axis, before variance estimation.
 
     ``"segment"`` removes each segment's own mean, which is what keeps the
     Bartlett normalizer consistent (see the module docstring); ``"global"``
-    removes the single full-sample mean, the literal textbook form.
+    removes the single full-sample mean, the literal textbook form.  A
+    sequence of m0 goes with terms that have a leading axis of one row per
+    m0, as ``_split_terms`` makes them.  The result goes to ``out`` when
+    given, which may be ``d`` itself, else to a new array.
     """
+    _check_centering(centering)
     if centering == "segment":
-        q = d.copy()
-        q[..., :m0] -= np.mean(d[..., :m0], axis=-1, keepdims=True)
-        q[..., m0:] -= np.mean(d[..., m0:], axis=-1, keepdims=True)
+        q = np.empty_like(d) if out is None else out
+        by_m0 = [(d, q, m0)] if np.ndim(m0) == 0 else zip(d, q, m0)
+        n = d.shape[-1]
+        for terms, centred, m in by_m0:
+            # add.reduce / count is np.mean's arithmetic without its Python overhead
+            for part, count in ((np.s_[..., :m], m), (np.s_[..., m:], n - m)):
+                np.subtract(terms[part], np.add.reduce(terms[part], axis=-1, keepdims=True) / count,
+                            out=centred[part])
         return q
-    if centering == "global":
-        return d - np.mean(d, axis=-1, keepdims=True)
-    raise ValueError(f"unknown centering {centering!r} (use 'segment' or 'global')")
+    return np.subtract(d, np.mean(d, axis=-1, keepdims=True), out=out)
 
 
-def split_statistic(e1, e2, m0: int, M: int, centering: str = "segment") -> tuple:
+def split_statistic(e1, e2, m0, M: int, centering: str = "segment") -> tuple:
     """(statistic, dbar, omega2) of every forecast-error pair along the last axis.
 
     The numerator is the mean of the split-sample moment terms; the
@@ -259,15 +288,37 @@ def split_statistic(e1, e2, m0: int, M: int, centering: str = "segment") -> tupl
     relative floor OMEGA2_FLOOR * (1 + dbar^2), or is not a number, the
     studentization is numerically meaningless and the statistic is NaN.
     Every entry depends on its own pair only.
+
+    ``m0`` is one split location, or a sequence of them; the three results
+    then gain a leading axis with one row per m0, and row c is bit for bit
+    the result for m0[c] alone.  e1*e1 and e1*e2 are formed once for every
+    m0.  The pairs run in row blocks of about _STAT_BLOCK split terms, every
+    m0 together, in a work array kept between calls and centred in place,
+    so that a block's terms stay in cache and fault no pages in.
     """
-    n = e1.shape[-1]
-    d = _split_terms(e1, e2, m0)
-    dbar = np.mean(d, axis=-1)
-    omega2 = bartlett_lrv(demeaned_split_terms(d, m0, centering), M)
+    e1 = np.asarray(e1, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
+    single = np.ndim(m0) == 0
+    m0s = [m0] if single else list(m0)
+    *batch, n = e1.shape
+    # checked here as well as per block, so that a call with no rows raises alike
+    if not (1 <= M < n):
+        raise BandwidthOutOfRange(f"bandwidth M={M} outside [1, {n - 1}]")
+    _check_centering(centering)
+    e1, e2 = e1.reshape(-1, n), e2.reshape(-1, n)
+    dbar, omega2 = np.empty((2, len(m0s), len(e1)))
+    step = max(1, _STAT_BLOCK // (len(m0s) * n))
+    for start in range(0, len(e1), step):
+        rows = slice(start, start + step)
+        a, b = e1[rows], e2[rows]
+        d = _split_terms(a, b, m0s, out=work_array("stat.terms", (len(m0s),) + a.shape))
+        dbar[:, rows] = np.add.reduce(d, axis=-1) / n
+        omega2[:, rows] = bartlett_lrv(demeaned_split_terms(d, m0s, centering, out=d), M)
     studentizable = omega2 > OMEGA2_FLOOR * (1.0 + dbar * dbar)
     statistic = np.divide(math.sqrt(n) * dbar, np.sqrt(omega2),
                           out=np.full_like(dbar, np.nan), where=studentizable)
-    return statistic, dbar, omega2
+    results = [r.reshape([len(m0s)] + batch) for r in (statistic, dbar, omega2)]
+    return tuple(r[0] for r in results) if single else tuple(results)
 
 
 def encompassing_test(

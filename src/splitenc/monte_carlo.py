@@ -19,10 +19,11 @@ dgp2 one replication at a time, simulating and factoring each panel once,
 with every design of the panel building its y from that replication's
 factor path and disturbance draws.  Each design then produces recursive
 expanding-window forecasts from both nested models starting at
-k0 = floor(T * pi0), and the split statistic runs once per cell over every
-replication's forecast-error pair.  The test is one-sided, so a cell's
-replication rejects when its statistic exceeds the normal critical value
-at the cell's level.
+k0 = floor(T * pi0), and one split-statistic call per design covers
+every mu0 of the design and every replication's forecast-error pair (one
+call per bandwidth, if the design's cells mix bandwidth policies).  The
+test is one-sided, so a cell's replication rejects when its statistic
+exceeds the normal critical value at the cell's level.
 
 The forecast errors of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]
 come from the closed-form kernel ``regression.nested_pair_forecast_errors``,
@@ -247,15 +248,22 @@ def _simulate(dgp, streams):
 
 
 def _design_statistics(cells, y, extra) -> np.ndarray:
-    """(cells, replications) statistics of one design (one spec and one pi0) from its series."""
+    """(cells, replications) statistics of one design (one spec and one pi0) from its series.
+
+    One split_statistic call covers every cell of one bandwidth M, which
+    is every cell of a design whose cells share a bandwidth policy.
+    """
     dgp = cells[0].dgp
     k0, n = _first_origin(dgp, cells[0].pi0)
     finite = np.isfinite(y).all(axis=1) & np.isfinite(extra).all(axis=1)
     e1, e2 = _forecast_error_pair(y[finite], extra[finite], dgp.h, k0)
     stats = np.full((len(cells), len(y)), np.nan)
+    by_bandwidth = {}
     for i, cell in enumerate(cells):
-        m0, M = SplitSpec(cell.mu0).m0(n), cell.hac.resolve(n)
-        stats[i, finite] = split_statistic(e1, e2, m0, M)[0]
+        by_bandwidth.setdefault(cell.hac.resolve(n), []).append(i)
+    for M, rows in by_bandwidth.items():
+        m0s = [SplitSpec(cells[i].mu0).m0(n) for i in rows]
+        stats[np.ix_(rows, finite)] = split_statistic(e1, e2, m0s, M)[0]
     return stats
 
 
@@ -267,7 +275,8 @@ def run_replication(designs, reps: range, key: tuple) -> np.ndarray:
     order.  Every spec of the group draws the same random numbers, so the
     chunk is simulated once (dgp1 in one batch; dgp2 each replication's
     panel and factor once), each design is fitted once and the statistic
-    runs once per cell.
+    runs once per design over all its cells (once per bandwidth M among
+    them).
     Replication r draws from its own stream, keyed by (key, r) with ``key``
     = (base seed, stream digest), and every step acts on one replication
     at a time, so an entry does not depend on which replications share the

@@ -7,7 +7,7 @@ using all target/regressor pairs whose target date does not exceed the
 origin.  Pairs whose regressor date would fall before the start of the
 sample (target dates t <= h) are never part of any fit.
 
-All functions are pure; arrays are never modified in place.
+All functions are pure: their inputs are never modified in place.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._work import work_array
 from .errors import InsufficientData, RankDeficient
 
 PAIR_RTOL = 1e-8  # relative floor on the centred sums certifying the nested-pair kernel
@@ -191,40 +192,72 @@ def nested_pair_forecast_errors(y, x, h: int, k0: int):
     cbb.  A row that fails is NaN throughout and is left to the generic
     path, which solves or raises.  For a k0 or shape the generic path
     rejects, the result is None.
+
+    The rows, running sums and per-origin terms live in work arrays kept
+    between calls (see ``_work.work_array``), laid out one quantity after
+    another; e1 and e2 are new arrays that never refer to them.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.ndim < 1 or x.shape != y.shape or h < 1 or not 3 + h <= k0 <= y.shape[-1] - h:
         return None
+    batch = y.shape[:-1]
     m = y.shape[-1] - h  # design rows: a = y[:m], b = x[:m], t = y[h:]
     i0 = k0 - h - 1      # last row of the first window
-    v = np.stack([y[..., :m], x[..., :m], y[..., h:]], axis=-2)  # rows a, b, t
-    finite = np.isfinite(v).all(axis=(-2, -1))
+    n = m - h - i0       # forecast origins
+    # rows a, b, t, then aa, ab, at, bb, bt over the m - h rows any window holds
+    rows = work_array("pair.rows", (8,) + batch + (m,))
+    v = np.stack([y[..., :m], x[..., :m], y[..., h:]], out=rows[:3])
+    check = work_array("pair.check", (3,) + batch + (m,), dtype=bool)
+    finite = np.isfinite(v, out=check).all(axis=(0, -1))
+    # per origin: the means of a, b, t (then scratch) and the deviations da, db, dt;
+    # caa, cab, cat, cbb, cbt and det (two roles, each under the keep cap at table scale)
+    means, dev = work_array("pair.origin", (2, 3) + batch + (n,))
+    centred = work_array("pair.centred", (6,) + batch + (n,))
+    errors = np.empty((2,) + batch + (n,))  # e1, e2: new, never a view of a work array
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         v -= v[..., :i0 + 1].mean(axis=-1, keepdims=True)
-        # rows a, b, t, aa, ab, at, bb, bt over the rows any window holds
-        w = v[..., :m - h]
-        sums = np.empty(v.shape[:-2] + (8, m - h))
-        sums[..., :3, :] = w
-        np.multiply(w[..., :1, :], w, out=sums[..., 3:6, :])
-        np.multiply(w[..., 1:2, :], w[..., 1:, :], out=sums[..., 6:, :])
-        sums = np.cumsum(sums, axis=-1)[..., i0:]  # column j: the window closing at origin k0 + j
-        means = sums[..., :3, :] / np.arange(i0 + 1.0, m - h + 1.0)
-        caa, cab, cat = np.moveaxis(sums[..., 3:6, :] - sums[..., :1, :] * means, -2, 0)
-        cbb, cbt = np.moveaxis(sums[..., 6:, :] - sums[..., 1:2, :] * means[..., 1:, :], -2, 0)
-        det = caa * cbb - cab * cab
-        # the forecast from origin k0 + j uses design row i0 + h + j
-        da, db, dt = np.moveaxis(v[..., i0 + h:] - means, -2, 0)
-        e1 = dt - (cat / caa) * da
-        e2 = dt - ((cbb * cat - cab * cbt) * da + (caa * cbt - cab * cat) * db) / det
-    # written so that a NaN fails the check
-    certified = (finite & (caa > PAIR_RTOL * sums[..., 3, :]).all(axis=-1)
-                 & (cbb > PAIR_RTOL * sums[..., 6, :]).all(axis=-1)
-                 & (det > PAIR_RTOL * caa * cbb).all(axis=-1)
-                 & np.isfinite(e1).all(axis=-1) & np.isfinite(e2).all(axis=-1))
-    e1[~certified] = np.nan
-    e2[~certified] = np.nan
-    return e1, e2
+        w = rows[..., :m - h]
+        np.multiply(w[:1], w[:3], out=w[3:6])
+        np.multiply(w[1:2], w[1:3], out=w[6:])
+        # the forecast from origin k0 + j uses design row i0 + h + j, copied before the sums
+        np.copyto(dev, v[..., i0 + h:])
+        sums = np.cumsum(w, axis=-1, out=w)[..., i0:]  # column j: the window closing at origin k0 + j
+        np.divide(sums[:3], np.arange(i0 + 1.0, m - h + 1.0), out=means)
+        dev -= means
+        da, db, dt = dev
+        np.multiply(sums[:1], means, out=centred[:3])
+        np.subtract(sums[3:6], centred[:3], out=centred[:3])
+        np.multiply(sums[1:2], means[1:], out=centred[3:5])
+        np.subtract(sums[6:], centred[3:5], out=centred[3:5])
+        caa, cab, cat, cbb, cbt, det = centred
+        scratch = means  # spent
+        np.multiply(caa, cbb, out=det)
+        det -= np.multiply(cab, cab, out=scratch[0])
+        # e1 = dt - (cat / caa) * da
+        step = np.divide(cat, caa, out=scratch[0])
+        step *= da
+        np.subtract(dt, step, out=errors[0])
+        # e2 = dt - ((cbb * cat - cab * cbt) * da + (caa * cbt - cab * cat) * db) / det
+        step = np.multiply(cbb, cat, out=scratch[0])
+        step -= np.multiply(cab, cbt, out=scratch[1])
+        step *= da
+        other = np.multiply(caa, cbt, out=scratch[1])
+        other -= np.multiply(cab, cat, out=scratch[2])
+        other *= db
+        step += other
+        step /= det
+        np.subtract(dt, step, out=errors[1])
+        # written so that a NaN fails the check: caa and cbb against their floors, then det
+        check = check[..., :n]
+        np.greater(centred[::3], np.multiply(sums[3::3], PAIR_RTOL, out=scratch[:2]), out=check[:2])
+        floor = np.multiply(caa, PAIR_RTOL, out=scratch[2])
+        floor *= cbb
+        np.greater(det, floor, out=check[2])
+        certified = finite & check.all(axis=(0, -1))
+        certified &= np.isfinite(errors, out=check[:2]).all(axis=(0, -1))
+    errors[:, ~certified] = np.nan
+    return errors[0], errors[1]
 
 
 def bic_select_lag(y, h: int, p_max: int = 8, lag_source=None) -> int:

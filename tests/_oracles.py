@@ -239,6 +239,49 @@ def estimate_factor_copying(X, gap_rtol=1e-12, power_rtol=1e-14, power_max_iter=
     return -f if anchor < 0.0 else f
 
 
+
+def nested_pair_forecast_errors_copying(y, x, h, k0, pair_rtol=1e-8):
+    """The nested-pair kernel as first written, every step into a new array.
+
+    Same contract as ``regression.nested_pair_forecast_errors``: (e1, e2)
+    per row along the last axis, a row NaN throughout unless certified,
+    and None for a k0 or shape the generic path rejects.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim < 1 or x.shape != y.shape or h < 1 or not 3 + h <= k0 <= y.shape[-1] - h:
+        return None
+    m = y.shape[-1] - h  # design rows: a = y[:m], b = x[:m], t = y[h:]
+    i0 = k0 - h - 1      # last row of the first window
+    v = np.stack([y[..., :m], x[..., :m], y[..., h:]], axis=-2)  # rows a, b, t
+    finite = np.isfinite(v).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        v -= v[..., :i0 + 1].mean(axis=-1, keepdims=True)
+        # rows a, b, t, aa, ab, at, bb, bt over the rows any window holds
+        w = v[..., :m - h]
+        sums = np.empty(v.shape[:-2] + (8, m - h))
+        sums[..., :3, :] = w
+        np.multiply(w[..., :1, :], w, out=sums[..., 3:6, :])
+        np.multiply(w[..., 1:2, :], w[..., 1:, :], out=sums[..., 6:, :])
+        sums = np.cumsum(sums, axis=-1)[..., i0:]  # column j: the window closing at origin k0 + j
+        means = sums[..., :3, :] / np.arange(i0 + 1.0, m - h + 1.0)
+        caa, cab, cat = np.moveaxis(sums[..., 3:6, :] - sums[..., :1, :] * means, -2, 0)
+        cbb, cbt = np.moveaxis(sums[..., 6:, :] - sums[..., 1:2, :] * means[..., 1:, :], -2, 0)
+        det = caa * cbb - cab * cab
+        # the forecast from origin k0 + j uses design row i0 + h + j
+        da, db, dt = np.moveaxis(v[..., i0 + h:] - means, -2, 0)
+        e1 = dt - (cat / caa) * da
+        e2 = dt - ((cbb * cat - cab * cbt) * da + (caa * cbt - cab * cat) * db) / det
+    # written so that a NaN fails the check
+    certified = (finite & (caa > pair_rtol * sums[..., 3, :]).all(axis=-1)
+                 & (cbb > pair_rtol * sums[..., 6, :]).all(axis=-1)
+                 & (det > pair_rtol * caa * cbb).all(axis=-1)
+                 & np.isfinite(e1).all(axis=-1) & np.isfinite(e2).all(axis=-1))
+    e1[~certified] = np.nan
+    e2[~certified] = np.nan
+    return e1, e2
+
+
 _QUARTER_RE = re.compile(r"^(\d{4})-?[Qq]([1-4])$")
 
 

@@ -31,6 +31,13 @@ def _autocorr(x, lag=1):
     return np.corrcoef(x[lag:], x[:-lag])[0, 1]
 
 
+# stream-key ints: at and beside the 2^32 word boundaries, any up to 2^64, and
+# 256-bit digests, some with zero high words
+_KEY_INT = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]),
+                     st.integers(0, 2**64), st.integers(0, 2**256 - 1),
+                     st.integers(0, 2**256 - 1).map(lambda d: d >> 32 * (d % 8)))
+
+
 class TestRngStream:
     def test_reproducible(self):
         a = RngStream(123, 5).generator().standard_normal(10)
@@ -43,6 +50,26 @@ class TestRngStream:
         c = RngStream(124, 5).generator().standard_normal(10)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @given(st.one_of(_KEY_INT, st.tuples(_KEY_INT, _KEY_INT), st.tuples(_KEY_INT),
+                     st.tuples(_KEY_INT, _KEY_INT, _KEY_INT)),
+           st.one_of(st.integers(0, 300), st.integers(2**32 - 2, 2**32 + 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_same_state_as_the_key_itself(self, key, stream_id):
+        # the cached entropy words give the SeedSequence of the raw key
+        expected = np.random.PCG64(np.random.SeedSequence(entropy=key, spawn_key=(stream_id,)))
+        for _ in range(2):  # words converted, then words from the cache
+            assert RngStream(key, stream_id).generator().bit_generator.state == expected.state
+
+    def test_words_are_read_only_and_bad_keys_raise_as_before(self):
+        assert not dgp_module._entropy_words((7, 2**40)).flags.writeable
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream((1, -2)).generator()
+        RngStream((1, 2)).generator()
+        with pytest.raises(TypeError):
+            RngStream((1, 2.0)).generator()  # equal to a cached key, but not ints
+        with pytest.raises(TypeError):
+            RngStream(1.5).generator()
 
 
 class TestDgp1:

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from _oracles import (
     split_terms_direct,
     statistic_direct,
 )
+import splitenc.enc_test as enc_test
 from splitenc.enc_test import (
     ForecastErrorSet,
     HacConfig,
@@ -327,6 +331,101 @@ class TestEncompassingTest:
     def test_demeaned_split_terms_unknown_centering(self):
         with pytest.raises(ValueError):
             demeaned_split_terms(np.zeros(10), 4, centering="other")
+
+
+def _statistic_bytes(result):
+    return [np.asarray(r).tobytes() for r in result]
+
+
+class TestStatisticOverSplits:
+    """split_statistic over a sequence of m0: row c is the call with m0[c] alone."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(12, 300), st.integers(0, 40),
+           st.lists(st.floats(0.1, 0.9), min_size=1, max_size=4), st.booleans(),
+           st.sampled_from(["segment", "global"]), st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_is_its_scalar_call(self, seed, n, rows, fractions, repeat, centering,
+                                         blocks_of):
+        g = np.random.default_rng(seed)
+        e1 = g.standard_normal((rows, n))
+        e2 = e1 + 0.5 * g.standard_normal((rows, n))
+        m0s = [min(max(2, int(n * f)), n - 2) for f in fractions]
+        m0s += m0s[:1] if repeat else []  # a coinciding m0
+        M = int(g.integers(1, min(n, 12)))
+        # a row block of blocks_of replications (every m0 together), or the module's own
+        block = enc_test._STAT_BLOCK if blocks_of is None else blocks_of * len(m0s) * n
+        with mock.patch.object(enc_test, "_STAT_BLOCK", block):
+            together = split_statistic(e1, e2, m0s, M, centering)
+        assert all(r.shape == (len(m0s), rows) for r in together)
+        for c, m0 in enumerate(m0s):
+            alone = split_statistic(e1, e2, m0, M, centering)
+            assert _statistic_bytes(r[c] for r in together) == _statistic_bytes(alone)
+        if rows:
+            b = int(g.integers(rows))
+            single = split_statistic(e1[b], e2[b], m0s, M, centering)
+            assert _statistic_bytes(single) == _statistic_bytes(r[:, b] for r in together)
+
+    def test_rows_above_one_block_of_the_module(self):
+        n, m0s = 150, [45, 60, 67, 90]
+        assert 300 > enc_test._STAT_BLOCK // (len(m0s) * n)
+        g = np.random.default_rng(8)
+        e1 = g.standard_normal((300, n))
+        e2 = e1 + 0.3 * g.standard_normal((300, n))
+        together = split_statistic(e1, e2, m0s, 5)
+        for c, m0 in enumerate(m0s):
+            assert _statistic_bytes(r[c] for r in together) == \
+                _statistic_bytes(split_statistic(e1, e2, m0, 5))
+
+    def test_leading_axes_kept(self):
+        g = np.random.default_rng(9)
+        e1, e2 = g.standard_normal((2, 2, 3, 40))
+        statistic, dbar, omega2 = split_statistic(e1, e2, (10, 25), 3)
+        assert statistic.shape == dbar.shape == omega2.shape == (2, 2, 3)
+        assert statistic[1].tobytes() == split_statistic(e1, e2, 25, 3)[0].tobytes()
+
+    def test_threads_give_the_same_bytes(self):
+        # each thread keeps its own work arrays: more threads than cores, switching often
+        g = np.random.default_rng(10)
+        inputs = []
+        for rows, n in ((40, 750), (250, 120), (3, 60)):
+            e1 = g.standard_normal((rows, n))
+            inputs.append((e1, e1 + 0.3 * g.standard_normal((rows, n)), [n // 3, n // 4, n // 3]))
+        expected = [_statistic_bytes(split_statistic(*args, 4)) for args in inputs]
+        got = [[] for _ in inputs]
+
+        def run(i):
+            for _ in range(5):
+                got[i].append(_statistic_bytes(split_statistic(*inputs[i], 4)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [[bytes_] * 5 for bytes_ in expected]
+
+    @pytest.mark.parametrize("degenerate", [0, 3, 6])
+    def test_degenerate_variance_is_nan_in_its_own_entries(self, degenerate):
+        g = np.random.default_rng(degenerate)
+        e1, e2 = g.standard_normal((2, 7, 60))
+        e1[degenerate] = e2[degenerate] = 0.0
+        statistic, dbar, omega2 = split_statistic(e1, e2, [12, 24, 36, 24], 4)
+        assert np.isnan(statistic[:, degenerate]).all()
+        assert np.isfinite(np.delete(statistic, degenerate, axis=1)).all()
+        assert (omega2[:, degenerate] == 0.0).all()
+
+    def test_bad_bandwidth_and_centering_raise_with_no_rows(self):
+        empty = np.zeros((0, 30))
+        with pytest.raises(BandwidthOutOfRange):
+            split_statistic(empty, empty, [10, 12], 30)
+        with pytest.raises(ValueError, match="unknown centering"):
+            split_statistic(empty, empty, [10], 3, centering="other")
 
 
 def _scalar_input(c, mu0=0.45, level=0.10, phi2=1.0, pi0=0.25, b22=None):

@@ -487,16 +487,33 @@ class TestDesignGroups:
         real = mc.split_statistic
         m0_040 = SplitSpec(0.40).m0(75)  # n = 75 forecast errors at T=100, h=1, pi0=0.25
 
-        def fails_at_040(e1, e2, m0, M):
-            statistic, dbar, omega2 = real(e1, e2, m0, M)
-            if m0 == m0_040:  # as for a degenerate variance in every replication
-                statistic = np.full_like(statistic, np.nan)
+        def fails_at_040(e1, e2, m0s, M):
+            # one call covers every cell of the design, a row per m0
+            statistic, dbar, omega2 = real(e1, e2, m0s, M)
+            statistic = statistic.copy()
+            statistic[np.equal(m0s, m0_040)] = np.nan  # as for a degenerate variance everywhere
             return statistic, dbar, omega2
 
         monkeypatch.setattr(mc, "split_statistic", fails_at_040)
         got = _replicate(group, range(3, 8), 17)
         assert np.isnan(got[1]).all()
         assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+
+    def test_design_with_two_bandwidths(self, monkeypatch):
+        # one statistic call per bandwidth of a design; rows as for each cell alone
+        hacs = [HacConfig(bandwidth=2), HacConfig(c=1.0), HacConfig(bandwidth=2), HacConfig()]
+        cells = [_cell(T=120, mu0=m, hac=hac) for m, hac in zip((0.3, 0.4, 0.45, 0.6), hacs)]
+        alone = [mc._run_cells([cell], 12, 23, 1)[0] for cell in cells]
+        real, calls = mc.split_statistic, []
+        monkeypatch.setattr(mc, "split_statistic",
+                            lambda e1, e2, m0s, M: calls.append((list(m0s), M))
+                            or real(e1, e2, m0s, M))
+        together = mc._run_cells(cells, 12, 23, 1)
+        n = 120 - 1 - 30 + 1
+        assert calls == [([SplitSpec(0.3).m0(n), SplitSpec(0.45).m0(n)], 2),
+                         ([SplitSpec(0.4).m0(n), SplitSpec(0.6).m0(n)], HacConfig().resolve(n))]
+        for row, single in zip(together, alone):
+            assert row.tobytes() == single.tobytes()
 
     def test_singular_fit_fails_every_cell_of_its_group(self, monkeypatch):
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]

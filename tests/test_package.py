@@ -179,7 +179,7 @@ _COMMAND_MODULE_GUARD = """
 import sys
 import splitenc.cli
 code = splitenc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-modules = ("splitenc.monte_carlo", "splitenc.inflation", "splitenc.dgp")
+modules = ("splitenc.monte_carlo", "splitenc.inflation", "splitenc.dgp", "splitenc._work")
 print(code, sorted(m for m in sys.modules if m in modules))
 """
 
@@ -190,11 +190,12 @@ dgp: {family: dgp1, T: 150, h: 1, rho: 0.25, beta2: 0.0}
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    ([], "[]"),
-    (["test", "errors_fixture.csv"], "[]"),
-    (["local-power", "blocks_fixture.json"], "[]"),
-    (["inflation", "fixture_panel.csv"], "['splitenc.inflation']"),
-    (["mc-size", "size.yaml", "--reps", "1"], "['splitenc.dgp', 'splitenc.monte_carlo']"),
+    ([], "['splitenc._work']"),
+    (["test", "errors_fixture.csv"], "['splitenc._work']"),
+    (["local-power", "blocks_fixture.json"], "['splitenc._work']"),
+    (["inflation", "fixture_panel.csv"], "['splitenc._work', 'splitenc.inflation']"),
+    (["mc-size", "size.yaml", "--reps", "1"],
+     "['splitenc._work', 'splitenc.dgp', 'splitenc.monte_carlo']"),
 ], ids=["import", "test", "local-power", "inflation", "mc-size"])
 def test_cli_commands_load_only_their_modules(tmp_path, argv, loaded):
     # a cold command imports the simulation and inflation modules only when it runs them

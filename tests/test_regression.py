@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import lfilter
 
 import splitenc.monte_carlo as mc
-from _oracles import expanding_refit_oracle, ols_normal_equations
+from _oracles import (
+    expanding_refit_oracle,
+    nested_pair_forecast_errors_copying,
+    ols_normal_equations,
+)
 from splitenc.dgp import Dgp1Spec, RngStream
 from splitenc.errors import InsufficientData, RankDeficient
 from splitenc.monte_carlo import _forecast_error_pair
@@ -288,6 +294,115 @@ class TestNestedPairKernel:
             # the engine resolves k0 first, so it never asks the kernel for this origin
             with pytest.raises(InsufficientData):
                 mc._first_origin(Dgp1Spec(T=100, h=4), k0 / 100)
+
+
+def _pair_bytes(pair):
+    """Shapes and bytes of a kernel result, or None."""
+    return None if pair is None else [(e.shape, e.tobytes()) for e in pair]
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(y, x, h, k0) over 1-D, (B, T), (2, 3, T) and zero-row shapes, with faulty rows."""
+    T, h = draw(st.integers(50, 1200)), draw(st.integers(1, 24))
+    assume(3 + h <= T - h)
+    # both ends of the kernel's k0 range and inside it, or just outside it
+    inside = st.sampled_from([3 + h, T - h, (3 + T) // 2])
+    k0 = draw(st.one_of(inside, inside, inside, st.sampled_from([2 + h, T - h + 1])))
+    batch = draw(st.sampled_from([(), (1,), (4,), (7,), (2, 3), (0,), (0, 3)]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = draw(st.sampled_from([0.0, 0.5, 0.99]))
+    z = lfilter([1.0], [1.0, -rho], g.standard_normal((2,) + batch + (T,)), axis=-1)
+    y = z[0] * draw(st.sampled_from([1.0, 1e-3, 1e3])) + draw(st.sampled_from([0.0, 1e5]))
+    x = z[1]
+    rows = y.reshape(-1, T), x.reshape(-1, T)
+    if rows[0].shape[0]:
+        for _ in range(draw(st.integers(0, 2))):
+            row = draw(st.integers(0, len(rows[0]) - 1))
+            # anywhere, or near the end, where only the finiteness check sees it at k0 = T - h
+            col = draw(st.one_of(st.integers(0, T - 1), st.integers(T - 2 * h - 1, T - 1)))
+            fault = draw(st.sampled_from(["nan", "inf", "-inf", "constant x", "collinear x",
+                                          "near-collinear x"]))
+            if fault == "constant x":
+                rows[1][row] = 2.0
+            elif fault == "collinear x":
+                rows[1][row] = 3.0 * rows[0][row]
+            elif fault == "near-collinear x":
+                # 1 - corr^2 near PAIR_RTOL, with x on another scale than y
+                noise = draw(st.sampled_from([1e-2, 1e-4, 2e-4])) * g.standard_normal(T)
+                scale = draw(st.sampled_from([1e-3, 3.0]))
+                rows[1][row] = scale * (rows[0][row] + noise * rows[0][row].std())
+            else:
+                rows[draw(st.integers(0, 1))][row, col] = float(fault)
+    return y, x, h, k0
+
+
+class TestNestedPairOracle:
+    """The kernel in kept work arrays against the kernel as first written, bit for bit."""
+
+    @given(_kernel_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_same_bytes_as_the_copying_kernel(self, inputs):
+        expected = _pair_bytes(nested_pair_forecast_errors_copying(*inputs))
+        assert _pair_bytes(nested_pair_forecast_errors(*inputs)) == expected
+
+    @pytest.mark.parametrize("h", [2, 5])
+    def test_rows_at_the_certification_edges(self, h):
+        # near-collinear x on two scales, and faults that only the finiteness check sees:
+        # at k0 = T - h, y[T - h:T - 1] and x[T - 2h:T - h - 1] enter no sum and no error
+        T, k0 = 300, 300 - h
+        g = np.random.default_rng(h)
+        y, x = g.standard_normal((2, 10, T))
+        for row, (scale, eps) in enumerate([(1e-3, 1e-2), (1e-3, 2e-4), (1e-3, 1e-4),
+                                            (3.0, 1e-2), (3.0, 2e-4), (3.0, 1e-5)]):
+            x[row] = scale * (y[row] + eps * g.standard_normal(T))
+        y[6, T - h], x[7, T - 2 * h], y[8, T - 2], x[9, T - h - 2] = np.nan, np.inf, -np.inf, np.nan
+        pair = nested_pair_forecast_errors(y, x, h, k0)
+        assert _pair_bytes(pair) == _pair_bytes(nested_pair_forecast_errors_copying(y, x, h, k0))
+        uncertified = np.isnan(pair[0][:, 0])
+        assert uncertified[6:].all() and not uncertified[[0, 3]].any() and uncertified[2]
+
+    @pytest.mark.parametrize("shape", [(7, 300), (2, 3, 300), (300,)])
+    def test_mismatched_shapes_give_none(self, shape):
+        y = np.zeros(shape)
+        assert nested_pair_forecast_errors(y, y[..., :-1], 1, 80) is None
+        assert nested_pair_forecast_errors_copying(y, y[..., :-1], 1, 80) is None
+
+    def test_results_do_not_share_the_work_arrays(self):
+        g = np.random.default_rng(11)
+        first = nested_pair_forecast_errors(g.standard_normal((5, 400)),
+                                            g.standard_normal((5, 400)), 2, 100)
+        kept = [e.copy() for e in first]
+        for T, B in ((400, 5), (900, 3), (120, 9)):  # other shapes, smaller and larger
+            nested_pair_forecast_errors(g.standard_normal((B, T)), g.standard_normal((B, T)),
+                                        3, T // 4)
+        for e, k in zip(first, kept):
+            assert e.tobytes() == k.tobytes()
+
+    def test_threads_give_the_same_bytes(self):
+        # each thread keeps its own work arrays: more threads than cores, switching often
+        g = np.random.default_rng(12)
+        inputs = [(g.standard_normal((B, T)), g.standard_normal((B, T)).cumsum(axis=-1), h, T // 4)
+                  for B, T, h in ((6, 500, 4), (3, 900, 1), (9, 300, 12), (1, 700, 2))]
+        expected = [_pair_bytes(nested_pair_forecast_errors_copying(*args)) for args in inputs]
+        got = [[] for _ in inputs]
+
+        def run(i):
+            for _ in range(5):
+                got[i].append(_pair_bytes(nested_pair_forecast_errors(*inputs[i])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [[bytes_] * 5 for bytes_ in expected]
 
 
 class TestBicSelectLag:
