@@ -251,8 +251,8 @@ def _int_at_least(low: int):
 
 def _positive_float(text) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise ValueError(f"must be positive, got {value:g}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be finite and positive, got {value:g}")
     return value
 
 

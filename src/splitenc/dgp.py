@@ -210,17 +210,23 @@ def _h_step_ar(drive: np.ndarray, beta1: float, h: int) -> np.ndarray:
     return y.reshape(padded.shape)[..., :T]
 
 
-def dgp1_outcome(spec: Dgp1Spec, eps: np.ndarray, x_path: np.ndarray) -> np.ndarray:
-    """y of the predictive regression, burn-in dropped, from its shocks eps and predictor path.
+def outcome(spec, innov: np.ndarray, predictor: np.ndarray) -> np.ndarray:
+    """y of either design, burn-in dropped, from its disturbance draws and predictor path.
 
-    ``eps`` and ``x_path`` are simulate_dgp1's entries of those names, one
-    replication per row of (..., burn_in + T) arrays; neither is written.
-    Every step acts on one row at a time, so a row is the same bits whatever
-    rows share the call.  The draws depend on DGP1_STREAM_FIELDS alone, so
-    one replication's draws give the y of every spec that shares them.
+    y_t = alpha + beta1 y_{t-h} + beta2 p_{t-h} + w_t, where w is the
+    MA(h-1) of ``innov`` and p is x for a Dgp1Spec (which has no intercept)
+    or the factor f for a Dgp2Spec.  ``innov`` and ``predictor`` hold one
+    replication per row of (..., burn_in + T) arrays: simulate_dgp1's
+    "eps" and "x_path", or simulate_dgp2's "w_innov" and "f_path".
+    Neither is written.  Every step acts on one row at a time, so a row is
+    the same bits whatever rows share the call.  The draws depend on the
+    stream fields alone, so one replication's draws give the y of every
+    spec that shares them.
     """
-    drive = _ma_path(eps, spec.theta, spec.h)
-    drive[..., spec.h:] += spec.beta2 * x_path[..., :-spec.h]  # x_{t-h} enters once it exists
+    drive = _ma_path(innov, spec.theta, spec.h)
+    if isinstance(spec, Dgp2Spec):
+        drive += spec.alpha
+    drive[..., spec.h:] += spec.beta2 * predictor[..., :-spec.h]  # p_{t-h} enters once it exists
     return _h_step_ar(drive, spec.beta1, spec.h)[..., spec.burn_in:]
 
 
@@ -232,8 +238,8 @@ def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
     Each stream fills its own row of the normal draws, and every later step
     acts on one row at a time, so a row is the same bits whatever streams
     share the call.  "eps" and "x_path" are the y shocks and the predictor
-    path from t = 0, burn-in included: with them ``dgp1_outcome`` gives the
-    y of any spec that shares this one's DGP1_STREAM_FIELDS.
+    path from t = 0, burn-in included: with them ``outcome`` gives the y of
+    any spec that shares this one's DGP1_STREAM_FIELDS.
     """
     single = isinstance(rng, RngStream)
     streams = [rng] if single else rng
@@ -244,7 +250,7 @@ def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
     shocks = normals @ np.linalg.cholesky(spec.sigma).T
     eps = np.ascontiguousarray(shocks[..., 0])  # a copy: the caller keeps eps, not the v half
     x_path = _ar1_path(shocks[..., 1], spec.rho)
-    out = {"y": dgp1_outcome(spec, eps, x_path), "x": x_path[:, spec.burn_in:],
+    out = {"y": outcome(spec, eps, x_path), "x": x_path[:, spec.burn_in:],
            "eps": eps, "x_path": x_path}
     return {name: path[0] for name, path in out.items()} if single else out
 
@@ -273,21 +279,6 @@ def _assemble_panel(E: np.ndarray, f: np.ndarray, lam: np.ndarray, rho: float) -
         rows += idio
 
 
-def dgp2_outcome(spec: Dgp2Spec, f_path: np.ndarray, w_innov: np.ndarray) -> np.ndarray:
-    """y of the factor design, burn-in dropped, from its factor path and disturbance draws.
-
-    ``f_path`` and ``w_innov`` are simulate_dgp2's entries of those names,
-    one replication per row of (..., burn_in + T) arrays.  Every step acts
-    on one row at a time, so a row is the same bits whatever rows share the
-    call.  The draws depend on the panel fields alone (DGP2_PANEL_FIELDS),
-    so one replication's draws give the y of every spec that shares them.
-    """
-    drive = _ma_path(w_innov, spec.theta, spec.h)
-    drive += spec.alpha
-    drive[..., spec.h:] += spec.beta2 * f_path[..., :-spec.h]
-    return _h_step_ar(drive, spec.beta1, spec.h)[..., spec.burn_in:]
-
-
 def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     """Simulate the factor-augmented design; returns {"y", "X", "f_true", "f_path", "w_innov"}.
 
@@ -295,7 +286,7 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     extracted, "f_true" the latent factor path (for diagnostics only).
     "f_path" is that path from t = 0, burn-in included, and "w_innov" the
     burn_in + T standard normals behind the disturbances w: with them
-    ``dgp2_outcome`` gives the y of any spec that shares this one's panel.
+    ``outcome`` gives the y of any spec that shares this one's panel.
     The idiosyncratic AR(rho_i) columns need no burn-in: their first row is
     drawn from the stationary law N(0, 1/(1 - rho_i^2)), so every row has
     that law exactly; ``burn_in`` applies to y and f only.
@@ -313,7 +304,7 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     f_true = f[spec.burn_in:]
     _assemble_panel(X, f_true, lam, spec.rho_i)
     w_innov = g.standard_normal(total)
-    return {"y": dgp2_outcome(spec, f, w_innov), "X": X, "f_true": f_true,
+    return {"y": outcome(spec, w_innov, f), "X": X, "f_true": f_true,
             "f_path": f, "w_innov": w_innov}
 
 

@@ -149,7 +149,7 @@ def unit_fraction(value, name: str = "") -> float:
 
 @dataclass(frozen=True)
 class HacConfig:
-    """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3)))."""
+    """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3))) with finite c > 0."""
 
     bandwidth: int | None = None
     c: float = 1.0
@@ -157,8 +157,8 @@ class HacConfig:
     def __post_init__(self):
         if self.bandwidth is not None and int(self.bandwidth) < 1:
             raise BandwidthOutOfRange(f"fixed bandwidth must be >= 1, got {self.bandwidth}")
-        if self.c <= 0.0:
-            raise BandwidthOutOfRange(f"bandwidth constant must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise BandwidthOutOfRange(f"bandwidth c must be finite and positive, got {self.c}")
 
     def resolve(self, n: int) -> int:
         if self.bandwidth is not None:
@@ -400,8 +400,8 @@ class LocalPowerInput:
             raise ValueError("off-diagonal blocks have inconsistent shapes")
         if c.shape != (p2,):
             raise ValueError(f"c must have length {p2}")
-        if self.phi2 <= 0.0:
-            raise ValueError("phi2 must be positive")
+        if not (math.isfinite(self.phi2) and self.phi2 > 0.0):
+            raise ValueError(f"phi2 must be finite and positive, got {self.phi2}")
         unit_fraction(self.pi0, "pi0")
         unit_fraction(self.level, "level")
         SplitSpec(self.mu0)  # validates the split bounds

@@ -11,18 +11,19 @@ Cells are grouped three ways:
 * a design is one spec and one pi0 within a group;
 * a cell is one mu0 of a design.
 
-The replications of a group run in chunks of up to 250, and one
-``run_replication`` call computes a whole chunk as (replications, T)
-arrays.  It simulates the chunk once: dgp1 in one batch, with every
-design sharing x and building its y from the shocks and predictor path;
-dgp2 one replication at a time, simulating and factoring each panel once,
-with every design of the panel building its y from that replication's
-factor path and disturbance draws.  Each design then produces recursive
-expanding-window forecasts from both nested models starting at
-k0 = floor(T * pi0), and one split-statistic call per design covers
-every mu0 of the design and every replication's forecast-error pair (one
-call per bandwidth, if the design's cells mix bandwidth policies).  The
-test is one-sided, so a cell's replication rejects when its statistic
+A design keeps its first forecast origin k0 = floor(T * pi0) and, per
+bandwidth M, its cells' split locations m0, all resolved before any
+replication runs.  The replications of a group run in chunks of up to
+250, and one ``run_replication`` call computes a whole chunk as
+(replications, T) arrays.  One simulate step serves both families: it
+gives the chunk's disturbance draws, predictor path (dgp1: x; dgp2: the
+factor) and extra regressor (dgp1: x; dgp2: the estimated factor), dgp1
+in one batch and dgp2 one replication at a time, simulating and factoring
+each panel once.  Every design builds its y from those draws with
+``dgp.outcome``, produces recursive expanding-window forecasts from both
+nested models starting at k0, and makes one split-statistic call per
+bandwidth over every mu0 and every replication's forecast-error pair.
+The test is one-sided, so a cell's replication rejects when its statistic
 exceeds the normal critical value at the cell's level.
 
 The forecast errors of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]
@@ -70,9 +71,8 @@ from .dgp import (
     Dgp1Spec,
     Dgp2Spec,
     RngStream,
-    dgp1_outcome,
-    dgp2_outcome,
     estimate_factor,
+    outcome,
     simulate_dgp1,
     simulate_dgp2,
 )
@@ -144,17 +144,32 @@ class McCell:
         unit_fraction(self.level, "level")
         SplitSpec(self.mu0)  # validates the split bounds
 
-    def forecast_origin(self) -> int:
-        """First forecast origin k0 = floor(T * pi0), checked without simulating.
+    def resolve(self) -> tuple:
+        """(k0, m0, M): first forecast origin, split location and bandwidth, without simulating.
 
-        Raises a SplitEncError unless the design admits k0 (see
-        ``_first_origin``) and the split location and bandwidth resolve at
-        the n forecast errors it leaves.
+        Raises a SplitEncError unless the design admits k0 = floor(T * pi0)
+        (see ``_first_origin``) and the split location and bandwidth resolve
+        at the n forecast errors it leaves.
         """
         k0, n = _first_origin(self.dgp, self.pi0)
-        SplitSpec(self.mu0).m0(n)
-        self.hac.resolve(n)
-        return k0
+        return k0, SplitSpec(self.mu0).m0(n), self.hac.resolve(n)
+
+
+@dataclass(frozen=True)
+class _Design:
+    """One spec and one pi0 of a stream group, with its cells resolved (``McCell.resolve``).
+
+    ``bandwidths`` maps each bandwidth M of the cells, in order of first
+    appearance, to the (index, split location m0) of each of its cells.
+    """
+
+    spec: Dgp1Spec | Dgp2Spec
+    k0: int
+    bandwidths: dict = field(default_factory=dict)
+
+    def cells(self) -> list:
+        """The cells' indices, in the order of the design's rows of a run_replication block."""
+        return [i for members in self.bandwidths.values() for i, _ in members]
 
 
 @dataclass(frozen=True)
@@ -209,74 +224,41 @@ def _critical_value(level: float) -> float:
     return ndtri(1.0 - level)
 
 
-def _dgp2_replication(dgp, stream) -> tuple:
-    """(y, f_path, w_innov, factor) of one dgp2 replication; factor NaN when not identified.
+def _simulate(dgp, streams) -> tuple:
+    """(y, innov, predictor, extra) of a stream group's chunk, row b from stream b.
 
-    The panel lives only inside this call, so one T x N panel is alive at once.
-    """
-    sim = simulate_dgp2(dgp, stream)
-    try:
-        factor = estimate_factor(sim["X"])
-    except _FAILURES:
-        factor = np.nan
-    return sim["y"], sim["f_path"], sim["w_innov"], factor
-
-
-def _simulate(dgp, streams):
-    """A function of a design's spec giving its (y, extra), row b from stream b.
-
-    dgp1 simulates every stream in one call; every spec of the group shares
-    its x, and builds its y from the same shocks and predictor path.  dgp2
-    simulates and extracts the factor one stream at a time (a 250-stream
-    panel batch would hold 250 panels); every spec sharing the panel builds
-    its y from the same factor path and disturbance draws.  In both, the y
-    of the spec simulated comes with the simulation, and each pi0 of a spec
-    sees the same series.
+    y is the simulated spec's outcome; innov and predictor are the
+    disturbance draws and predictor path from t = 0 (dgp1: eps and x;
+    dgp2: w and the factor f), from which ``outcome`` gives the y of every
+    spec of the group; extra is the regressor of the larger model (dgp1: x;
+    dgp2: the estimated factor, NaN where it is not identified).  dgp1
+    simulates every stream in one call.  dgp2 simulates and factors one
+    stream at a time, and each panel dies with its factor call, so one
+    T x N panel is alive at once (a 250-stream batch would hold 250).
     """
     if isinstance(dgp, Dgp1Spec):
         sim = simulate_dgp1(dgp, streams)
-        y, x, eps, x_path = sim["y"], sim["x"], sim["eps"], sim["x_path"]
-        return lambda spec: (y if spec is dgp else dgp1_outcome(spec, eps, x_path), x)
-    if isinstance(dgp, Dgp2Spec):
-        total = dgp.burn_in + dgp.T
-        y, factor = np.empty((2, len(streams), dgp.T))
-        f_path, w_innov = np.empty((2, len(streams), total))
-        for b, stream in enumerate(streams):
-            y[b], f_path[b], w_innov[b], factor[b] = _dgp2_replication(dgp, stream)
-        return lambda spec: (y if spec is dgp else dgp2_outcome(spec, f_path, w_innov), factor)
-    raise ValueError(f"unsupported DGP type {type(dgp).__name__}")
-
-
-def _design_statistics(cells, y, extra) -> np.ndarray:
-    """(cells, replications) statistics of one design (one spec and one pi0) from its series.
-
-    One split_statistic call covers every cell of one bandwidth M, which
-    is every cell of a design whose cells share a bandwidth policy.
-    """
-    dgp = cells[0].dgp
-    k0, n = _first_origin(dgp, cells[0].pi0)
-    finite = np.isfinite(y).all(axis=1) & np.isfinite(extra).all(axis=1)
-    e1, e2 = _forecast_error_pair(y[finite], extra[finite], dgp.h, k0)
-    stats = np.full((len(cells), len(y)), np.nan)
-    by_bandwidth = {}
-    for i, cell in enumerate(cells):
-        by_bandwidth.setdefault(cell.hac.resolve(n), []).append(i)
-    for M, rows in by_bandwidth.items():
-        m0s = [SplitSpec(cells[i].mu0).m0(n) for i in rows]
-        stats[np.ix_(rows, finite)] = split_statistic(e1, e2, m0s, M)[0]
-    return stats
+        return sim["y"], sim["eps"], sim["x_path"], sim["x"]
+    y, extra = np.empty((2, len(streams), dgp.T))
+    innov, predictor = np.empty((2, len(streams), dgp.burn_in + dgp.T))
+    for b, stream in enumerate(streams):
+        sim = simulate_dgp2(dgp, stream)
+        y[b], innov[b], predictor[b] = sim["y"], sim["w_innov"], sim["f_path"]
+        try:
+            extra[b] = estimate_factor(sim.pop("X"))
+        except _FAILURES:
+            extra[b] = np.nan
+    return y, innov, predictor, extra
 
 
 def run_replication(designs, reps: range, key: tuple) -> np.ndarray:
     """Statistics of one stream group over a run of replications, one row per cell.
 
-    ``designs`` lists the group's designs, each a list of resolved cells
-    that share one DGP spec and one pi0; the rows follow the cells in that
-    order.  Every spec of the group draws the same random numbers, so the
-    chunk is simulated once (dgp1 in one batch; dgp2 each replication's
-    panel and factor once), each design is fitted once and the statistic
-    runs once per design over all its cells (once per bandwidth M among
-    them).
+    ``designs`` lists the group's resolved designs (``_Design``), and the
+    rows follow each one's cells (``_Design.cells``) in that order.  Every
+    spec of the group draws the same random numbers, so the chunk is
+    simulated once, each design is fitted once, and the statistic runs
+    once per design and bandwidth M over all its cells.
     Replication r draws from its own stream, keyed by (key, r) with ``key``
     = (base seed, stream digest), and every step acts on one replication
     at a time, so an entry does not depend on which replications share the
@@ -285,8 +267,19 @@ def run_replication(designs, reps: range, key: tuple) -> np.ndarray:
     fails is NaN in every cell of its design; a degenerate variance is NaN
     in its own entry.
     """
-    series = _simulate(designs[0][0].dgp, [RngStream(key, rep) for rep in reps])
-    return np.concatenate([_design_statistics(cells, *series(cells[0].dgp)) for cells in designs])
+    simulated = designs[0].spec
+    y, innov, predictor, extra = _simulate(simulated, [RngStream(key, rep) for rep in reps])
+    blocks = []
+    for design in designs:
+        spec = design.spec
+        spec_y = y if spec is simulated else outcome(spec, innov, predictor)
+        finite = np.isfinite(spec_y).all(axis=1) & np.isfinite(extra).all(axis=1)
+        e1, e2 = _forecast_error_pair(spec_y[finite], extra[finite], spec.h, design.k0)
+        for M, members in design.bandwidths.items():
+            block = np.full((len(members), len(reps)), np.nan)
+            block[:, finite] = split_statistic(e1, e2, [m0 for _, m0 in members], M)[0]
+            blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _design_groups(cells) -> list:
@@ -294,19 +287,20 @@ def _design_groups(cells) -> list:
 
     A group holds the cells whose specs draw the same random numbers (the
     same dgp1 stream fields; one dgp2 panel), split into designs of one
-    spec and one pi0, each a list of cell indices.  A cell that does not resolve
-    (``McCell.forecast_origin``) joins no group.
+    spec and one pi0 (``_Design``).  This is where every cell is resolved,
+    once; a cell that does not resolve (``McCell.resolve``) joins no group.
     """
     digests, groups = {}, {}  # digests: (stream, spec) digests per distinct spec object
     for i, cell in enumerate(cells):
         try:
-            cell.forecast_origin()
+            k0, m0, M = cell.resolve()
         except _FAILURES:
             continue
         if id(cell.dgp) not in digests:
             digests[id(cell.dgp)] = (_stream_digest(cell.dgp), _spec_digest(cell.dgp))
         stream, spec = digests[id(cell.dgp)]
-        groups.setdefault(stream, {}).setdefault((spec, cell.pi0), []).append(i)
+        design = groups.setdefault(stream, {}).setdefault((spec, cell.pi0), _Design(cell.dgp, k0))
+        design.bandwidths.setdefault(M, []).append((i, m0))
     return [(stream, list(designs.values())) for stream, designs in groups.items()]
 
 
@@ -315,21 +309,19 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     if reps < 1:
         raise ValueError("need at least one replication")
     chunk = min(reps, 250)
-    tasks = [(designs, digest, range(start, min(start + chunk, reps)))
+    tasks = [(designs, range(start, min(start + chunk, reps)), (base_seed, digest))
              for digest, designs in _design_groups(cells) for start in range(0, reps, chunk)]
-    args = [([[cells[i] for i in design] for design in designs], part, (base_seed, digest))
-            for designs, digest, part in tasks]
     if workers <= 1:
-        blocks = [run_replication(*a) for a in args]
+        blocks = [run_replication(*task) for task in tasks]
     else:
         # imported here, not at module import: only a pooled run needs it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run_replication, *zip(*args)))
+            blocks = list(pool.map(run_replication, *zip(*tasks)))
     stats = np.full((len(cells), reps), np.nan)
-    for (designs, _, part), block in zip(tasks, blocks):
-        stats[list(itertools.chain(*designs)), part.start:part.stop] = block
+    for (designs, part, _), block in zip(tasks, blocks):
+        stats[[i for design in designs for i in design.cells()], part.start:part.stop] = block
     return stats
 
 
@@ -441,9 +433,23 @@ def _render_markdown(report: McReport) -> str:
 _SIGMAS = {"sigma1": SIGMA1, "sigma2": SIGMA2}
 
 
+def _whole(value) -> int:
+    """An integer as written: a bool and a number with a fractional part are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A number as written: a bool is rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def replication_count(value) -> int:
     """A replication count of at least 1 (config key ``reps``, option ``--reps``)."""
-    reps = int(value)
+    reps = _whole(value)
     if reps < 1:
         raise ValueError(f"must be at least 1, got {reps}")
     return reps
@@ -459,7 +465,7 @@ def worker_count(value) -> int:
 
 def seed_value(value) -> int:
     """A non-negative base seed (config key ``seed``, option ``--seed``)."""
-    seed = int(value)
+    seed = _whole(value)
     if seed < 0:
         raise ValueError(f"must be non-negative, got {seed}")
     return seed
@@ -475,15 +481,15 @@ def _sigma(value):
 
 def _nt_pair(value):
     N, T = value
-    return int(N), int(T)
+    return _whole(N), _whole(T)
 
 
 # experiment key -> (McCell field, converter); an omitted key keeps McCell's default
 _CELL_KEYS = {
     "level": ("level", unit_fraction),
     "pi0": ("pi0", unit_fraction),
-    "bandwidth": ("hac", lambda v: HacConfig(bandwidth=int(v))),
-    "bandwidth_c": ("hac", lambda v: HacConfig(c=float(v))),
+    "bandwidth": ("hac", lambda v: HacConfig(bandwidth=_whole(v))),
+    "bandwidth_c": ("hac", lambda v: HacConfig(c=_real(v))),
 }
 _EXPERIMENT_KEYS = {"kind", "reps", "mu0", "seed", *_CELL_KEYS}
 # family -> (spec class, required key, converter per key, keys expanded as a
@@ -491,13 +497,13 @@ _EXPERIMENT_KEYS = {"kind", "reps", "mu0", "seed", *_CELL_KEYS}
 # keeps the spec's default, and an NT pair fills the fields N and T
 _FAMILIES = {
     "dgp1": (Dgp1Spec, "T",
-             {"T": int, "h": int, "rho": float, "beta1": float, "beta2": float,
-              "theta": float, "sigma": _sigma, "burn_in": int},
+             {"T": _whole, "h": _whole, "rho": _real, "beta1": _real, "beta2": _real,
+              "theta": _real, "sigma": _sigma, "burn_in": _whole},
              ("h", "T", "rho", "beta2"), ("h", "T", "rho")),
     "dgp2": (Dgp2Spec, "NT",
-             {"NT": _nt_pair, "h": int, "beta1": float, "beta2": float, "theta": float,
-              "alpha": float, "alpha1": float, "rho_i": float, "loading_std": float,
-              "burn_in": int},
+             {"NT": _nt_pair, "h": _whole, "beta1": _real, "beta2": _real, "theta": _real,
+              "alpha": _real, "alpha1": _real, "rho_i": _real, "loading_std": _real,
+              "burn_in": _whole},
              ("h", "NT", "beta2"), ("h", "N", "T")),
 }
 
@@ -544,12 +550,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in raw:
         if key not in ("experiment", "dgp"):
             raise ConfigError(key, "unknown section")
-    exp = raw.get("experiment")
-    dgp = raw.get("dgp")
-    if not isinstance(exp, dict):
-        raise ConfigError("experiment", "missing or not a mapping")
-    if not isinstance(dgp, dict):
-        raise ConfigError("dgp", "missing or not a mapping")
+    for section in ("experiment", "dgp"):
+        if not isinstance(raw.get(section), dict):
+            raise ConfigError(section, "missing or not a mapping")
+    exp, dgp = raw["experiment"], raw["dgp"]
     for key in exp:
         if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"experiment.{key}", "unknown key")
@@ -601,7 +605,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         for mu0 in mu0s:
             cell = McCell(dgp=spec, mu0=mu0, label=f"{group},mu0={mu0:g}", group=group, **tuning)
             try:
-                cell.forecast_origin()
+                cell.resolve()
             except SplitEncError as exc:
                 raise ConfigError("experiment.pi0", f"cell {cell.label}: {exc}") from None
             cells.append(cell)

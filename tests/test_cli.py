@@ -406,6 +406,12 @@ def test_config_echo_printed_before_results(capsys, tmp_path, data_dir, command,
     ("local-power", ["blocks_fixture.json", "--phi2", "0"], "--phi2"),
     ("local-power", ["blocks_fixture.json", "--c-scale", "nan"], "--c-scale"),
     ("local-power", ["blocks_fixture.json", "--c-scale", "1", "inf"], "--c-scale"),
+    ("test", ["errors_fixture.csv", "--bandwidth-c", "inf"], "--bandwidth-c"),
+    ("test", ["errors_fixture.csv", "--bandwidth-c", "nan"], "--bandwidth-c"),
+    ("inflation", ["fixture_panel.csv", "--bandwidth-c", "inf"], "--bandwidth-c"),
+    ("inflation", ["fixture_panel.csv", "--bandwidth-c", "nan"], "--bandwidth-c"),
+    ("local-power", ["blocks_fixture.json", "--phi2", "inf"], "--phi2"),
+    ("local-power", ["blocks_fixture.json", "--phi2", "nan"], "--phi2"),
 ])
 def test_bad_option_rejected_before_the_echo(capsys, data_dir, command, argv, option):
     code, out, err = run_rejected(capsys, command, str(data_dir / argv[0]), *argv[1:])

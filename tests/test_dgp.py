@@ -18,9 +18,8 @@ from splitenc.dgp import (
     Dgp1Spec,
     Dgp2Spec,
     RngStream,
-    dgp1_outcome,
-    dgp2_outcome,
     estimate_factor,
+    outcome,
     simulate_dgp1,
     simulate_dgp2,
 )
@@ -163,7 +162,7 @@ class TestDgp1Outcome:
         shared = simulate_dgp1(specs[0], streams)
         eps, x_path = shared["eps"].copy(), shared["x_path"].copy()
         for spec in specs:
-            y = dgp1_outcome(spec, shared["eps"], shared["x_path"])
+            y = outcome(spec, shared["eps"], shared["x_path"])
             alone = simulate_dgp1(spec, streams)
             assert y.tobytes() == alone["y"].tobytes()
             assert alone["x"].tobytes() == shared["x"].tobytes()
@@ -430,8 +429,8 @@ class TestPanelKernel:
                          theta=theta)
         sims = [simulate_dgp2(base, RngStream(seed, r)) for r in range(3)]
         alone = [simulate_dgp2(other, RngStream(seed, r)) for r in range(3)]
-        rows = dgp2_outcome(other, np.stack([s["f_path"] for s in sims]),
-                            np.stack([s["w_innov"] for s in sims]))
+        rows = outcome(other, np.stack([s["w_innov"] for s in sims]),
+                       np.stack([s["f_path"] for s in sims]))
         for sim, single, row in zip(sims, alone, rows):
             assert single["X"].tobytes() == sim["X"].tobytes()
             assert single["y"].tobytes() == row.tobytes()

@@ -141,6 +141,9 @@ class TestHacConfig:
             HacConfig(bandwidth=0)
         with pytest.raises(BandwidthOutOfRange):
             HacConfig(c=-1.0)
+        for c in (math.inf, math.nan):  # resolve would overflow on inf and fail on nan
+            with pytest.raises(BandwidthOutOfRange, match="finite and positive"):
+                HacConfig(c=c)
 
 
 class TestSplitMomentTerms:
@@ -493,6 +496,9 @@ class TestLocalPower:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             _scalar_input(1.0, phi2=-1.0)
+        for phi2 in (math.inf, math.nan):  # inf would give drift 0, nan a NaN power
+            with pytest.raises(ValueError, match="phi2 must be finite and positive"):
+                _scalar_input(1.0, phi2=phi2)
         with pytest.raises(InvalidSplit):
             _scalar_input(1.0, mu0=0.5)
         with pytest.raises(ValueError):

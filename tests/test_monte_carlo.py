@@ -4,6 +4,7 @@ import io
 import json
 import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,9 +42,8 @@ from splitenc.monte_carlo import (
 def _replicate(cells, reps, seed):
     """run_replication over the one stream group of ``cells``, rows in cell order."""
     ((digest, designs),) = mc._design_groups(cells)
-    designs_of_cells = [[cells[i] for i in design] for design in designs]
-    block = run_replication(designs_of_cells, reps, (seed, digest))
-    return block[np.argsort(np.concatenate(designs))]
+    block = run_replication(designs, reps, (seed, digest))
+    return block[np.argsort([i for design in designs for i in design.cells()])]
 
 
 def _cell(T=250, h=1, rho=0.25, beta2=0.0, mu0=0.45, pi0=0.25, **kw):
@@ -76,13 +76,13 @@ class TestRunReplication:
             assert report.cells[0].rejection_frequency == rejects / 40
 
     def test_forecast_origin_checks(self):
-        assert _cell(T=250, pi0=0.25).forecast_origin() == 62
+        assert _cell(T=250, pi0=0.25).resolve() == (62, 84, 5)  # n = 188
         with pytest.raises(InsufficientData):
-            _cell(T=60, pi0=0.05).forecast_origin()  # k0 = 3 < 3 + h
+            _cell(T=60, pi0=0.05).resolve()  # k0 = 3 < 3 + h
         with pytest.raises(InsufficientData):
-            _cell(T=150, pi0=0.95).forecast_origin()  # 8 forecast errors
+            _cell(T=150, pi0=0.95).resolve()  # 8 forecast errors
         with pytest.raises(BandwidthOutOfRange):
-            _cell(T=100, hac=HacConfig(bandwidth=80)).forecast_origin()
+            _cell(T=100, hac=HacConfig(bandwidth=80)).resolve()
 
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
@@ -157,12 +157,12 @@ class TestExperiments:
         real, calls = mc.run_replication, []
 
         def counted(designs, reps, key):
-            calls.append((designs, reps))
+            calls.append(([design.cells() for design in designs], reps))
             return real(designs, reps, key)
 
         monkeypatch.setattr(mc, "run_replication", counted)
         report = run_size_experiment([bad, good], reps=8, base_seed=2)
-        assert calls == [([[good]], range(0, 8))]
+        assert calls == [([[1]], range(0, 8))]  # the good cell, index 1, alone
         assert repr(report.cells) == repr(expected)  # NaN frequencies compare by repr
         assert report.cells[0].failures == 8
 
@@ -210,8 +210,8 @@ class TestBatchedReplications:
         spec = Dgp1Spec(T=T, h=h, rho=rho, beta2=beta2)
         cells = [McCell(dgp=spec, mu0=m) for m in (0.35, 0.45)]
         try:
-            cells[0].forecast_origin()
-            cells[1].forecast_origin()
+            cells[0].resolve()
+            cells[1].resolve()
         except SplitEncError:
             assume(False)
         b, c = a + length, a + min(cut, length)
@@ -446,6 +446,37 @@ class TestDesignGroups:
         for (_, extra, _), spec in zip(pairs, designs):
             by_panel.setdefault((spec.N, spec.T), set()).add(extra.tobytes())
         assert [len(v) for v in by_panel.values()] == [1, 1]
+
+    def test_one_panel_alive_at_a_time(self):
+        # a panel at N = T = 200 is 320 kB; a replication adds a few kB of series to a chunk
+        cells = [McCell(dgp=Dgp2Spec(T=200, N=200, h=2), mu0=0.45)]
+        ((digest, designs),) = mc._design_groups(cells)
+        run_replication(designs, range(3), (5, digest))  # grows the kept work buffers first
+        peaks = []
+        for reps in (range(1), range(3)):
+            tracemalloc.start()
+            try:
+                run_replication(designs, reps, (5, digest))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > 200 * 200 * 8  # the panel itself is traced
+        assert peaks[1] - peaks[0] < 200 * 200 * 8
+
+    def test_each_cell_resolved_once(self, monkeypatch):
+        # two chunks of two groups, one spec with two pi0 and two bandwidths: the chunks
+        # reuse what the cells resolved to before the first replication
+        cells = [_cell(T=100, mu0=0.40), _cell(T=100, mu0=0.45, hac=HacConfig(bandwidth=2)),
+                 _cell(T=100, mu0=0.45, pi0=0.4), _cell(T=120, rho=0.9, mu0=0.30)]
+        expected = mc._run_cells(cells, 260, 23, 1)
+        calls = {"_first_origin": 0, "resolve": 0, "m0": 0}
+        for owner, name in ((mc, "_first_origin"), (HacConfig, "resolve"), (SplitSpec, "m0")):
+            def counted(*args, _real=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        assert mc._run_cells(cells, 260, 23, 1).tobytes() == expected.tobytes()
+        assert calls == {"_first_origin": 4, "resolve": 4, "m0": 4}
 
     def test_cell_row_independent_of_panel_grid(self, tmp_path):
         cells, reps, seed = _panel_grid(tmp_path)
@@ -803,6 +834,60 @@ class TestConfigLoading:
         assert main(["mc-size", str(path)]) == 2  # an uncaught error would raise here
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {key_path}: ")
+
+    @pytest.mark.parametrize("key_path, value", [
+        ("experiment.reps", 12.9),
+        ("experiment.reps", True),
+        ("experiment.seed", True),
+        ("experiment.seed", 7.5),
+        ("experiment.bandwidth", 3.5),
+        ("experiment.bandwidth", True),
+        ("experiment.bandwidth_c", True),
+        ("experiment.bandwidth_c", math.inf),
+        ("experiment.bandwidth_c", math.nan),
+        ("dgp.T", 250.7),
+        ("dgp.h", 1.9),
+        ("dgp.h", True),
+        ("dgp.burn_in", 10.5),
+        ("dgp.NT", [[100.5, 250]]),
+        ("dgp.beta2", True),
+        ("dgp.theta", True),
+        ("dgp.alpha", True),
+        ("dgp.loading_std", True),
+    ], ids=str)
+    def test_number_taken_as_written(self, tmp_path, capsys, key_path, value):
+        # int() and float() would take these as a truncated int or as 1.0; a non-finite
+        # bandwidth_c would fail only where a cell resolves, without its key path
+        section, key = key_path.split(".")
+        dgp2 = key in ("NT", "alpha", "loading_std")
+        dgp = {"family": "dgp2", "NT": [[100, 250]]} if dgp2 else {"family": "dgp1", "T": 250}
+        raw = {"experiment": {"kind": "power", "mu0": [0.45]}, "dgp": {**dgp, "beta2": 0.3}}
+        raw[section][key] = value
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.key_path == key_path
+        assert main(["mc-power", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {key_path}: ")
+
+    @pytest.mark.parametrize("key_path, value, field, expected", [
+        ("experiment.reps", 250.0, "reps", 250),
+        ("dgp.T", 250.0, "T", 250),
+        ("dgp.beta2", 1, "beta2", 1.0),
+    ], ids=str)
+    def test_whole_float_and_int_taken_as_their_value(self, tmp_path, key_path, value, field,
+                                                      expected):
+        section, key = key_path.split(".")
+        raw = {"experiment": {"kind": "power", "mu0": [0.45]},
+               "dgp": {"family": "dgp1", "T": 250, "beta2": 0.3}}
+        raw[section][key] = value
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        config = load_experiment_config(path)
+        got = getattr(config if section == "experiment" else config.cells[0].dgp, field)
+        assert got == expected and type(got) is type(expected)
 
     @pytest.mark.parametrize("dgp, expected", [
         ("{family: dgp1, T: 250}", Dgp1Spec(T=250)),
