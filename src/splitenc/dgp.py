@@ -17,6 +17,7 @@ panel of the factor design starts from its stationary law instead.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,8 @@ def _check_cov(name: str, cov: np.ndarray, dim: int) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (dim, dim):
         raise InvalidSpec(f"{name} must be {dim}x{dim}")
+    if not np.all(np.isfinite(cov)):
+        raise InvalidSpec(f"{name} entries must be finite")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=0.0):
         raise InvalidSpec(f"{name} must be symmetric")
     try:
@@ -86,6 +89,12 @@ def _check_cov(name: str, cov: np.ndarray, dim: int) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise InvalidSpec(f"{name} must be positive definite") from None
     return cov
+
+
+def _check_finite(spec, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise InvalidSpec(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,7 @@ class Dgp1Spec:
             raise InvalidSpec("|rho| must be < 1")
         if self.burn_in < 0:
             raise InvalidSpec("burn_in must be >= 0")
+        _check_finite(self, ("beta2", "theta"))
         object.__setattr__(self, "sigma", _check_cov("sigma", self.sigma, 2))
 
 
@@ -159,6 +169,7 @@ class Dgp2Spec:
             raise InvalidSpec("loading_std must be positive")
         if self.burn_in < 0:
             raise InvalidSpec("burn_in must be >= 0")
+        _check_finite(self, ("alpha", "beta2", "theta", "loading_std"))
 
 
 # The Dgp1Spec fields that the draws, the shocks (eps, v) and the x path depend

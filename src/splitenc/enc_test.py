@@ -149,14 +149,20 @@ def unit_fraction(value, name: str = "") -> float:
 
 @dataclass(frozen=True)
 class HacConfig:
-    """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3))) with finite c > 0."""
+    """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3))) with finite c > 0.
+
+    A fixed M is a whole number of at least 1, given as an int or a whole float.
+    """
 
     bandwidth: int | None = None
     c: float = 1.0
 
     def __post_init__(self):
-        if self.bandwidth is not None and int(self.bandwidth) < 1:
-            raise BandwidthOutOfRange(f"fixed bandwidth must be >= 1, got {self.bandwidth}")
+        M = self.bandwidth
+        if M is not None and (isinstance(M, bool) or not math.isfinite(M) or M != int(M)):
+            raise BandwidthOutOfRange(f"fixed bandwidth must be a whole number, got {M}")
+        if M is not None and M < 1:
+            raise BandwidthOutOfRange(f"fixed bandwidth must be >= 1, got {M}")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise BandwidthOutOfRange(f"bandwidth c must be finite and positive, got {self.c}")
 

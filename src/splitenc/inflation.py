@@ -156,18 +156,15 @@ class CountryResult:
 
 
 def _read_panel_rows(path):
-    """({country: {quarter index: row}}, price per row) of a panel CSV.
+    """{country: {quarter index: price}} of a panel CSV.
 
-    Rows count the file's non-blank data rows in order.  Each distinct
-    quarter label is parsed once, and the prices are converted after the
-    rows are read.  A faulty file raises the ParseError of its first faulty
-    line, and on that line the first of: field count, country code, quarter,
-    price, duplicate entry.
+    Each distinct quarter label is parsed once.  Blank rows are skipped.
+    Each row is checked as it is read, in this order: field count, country
+    code, quarter, price, duplicate entry; the first failing check raises
+    the ParseError of that line.
     """
     by_country = {}
-    quarters = {}          # label text -> quarter index
-    texts, lines = [], []  # price text and line number per row
-    fault = None           # the first fault other than a bad price
+    quarters = {}  # label text -> quarter index
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -181,55 +178,29 @@ def _read_panel_rows(path):
             if not name:
                 if not any(c.strip() for c in row):
                     continue
-                fault = f"expected 3 fields, got {len(row)}" if len(row) != 3 \
-                    else "empty country code"
-                break
-            label = row[1]
+                if len(row) != 3:
+                    raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+                raise ParseError(f"line {lineno}: empty country code")
+            label, text = row[1], row[2]
             qidx = quarters.get(label)
             if qidx is None:
                 try:
                     qidx = quarters[label] = parse_quarter(label)
                 except ValueError as exc:
-                    fault = str(exc)
-                    break
-            texts.append(row[2])
-            lines.append(lineno)
+                    raise ParseError(f"line {lineno}: {exc}") from None
+            try:
+                price = float(text)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad price {text!r}") from None
+            if not 0.0 < price < math.inf:
+                raise ParseError(f"line {lineno}: price must be positive, got {text}")
             series = by_country.get(name)
             if series is None:
                 series = by_country[name] = {}
             if qidx in series:
-                fault = f"duplicate entry for {name} {label}"
-                break
-            series[qidx] = len(texts) - 1
-    # the rows read so far end at the faulty line, whose own price comes
-    # before a duplicate entry in the order of checks
-    prices = _price_vector(texts, lines)
-    if fault is not None:
-        raise ParseError(f"line {lineno}: {fault}")
-    return by_country, prices
-
-
-def _price_vector(texts, lines) -> np.ndarray:
-    """The price texts as floats; the first line with a bad price raises ParseError."""
-    try:
-        prices = np.fromiter(map(float, texts), float, len(texts))
-        n_numbers = len(texts)
-    except ValueError:
-        n_numbers = 0
-        for text in texts:
-            try:
-                float(text)
-            except ValueError:
-                break
-            n_numbers += 1
-        prices = np.fromiter(map(float, texts[:n_numbers]), float, n_numbers)
-    bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0.0)))
-    if bad.size:
-        i = bad[0]
-        raise ParseError(f"line {lines[i]}: price must be positive, got {texts[i]}")
-    if n_numbers < len(texts):
-        raise ParseError(f"line {lines[n_numbers]}: bad price {texts[n_numbers]!r}")
-    return prices
+                raise ParseError(f"line {lineno}: duplicate entry for {name} {label}")
+            series[qidx] = price
+    return by_country
 
 
 def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
@@ -240,7 +211,7 @@ def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
     block of quarters (earliest on ties) and must retain at least
     ``MIN_QUARTERS`` of them; at least two countries must survive.
     """
-    by_country, prices = _read_panel_rows(path)
+    by_country = _read_panel_rows(path)
     if countries is not None:
         missing = [c for c in countries if c not in by_country]
         if missing:
@@ -265,7 +236,7 @@ def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
                 f"country {name} has {best_len} usable quarters (< {MIN_QUARTERS})"
             )
         kept = qs[best_start: best_start + best_len]
-        blocks[name] = (_quarter_label(kept[0]), prices[[series[q] for q in kept]])
+        blocks[name] = (_quarter_label(kept[0]), np.array([series[q] for q in kept]))
     if len(blocks) < 2:
         raise CoverageError("need at least 2 countries after filtering")
     return InflationPanel.from_blocks(blocks)

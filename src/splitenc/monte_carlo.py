@@ -476,7 +476,8 @@ def _sigma(value):
         if value.lower() not in _SIGMAS:
             raise ValueError(f"unknown preset {value!r} (use sigma1/sigma2)")
         return _SIGMAS[value.lower()].copy()
-    return np.asarray(value, dtype=float)
+    entries = np.asarray(value, dtype=object)
+    return np.array([_real(v) for v in entries.flat], dtype=float).reshape(entries.shape)
 
 
 def _nt_pair(value):

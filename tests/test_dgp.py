@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,33 @@ class TestDgp1:
             Dgp1Spec(T=100, h=1, beta1=1.5)
         with pytest.raises(InvalidSpec):
             Dgp1Spec(T=100, h=1, sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestSpecFiniteness:
+    @pytest.mark.parametrize("spec_cls, field, value", [
+        (Dgp1Spec, "beta2", math.nan),
+        (Dgp1Spec, "beta2", math.inf),
+        (Dgp1Spec, "theta", math.inf),
+        (Dgp1Spec, "theta", -math.inf),
+        (Dgp2Spec, "alpha", math.nan),
+        (Dgp2Spec, "beta2", math.nan),
+        (Dgp2Spec, "theta", math.inf),
+        (Dgp2Spec, "loading_std", math.inf),
+        (Dgp2Spec, "loading_std", math.nan),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_non_finite_value_names_its_field(self, spec_cls, field, value):
+        # rejected by the spec, not by failing every replication
+        size = {"T": 100, "N": 10} if spec_cls is Dgp2Spec else {"T": 100}
+        with pytest.raises(InvalidSpec, match=f"^{field} must be finite$"):
+            spec_cls(h=2, **size, **{field: value})
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1)])
+    def test_non_finite_sigma_entry_rejected(self, entry, cell):
+        sigma = np.eye(2)
+        sigma[cell] = entry
+        with pytest.raises(InvalidSpec, match="^sigma entries must be finite$"):
+            Dgp1Spec(T=100, h=1, sigma=sigma)
 
 
 _DGP1_DESIGN = st.tuples(st.integers(1, 12), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),

@@ -144,6 +144,11 @@ class TestHacConfig:
         for c in (math.inf, math.nan):  # resolve would overflow on inf and fail on nan
             with pytest.raises(BandwidthOutOfRange, match="finite and positive"):
                 HacConfig(c=c)
+        # int() would overflow on inf, fail on nan, and truncate 2.5 and True to 2 and 1
+        for bandwidth in (math.inf, math.nan, 2.5, True):
+            with pytest.raises(BandwidthOutOfRange, match="must be a whole number"):
+                HacConfig(bandwidth=bandwidth)
+        assert HacConfig(bandwidth=2.0).resolve(100) == 2
 
 
 class TestSplitMomentTerms:

@@ -854,6 +854,7 @@ class TestConfigLoading:
         ("dgp.theta", True),
         ("dgp.alpha", True),
         ("dgp.loading_std", True),
+        ("dgp.sigma", [[True, False], [False, True]]),
     ], ids=str)
     def test_number_taken_as_written(self, tmp_path, capsys, key_path, value):
         # int() and float() would take these as a truncated int or as 1.0; a non-finite
@@ -871,6 +872,31 @@ class TestConfigLoading:
         assert main(["mc-power", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {key_path}: ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("theta", math.inf),
+        ("beta2", math.nan),
+        ("alpha", math.inf),
+        ("loading_std", math.inf),
+        ("sigma", [[math.inf, 0.0], [0.0, 1.0]]),
+        ("sigma", [[1.0, math.nan], [math.nan, 1.0]]),
+    ], ids=str)
+    def test_non_finite_dgp_value_fails_at_load(self, tmp_path, capsys, key, value):
+        # at h=2 a non-finite theta made every replication a failure, and the run exited 0
+        dgp2 = key in ("alpha", "loading_std")
+        dgp = {"family": "dgp2", "NT": [[100, 250]]} if dgp2 else {"family": "dgp1", "T": 250}
+        raw = {"experiment": {"kind": "power", "mu0": [0.45], "reps": 2},
+               "dgp": {**dgp, "h": 2, "beta2": 0.3, key: value}}
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        field = "sigma entries" if key == "sigma" else key
+        with pytest.raises(ConfigError, match=f"^dgp: {field} must be finite$") as err:
+            load_experiment_config(path)
+        assert err.value.key_path == "dgp"
+        assert main(["mc-power", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dgp: {field} must be finite\n"
 
     @pytest.mark.parametrize("key_path, value, field, expected", [
         ("experiment.reps", 250.0, "reps", 250),

@@ -102,6 +102,20 @@ def test_reproduce_tables_checks_every_config_before_the_first_table(tmp_path, m
     assert not out_dir.exists()
 
 
+def test_code_lines_rows_sum_to_total():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(ROOT / "src" / "splitenc")],
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    rows = [line.split(maxsplit=1) for line in proc.stdout.splitlines()]
+    *modules, (total, label) = rows
+    assert label == "total"
+    assert {name for _, name in modules} == {
+        str(p.relative_to(ROOT / "src" / "splitenc"))
+        for p in (ROOT / "src" / "splitenc").rglob("*.py")}
+    assert sum(int(n) for n, _ in modules) == int(total) > 0
+
+
 def _owner(node, aliases):
     """The object an owner expression names: an imported alias, then attributes."""
     if isinstance(node, ast.Attribute):
