@@ -118,15 +118,16 @@ def _cmd_test(args) -> int:
     _echo_config(vars(args))
     e1, e2 = _read_errors_file(args.errors_file)
     fes = ForecastErrorSet(e1, e2, h=args.h, k0=args.k0)
-    hac = HacConfig(bandwidth=args.bandwidth) if args.bandwidth is not None \
-        else HacConfig(c=args.bandwidth_c)
+    hac = HacConfig(bandwidth=args.bandwidth, c=args.bandwidth_c)
     result = encompassing_test(fes, SplitSpec(args.mu0), hac, centering=args.centering)
     _emit(_result_text(result, args.format), args.out)
     return 0
 
 
-def _run_mc(args, runner, expected_kind: str) -> int:
-    from .monte_carlo import render_report
+def _cmd_mc(args) -> int:
+    from .monte_carlo import render_report, run_power_experiment, run_size_experiment
+    expected_kind = args.command.removeprefix("mc-")
+    runner = run_size_experiment if expected_kind == "size" else run_power_experiment
     config = load_experiment_config(args.config_file)
     if config.kind != expected_kind:
         raise ValidationError(
@@ -140,16 +141,6 @@ def _run_mc(args, runner, expected_kind: str) -> int:
     report = runner(config.cells, reps=reps, base_seed=seed, workers=args.threads)
     _emit(render_report(report, args.format), args.out)
     return 0
-
-
-def _cmd_mc_size(args) -> int:
-    from .monte_carlo import run_size_experiment
-    return _run_mc(args, run_size_experiment, "size")
-
-
-def _cmd_mc_power(args) -> int:
-    from .monte_carlo import run_power_experiment
-    return _run_mc(args, run_power_experiment, "power")
 
 
 def _load_blocks(path):
@@ -327,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="test one pair of forecast-error series")
     p.add_argument("errors_file", help="CSV with header e1,e2")
     p.add_argument("--mu0", type=_SPLIT, default=0.45)
-    p.add_argument("--h", type=_int_at_least(1), default=1)
-    p.add_argument("--k0", type=_int_at_least(1), default=1)
+    p.add_argument("--h", type=_int_at_least(1), default=1,
+                   help="horizon of the errors; checked and echoed, not used by the statistic")
+    p.add_argument("--k0", type=_int_at_least(1), default=1,
+                   help="first forecast origin; checked and echoed, not used by the statistic")
     p.add_argument("--bandwidth", type=_BANDWIDTH, default=None, help="fixed Bartlett bandwidth M")
     p.add_argument("--bandwidth-c", type=_BANDWIDTH_C, default=1.0,
                    help="constant c in M = floor(c * n^(1/3))")
@@ -336,17 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_test)
 
-    for name, help_text, func in (
-        ("mc-size", "empirical size experiment", _cmd_mc_size),
-        ("mc-power", "empirical power experiment", _cmd_mc_power),
-    ):
+    for name, help_text in (("mc-size", "empirical size experiment"),
+                            ("mc-power", "empirical power experiment")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config_file", help="YAML experiment definition")
         p.add_argument("--reps", type=_mc_value("replication_count"), default=None)
         p.add_argument("--seed", type=_mc_value("seed_value"), default=None)
         p.add_argument("--threads", type=_mc_value("worker_count"), default=1)
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("local-power", help="theoretical drift and power")
     p.add_argument("blocks_file", help="JSON file with c and the moment blocks")

@@ -91,6 +91,18 @@ def _check_cov(name: str, cov: np.ndarray, dim: int) -> np.ndarray:
     return cov
 
 
+def _check_shared(spec) -> None:
+    """The checks of the fields both designs share: T, h, beta1 and burn_in."""
+    if spec.T < 50:
+        raise InvalidSpec("T must be at least 50")
+    if spec.h < 1:
+        raise InvalidSpec("h must be >= 1")
+    if not abs(spec.beta1) < 1.0:
+        raise InvalidSpec("|beta1| must be < 1")
+    if spec.burn_in < 0:
+        raise InvalidSpec("burn_in must be >= 0")
+
+
 def _check_finite(spec, names) -> None:
     for name in names:
         if not math.isfinite(getattr(spec, name)):
@@ -116,16 +128,9 @@ class Dgp1Spec:
     burn_in: int = 200
 
     def __post_init__(self):
-        if self.T < 50:
-            raise InvalidSpec("T must be at least 50")
-        if self.h < 1:
-            raise InvalidSpec("h must be >= 1")
-        if not abs(self.beta1) < 1.0:
-            raise InvalidSpec("|beta1| must be < 1")
+        _check_shared(self)
         if not abs(self.rho) < 1.0:
             raise InvalidSpec("|rho| must be < 1")
-        if self.burn_in < 0:
-            raise InvalidSpec("burn_in must be >= 0")
         _check_finite(self, ("beta2", "theta"))
         object.__setattr__(self, "sigma", _check_cov("sigma", self.sigma, 2))
 
@@ -153,22 +158,15 @@ class Dgp2Spec:
     burn_in: int = 200
 
     def __post_init__(self):
-        if self.T < 50:
-            raise InvalidSpec("T must be at least 50")
+        _check_shared(self)
         if self.N < 10:
             raise InvalidSpec("N must be at least 10")
-        if self.h < 1:
-            raise InvalidSpec("h must be >= 1")
         if not abs(self.alpha1) < 1.0:
             raise InvalidSpec("|alpha1| must be < 1")
         if not abs(self.rho_i) < 1.0:
             raise InvalidSpec("|rho_i| must be < 1")
-        if not abs(self.beta1) < 1.0:
-            raise InvalidSpec("|beta1| must be < 1")
         if self.loading_std <= 0.0:
             raise InvalidSpec("loading_std must be positive")
-        if self.burn_in < 0:
-            raise InvalidSpec("burn_in must be >= 0")
         _check_finite(self, ("alpha", "beta2", "theta", "loading_std"))
 
 

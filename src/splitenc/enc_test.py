@@ -62,7 +62,9 @@ class ForecastErrorSet:
 
     Index i of both vectors refers to the same target date k0 + h + i (with
     1-based time and forecasts starting at origin k0), so n = T - h - k0 + 1
-    when the errors come from a sample of length T.
+    when the errors come from a sample of length T.  h and k0 describe where
+    the errors come from: they are checked to be positive, but the
+    statistic depends on e1 and e2 alone.
     """
 
     e1: np.ndarray
@@ -119,13 +121,15 @@ class SplitSpec:
 
 
 def distinct_mu0_list(values) -> tuple:
-    """Validated split fractions whose ``:g`` labels are pairwise distinct.
+    """Validated split fractions, at least one, whose ``:g`` labels are pairwise distinct.
 
     Reports label a split fraction by its ``:g`` form (``p_mu0_0.4``,
     ``mu0=0.4``), so two values that share one would print two results
     under one label.
     """
     mu0s = tuple(SplitSpec(m).mu0 for m in values)
+    if not mu0s:
+        raise ValueError("mu0_list must not be empty")
     labels = [f"{m:g}" for m in mu0s]
     for i, label in enumerate(labels):
         if label in labels[:i]:

@@ -141,8 +141,6 @@ class CountryStudyConfig:
         if self.h < 1 or self.p2 < 0 or self.p_max < 0:
             raise ValueError("need h >= 1, p2 >= 0, p_max >= 0")
         unit_fraction(self.pi0, "pi0")
-        if len(self.mu0_list) == 0:
-            raise ValueError("mu0_list must not be empty")
         object.__setattr__(self, "mu0_list", distinct_mu0_list(self.mu0_list))
 
 
@@ -259,20 +257,16 @@ def annualized_inflation(prices, h: int) -> np.ndarray:
 
 def _qoq_matrix(panel: InflationPanel) -> np.ndarray:
     """Quarter-on-quarter inflation per country on the panel's date axis."""
-    T, C = panel.prices.shape
-    out = np.full((T, C), np.nan)
-    for j in range(C):
-        obs = np.flatnonzero(panel.coverage[:, j])
-        i0, i1 = obs[0], obs[-1]
-        p = panel.prices[i0:i1 + 1, j]
-        out[i0 + 1:i1 + 1, j] = 400.0 * np.log(p[1:] / p[:-1])
+    out = np.full(panel.prices.shape, np.nan)
+    for j, country in enumerate(panel.countries):
+        i0, prices = panel.block(country)
+        out[i0:i0 + prices.shape[0], j] = annualized_inflation(prices, 1)
     return out
 
 
 def _contributor_mean(qoq: np.ndarray, exclude: int | None = None) -> np.ndarray:
     avail = np.isfinite(qoq)
     if exclude is not None:
-        avail = avail.copy()
         avail[:, exclude] = False
     counts = avail.sum(axis=1)
     sums = np.where(avail, qoq, 0.0).sum(axis=1)
@@ -298,13 +292,6 @@ def _global_inflation_source(panel: InflationPanel):
     return functools.cache(lambda exclude: _contributor_mean(qoq, exclude))
 
 
-def _first_finite(x: np.ndarray) -> int:
-    idx = np.flatnonzero(np.isfinite(x))
-    if idx.size == 0:
-        raise InsufficientData("series has no finite entries")
-    return int(idx[0])
-
-
 def _lag_columns(series: np.ndarray, h: int, n_lags: int, t0: int):
     """Columns series[t - h - j], j = 0..n_lags, for targets t = t0..T-1 (0-based)."""
     T = series.shape[0]
@@ -323,7 +310,9 @@ def _country_designs(config: CountryStudyConfig, selected_lag: int,
     """
     h, p2 = config.h, config.p2
     T_i = pih.shape[0]
-    g_first = _first_finite(g)
+    # _contributor_mean raises on every empty quarter after the panel's
+    # first, so only g's first entry can lack a value
+    g_first = int(np.flatnonzero(np.isfinite(g))[0])
     # 0-based first target index: own lags need pi1 back to index 1, global
     # lags need g back to its first finite entry
     t0 = max(h + selected_lag + 1, h + p2 + g_first)
@@ -378,15 +367,11 @@ def country_encompassing(panel: InflationPanel, country: str,
         e1 = expanding_window_forecast_errors(bench, k0)
         e2 = expanding_window_forecast_errors(large, k0)
         fes = ForecastErrorSet(e1, e2, h=h, k0=k0)
-        rmse_ratio = math.sqrt(np.mean(e2 * e2) / np.mean(e1 * e1))
-        p_values = {}
-        for mu0 in config.mu0_list:
-            res = encompassing_test(fes, SplitSpec(mu0), config.hac)
-            p_values[mu0] = res.p_value
+        results = [encompassing_test(fes, SplitSpec(mu0), config.hac) for mu0 in config.mu0_list]
         return CountryResult(
             country=country,
-            rmse_ratio=rmse_ratio,
-            p_values=p_values,
+            rmse_ratio=math.sqrt(results[0].mse2 / results[0].mse1),
+            p_values={mu0: res.p_value for mu0, res in zip(config.mu0_list, results)},
             selected_lag=selected,
             n_forecasts=fes.n,
         )

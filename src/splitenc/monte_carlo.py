@@ -54,7 +54,6 @@ cell with 1% or more failures is flagged unreliable.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -218,12 +217,6 @@ def _forecast_error_pair(y, extra, h: int, k0: int):
     return e1, e2
 
 
-@functools.cache
-def _critical_value(level: float) -> float:
-    """One-sided standard-normal critical value at the nominal level."""
-    return ndtri(1.0 - level)
-
-
 def _simulate(dgp, streams) -> tuple:
     """(y, innov, predictor, extra) of a stream group's chunk, row b from stream b.
 
@@ -325,14 +318,19 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     return stats
 
 
-def _summarize(cells, stats, base_seed, kind) -> McReport:
+def _run_experiment(kind: str, cells, reps, base_seed, workers) -> McReport:
+    """Rejection frequencies of a size or power experiment, every cell's beta2 checked first."""
+    cells = list(cells)
+    for cell in cells:
+        _check_beta2(kind, cell.label, cell.dgp.beta2)
+    stats = _run_cells(cells, reps, base_seed, workers)
     reps = stats.shape[1]
     out = []
     for cell, row in zip(cells, stats):
         failures = int(np.count_nonzero(np.isnan(row)))
         done = reps - failures
         # NaN compares False, so a failed replication never rejects
-        rejects = int(np.count_nonzero(row > _critical_value(cell.level)))
+        rejects = int(np.count_nonzero(row > ndtri(1.0 - cell.level)))
         freq = rejects / done if done > 0 else float("nan")
         se = math.sqrt(freq * (1.0 - freq) / done) if done > 0 else float("nan")
         out.append(
@@ -359,18 +357,12 @@ def _check_beta2(kind: str, name: str, beta2: float) -> None:
 
 def run_size_experiment(cells, reps: int, base_seed: int, workers: int = 1) -> McReport:
     """Rejection frequencies under the null; every cell must have beta2 = 0."""
-    cells = list(cells)
-    for cell in cells:
-        _check_beta2("size", cell.label, cell.dgp.beta2)
-    return _summarize(cells, _run_cells(cells, reps, base_seed, workers), base_seed, "size")
+    return _run_experiment("size", cells, reps, base_seed, workers)
 
 
 def run_power_experiment(cells, reps: int, base_seed: int, workers: int = 1) -> McReport:
     """Rejection frequencies under alternatives; every cell must have beta2 > 0."""
-    cells = list(cells)
-    for cell in cells:
-        _check_beta2("power", cell.label, cell.dgp.beta2)
-    return _summarize(cells, _run_cells(cells, reps, base_seed, workers), base_seed, "power")
+    return _run_experiment("power", cells, reps, base_seed, workers)
 
 
 def collect_statistics(cell: McCell, reps: int, base_seed: int, workers: int = 1) -> np.ndarray:
@@ -535,8 +527,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     mu0 and the family's grid keys (dgp1: h, T, rho, beta2; dgp2: h, NT,
     beta2) expand as a cartesian product; scalars apply to every cell.
     Omitted keys take the defaults of the DGP spec, McCell and HacConfig.
-    Unknown keys, bad values, infeasible cells and a beta2 that breaks the
-    kind's rule (size: 0, power: > 0) raise ConfigError with their key path.
+    Unknown keys, bad values, an empty list, infeasible cells and a beta2
+    that breaks the kind's rule (size: 0, power: > 0) raise ConfigError with
+    their key path.
     """
     # imported here, not at module import: only the mc commands read a config
     import yaml
@@ -590,6 +583,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(f"dgp.{key}", "unknown key")
         if key in grid_keys:
             grid[key] = [_convert(f"dgp.{key}", converters[key], v) for v in _as_list(value)]
+            if not grid[key]:
+                raise ConfigError(f"dgp.{key}", "must not be empty")
         else:
             fixed[key] = _convert(f"dgp.{key}", converters[key], value)
     keys = [key for key in grid_keys if key in grid]
@@ -610,6 +605,4 @@ def load_experiment_config(path) -> ExperimentConfig:
             except SplitEncError as exc:
                 raise ConfigError("experiment.pi0", f"cell {cell.label}: {exc}") from None
             cells.append(cell)
-    if not cells:
-        raise ConfigError("dgp", "config produced no cells")
     return ExperimentConfig(kind=kind, cells=tuple(cells), reps=reps, seed=seed)

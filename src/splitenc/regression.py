@@ -165,10 +165,7 @@ def expanding_window_forecast_errors(design: DirectDesign, k0: int) -> np.ndarra
     """
     coefs = expanding_window_coefficients(design, k0)
     j0 = k0 + design.h - design.first_origin  # row holding the target dated k0 + h
-    rows = design.regressors[j0:]
-    if rows.shape[0] != coefs.shape[0]:
-        raise InsufficientData("design too short to forecast from every origin")
-    forecasts = np.einsum("ij,ij->i", coefs, rows)
+    forecasts = np.einsum("ij,ij->i", coefs, design.regressors[j0:])
     return design.targets[j0:] - forecasts
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,24 @@ class TestSpecFiniteness:
         sigma[cell] = entry
         with pytest.raises(InvalidSpec, match="^sigma entries must be finite$"):
             Dgp1Spec(T=100, h=1, sigma=sigma)
+
+
+@pytest.mark.parametrize("spec_cls, own_bad", [
+    (Dgp1Spec, {"rho": 1.0}),
+    (Dgp2Spec, {"N": 5, "loading_std": 0.0}),
+], ids=["Dgp1Spec", "Dgp2Spec"])
+@pytest.mark.parametrize("field, value, message", [
+    ("T", 49, "T must be at least 50"),
+    ("h", 0, "h must be >= 1"),
+    ("beta1", 1.0, "|beta1| must be < 1"),
+    ("beta1", math.nan, "|beta1| must be < 1"),
+    ("burn_in", -1, "burn_in must be >= 0"),
+], ids=["T", "h", "beta1", "beta1-nan", "burn_in"])
+def test_shared_spec_checks(spec_cls, own_bad, field, value, message):
+    # one check of the fields both designs share, made before each design's own
+    size = {"T": 100, "N": 10} if spec_cls is Dgp2Spec else {"T": 100}
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        spec_cls(**{**size, **own_bad, field: value})
 
 
 _DGP1_DESIGN = st.tuples(st.integers(1, 12), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),

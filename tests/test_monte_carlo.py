@@ -835,6 +835,34 @@ class TestConfigLoading:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {key_path}: ")
 
+    @pytest.mark.parametrize("key_path, family, message", [
+        ("experiment.mu0", "dgp1", "mu0_list must not be empty"),
+        ("dgp.T", "dgp1", "must not be empty"),
+        ("dgp.h", "dgp1", "must not be empty"),
+        ("dgp.rho", "dgp1", "must not be empty"),
+        ("dgp.beta2", "dgp1", "must not be empty"),
+        ("dgp.h", "dgp2", "must not be empty"),
+        ("dgp.NT", "dgp2", "must not be empty"),
+        ("dgp.beta2", "dgp2", "must not be empty"),
+    ], ids=["mu0", "dgp1-T", "dgp1-h", "dgp1-rho", "dgp1-beta2", "dgp2-h", "dgp2-NT",
+            "dgp2-beta2"])
+    def test_empty_list_names_its_key(self, tmp_path, capsys, key_path, family, message):
+        # an empty list expands to no cells; the error names the list, not "dgp"
+        section, key = key_path.split(".")
+        dgp = {"family": "dgp2", "NT": [[100, 250]]} if family == "dgp2" \
+            else {"family": "dgp1", "T": 250}
+        raw = {"experiment": {"kind": "size", "mu0": [0.45]}, "dgp": dgp}
+        raw[section][key] = []
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.key_path == key_path
+        assert main(["mc-size", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key_path}: {message}\n"
+
     @pytest.mark.parametrize("key_path, value", [
         ("experiment.reps", 12.9),
         ("experiment.reps", True),

@@ -5,6 +5,7 @@ import importlib.util
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -23,6 +24,23 @@ def test_readme_library_sketch_imports():
     assert len(names) == 6
     for name in names:
         assert hasattr(splitenc, name), name
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    # every `splitenc ...` line of the command-line block parses, so a renamed or
+    # removed option breaks this test rather than the docs; parsing opens none of
+    # the named files, and --out needs only a writable directory
+    from splitenc.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme.split("\n## Command line\n", 1)[1], re.S)
+    lines = [shlex.split(line)[1:] for line in block.group(1).splitlines()
+             if line.startswith("splitenc ")]
+    assert {argv[0] for argv in lines} == {"test", "mc-size", "mc-power", "local-power",
+                                           "inflation"}
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        build_parser().parse_args(argv)
 
 
 def _src_env():

@@ -104,11 +104,21 @@ class TestExpandingWindow:
         k0 = k + 1 + h + int(g.integers(0, 5))
         if k0 > d.last_target - h:
             pytest.skip("degenerate draw")
-        coefs = expanding_window_coefficients(d, k0)
-        oracle = expanding_refit_oracle(d.regressors, d.targets,
-                                        k0_row=k0 - d.first_origin,
-                                        n_fits=coefs.shape[0])
-        assert_allclose(coefs, oracle, rtol=1e-8, atol=1e-10)
+        shift = int(g.integers(1, 6))
+        # the same rows dated shift periods later: a first usable target past
+        # h + 1, as the inflation study's designs have
+        late = DirectDesign(regressors=d.regressors, targets=d.targets, h=h,
+                            first_origin=d.first_origin + shift)
+        for design, origin in ((d, k0), (late, k0 + shift)):
+            coefs = expanding_window_coefficients(design, origin)
+            oracle = expanding_refit_oracle(design.regressors, design.targets,
+                                            k0_row=origin - design.first_origin,
+                                            n_fits=coefs.shape[0])
+            assert_allclose(coefs, oracle, rtol=1e-8, atol=1e-10)
+            errors = expanding_window_forecast_errors(design, origin)
+            expected = _oracle_errors(design, origin)
+            assert errors.shape == expected.shape == (design.last_target - h - origin + 1,)
+            assert_allclose(errors, expected, rtol=1e-8, atol=1e-10)
 
     def test_endpoint_invariant_to_row_permutation(self, rng):
         y = rng.standard_normal(50)
