@@ -22,7 +22,6 @@ repeated runs with the same flags and seed).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -42,7 +41,7 @@ from .enc_test import (
     unit_fraction,
 )
 from .errors import NumericalError, ParseError, SplitEncError, ValidationError
-from .tables import csv_text, json_text, markdown_text
+from .tables import csv_rows, csv_text, json_text, markdown_text
 
 
 # The mc and inflation commands import their modules when they run, so a
@@ -81,24 +80,12 @@ def _emit(text: str, out_path) -> None:
 
 def _read_errors_file(path):
     e1, e2 = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in csv_rows(path, ["e1", "e2"], empty="empty errors file"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty errors file") from None
-        if [c.strip().lower() for c in header] != ["e1", "e2"]:
-            raise ParseError(f"expected header e1,e2, got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                e1.append(float(row[0]))
-                e2.append(float(row[1]))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad number in {row!r}") from None
+            e1.append(float(row[0]))
+            e2.append(float(row[1]))
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad number in {row!r}") from None
     return np.array(e1), np.array(e2)
 
 

@@ -53,6 +53,7 @@ MU0_HALF_GAP = 0.02  # exclusion band around 1/2
 
 # Relative floor below which the studentization is numerically meaningless.
 OMEGA2_FLOOR = 1e-14
+MIN_FORECAST_ERRORS = 10  # fewest forecast errors the test accepts
 _STAT_BLOCK = 1 << 17  # split terms (1 MB) of one row block of split_statistic, every m0 together
 
 
@@ -77,8 +78,8 @@ class ForecastErrorSet:
         e2 = np.asarray(self.e2, dtype=float)
         if e1.ndim != 1 or e2.ndim != 1 or e1.shape != e2.shape:
             raise ValueError("e1 and e2 must be equal-length vectors")
-        if e1.shape[0] < 10:
-            raise InsufficientData("need at least 10 forecast errors")
+        if e1.shape[0] < MIN_FORECAST_ERRORS:
+            raise InsufficientData(f"need at least {MIN_FORECAST_ERRORS} forecast errors")
         if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
             raise ValueError("forecast errors must be finite")
         if self.h < 1 or self.k0 < 1:
@@ -175,9 +176,13 @@ class HacConfig:
             M = int(self.bandwidth)
         else:
             M = max(1, int(math.floor(self.c * n ** (1.0 / 3.0))))
-        if not (1 <= M < n):
-            raise BandwidthOutOfRange(f"bandwidth M={M} outside [1, {n - 1}]")
+        _check_bandwidth(M, n)
         return M
+
+
+def _check_bandwidth(M: int, n: int) -> None:
+    if not (1 <= M < n):
+        raise BandwidthOutOfRange(f"bandwidth M={M} outside [1, {n - 1}]")
 
 
 @dataclass(frozen=True)
@@ -250,8 +255,7 @@ def bartlett_lrv(q, M: int):
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[-1]
-    if not (1 <= M < n):
-        raise BandwidthOutOfRange(f"bandwidth M={M} outside [1, {n - 1}]")
+    _check_bandwidth(M, n)
     total = np.matmul(q[..., None, :], q[..., :, None])[..., 0, 0] / n
     for ell in range(1, M):
         gamma = np.matmul(q[..., None, ell:], q[..., :-ell, None])[..., 0, 0]
@@ -312,8 +316,7 @@ def split_statistic(e1, e2, m0, M: int, centering: str = "segment") -> tuple:
     m0s = [m0] if single else list(m0)
     *batch, n = e1.shape
     # checked here as well as per block, so that a call with no rows raises alike
-    if not (1 <= M < n):
-        raise BandwidthOutOfRange(f"bandwidth M={M} outside [1, {n - 1}]")
+    _check_bandwidth(M, n)
     _check_centering(centering)
     e1, e2 = e1.reshape(-1, n), e2.reshape(-1, n)
     dbar, omega2 = np.empty((2, len(m0s), len(e1)))

@@ -15,7 +15,6 @@ interior gaps keep their longest contiguous block of quarters.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import re
@@ -39,8 +38,8 @@ from .errors import (
     ParseError,
     SplitEncError,
 )
-from .regression import DirectDesign, bic_select_lag, expanding_window_forecast_errors
-from .tables import csv_text, json_text, markdown_text
+from .regression import DirectDesign, bic_select_lag, expanding_window_forecast_errors, lag_columns
+from .tables import csv_rows, csv_text, json_text, markdown_text
 
 MIN_QUARTERS = 80  # minimum usable contiguous quarters per country
 
@@ -156,48 +155,36 @@ class CountryResult:
 def _read_panel_rows(path):
     """{country: {quarter index: price}} of a panel CSV.
 
-    Each distinct quarter label is parsed once.  Blank rows are skipped.
-    Each row is checked as it is read, in this order: field count, country
-    code, quarter, price, duplicate entry; the first failing check raises
-    the ParseError of that line.
+    Each distinct quarter label is parsed once.  ``csv_rows`` skips blank
+    rows and checks the header and each row's field count; each row is then
+    checked as it is read, in this order: country code, quarter, price,
+    duplicate entry.  The first failing check raises the ParseError of
+    that line.
     """
     by_country = {}
     quarters = {}  # label text -> quarter index
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        if [c.strip().lower() for c in header] != ["country", "date", "hcpi"]:
-            raise ParseError(f"expected header country,date,hcpi, got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            name = row[0].strip() if len(row) == 3 else ""
-            if not name:
-                if not any(c.strip() for c in row):
-                    continue
-                if len(row) != 3:
-                    raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-                raise ParseError(f"line {lineno}: empty country code")
-            label, text = row[1], row[2]
-            qidx = quarters.get(label)
-            if qidx is None:
-                try:
-                    qidx = quarters[label] = parse_quarter(label)
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
+    for lineno, (name, label, text) in csv_rows(path, ["country", "date", "hcpi"]):
+        name = name.strip()
+        if not name:
+            raise ParseError(f"line {lineno}: empty country code")
+        qidx = quarters.get(label)
+        if qidx is None:
             try:
-                price = float(text)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad price {text!r}") from None
-            if not 0.0 < price < math.inf:
-                raise ParseError(f"line {lineno}: price must be positive, got {text}")
-            series = by_country.get(name)
-            if series is None:
-                series = by_country[name] = {}
-            if qidx in series:
-                raise ParseError(f"line {lineno}: duplicate entry for {name} {label}")
-            series[qidx] = price
+                qidx = quarters[label] = parse_quarter(label)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+        try:
+            price = float(text)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad price {text!r}") from None
+        if not 0.0 < price < math.inf:
+            raise ParseError(f"line {lineno}: price must be positive, got {text}")
+        series = by_country.get(name)
+        if series is None:
+            series = by_country[name] = {}
+        if qidx in series:
+            raise ParseError(f"line {lineno}: duplicate entry for {name} {label}")
+        series[qidx] = price
     return by_country
 
 
@@ -264,7 +251,7 @@ def _qoq_matrix(panel: InflationPanel) -> np.ndarray:
     return out
 
 
-def _contributor_mean(qoq: np.ndarray, exclude: int | None = None) -> np.ndarray:
+def _contributor_mean(qoq: np.ndarray, dates, exclude: int | None = None) -> np.ndarray:
     avail = np.isfinite(qoq)
     if exclude is not None:
         avail[:, exclude] = False
@@ -275,7 +262,7 @@ def _contributor_mean(qoq: np.ndarray, exclude: int | None = None) -> np.ndarray
     # structurally unavailable; any later empty quarter is a genuine gap
     empty_interior = np.flatnonzero((counts == 0) & (np.arange(len(counts)) > 0))
     if empty_interior.size:
-        raise EmptyQuarter(f"no contributing country at quarter index {int(empty_interior[0])}")
+        raise EmptyQuarter(f"no contributing country at {dates[empty_interior[0]]}")
     out[counts > 0] = sums[counts > 0] / counts[counts > 0]
     return out
 
@@ -289,13 +276,7 @@ def _global_inflation_source(panel: InflationPanel):
     raises again when repeated.
     """
     qoq = _qoq_matrix(panel)
-    return functools.cache(lambda exclude: _contributor_mean(qoq, exclude))
-
-
-def _lag_columns(series: np.ndarray, h: int, n_lags: int, t0: int):
-    """Columns series[t - h - j], j = 0..n_lags, for targets t = t0..T-1 (0-based)."""
-    T = series.shape[0]
-    return [series[t0 - h - j: T - h - j] for j in range(n_lags + 1)]
+    return functools.cache(lambda exclude: _contributor_mean(qoq, panel.dates, exclude))
 
 
 def _country_designs(config: CountryStudyConfig, selected_lag: int,
@@ -320,8 +301,8 @@ def _country_designs(config: CountryStudyConfig, selected_lag: int,
         raise InsufficientData(f"no usable target rows at h={h}")
     targets = pih[t0:]
     ones = np.ones(T_i - t0)
-    own = _lag_columns(pi1, h, selected_lag, t0)
-    glob = _lag_columns(g, h, p2, t0)
+    own = lag_columns(pi1, h, selected_lag, t0)
+    glob = lag_columns(g, h, p2, t0)
     bench = DirectDesign(
         regressors=np.column_stack([ones] + own), targets=targets,
         h=h, first_origin=t0 + 1,

@@ -75,7 +75,14 @@ from .dgp import (
     simulate_dgp1,
     simulate_dgp2,
 )
-from .enc_test import HacConfig, SplitSpec, distinct_mu0_list, split_statistic, unit_fraction
+from .enc_test import (
+    MIN_FORECAST_ERRORS,
+    HacConfig,
+    SplitSpec,
+    distinct_mu0_list,
+    split_statistic,
+    unit_fraction,
+)
 # the engine runs split_statistic; perfbench/mc.py wraps this name in this module
 from .enc_test import encompassing_test  # noqa: F401
 from .errors import ConfigError, InsufficientData, SplitEncError
@@ -93,15 +100,16 @@ def _first_origin(dgp, pi0: float) -> tuple:
 
     Raises InsufficientData unless both nested fits are identified at k0
     (the larger model has three coefficients, so k0 >= 3 + h) and the
-    n = T - h - k0 + 1 forecast errors number at least 10.
+    n = T - h - k0 + 1 forecast errors number at least MIN_FORECAST_ERRORS.
     """
     T, h = dgp.T, dgp.h
     k0 = int(math.floor(T * pi0))
     if k0 < 3 + h:
         raise InsufficientData(f"k0={k0} < 3 + h = {3 + h}")
     n = T - h - k0 + 1
-    if n < 10:
-        raise InsufficientData(f"k0={k0} leaves {n} forecast errors (need at least 10)")
+    if n < MIN_FORECAST_ERRORS:
+        raise InsufficientData(
+            f"k0={k0} leaves {n} forecast errors (need at least {MIN_FORECAST_ERRORS})")
     return k0, n
 
 

@@ -257,6 +257,12 @@ def nested_pair_forecast_errors(y, x, h: int, k0: int):
     return errors[0], errors[1]
 
 
+def lag_columns(series: np.ndarray, h: int, n_lags: int, t0: int) -> list:
+    """Lag columns series[t - h - j], j = 0..n_lags, for direct h-step targets t = t0..T-1."""
+    T = series.shape[0]
+    return [series[t0 - h - j: T - h - j] for j in range(n_lags + 1)]
+
+
 def bic_select_lag(y, h: int, p_max: int = 8, lag_source=None) -> int:
     """Pick the lag order of a direct h-step regression by BIC.
 
@@ -283,7 +289,7 @@ def bic_select_lag(y, h: int, p_max: int = 8, lag_source=None) -> int:
     targets = y[t0:]
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets contain non-finite values on the comparison sample")
-    lag_cols = [x[t0 - h - j: T - h - j] for j in range(p_max + 1)]
+    lag_cols = lag_columns(x, h, p_max, t0)
     if not all(np.all(np.isfinite(col)) for col in lag_cols):
         raise ValueError("lags contain non-finite values on the comparison sample")
     ones = np.ones(n_eff)

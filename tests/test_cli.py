@@ -33,6 +33,23 @@ def _table_body(stdout: str) -> str:
     return "\n".join(lines[1:]) + "\n"
 
 
+def _stdout_of_rewritten_copy(capsys, monkeypatch, data_dir, tmp_path, name, rewrite, command,
+                              *options):
+    """stdout of ``command`` on data file ``name`` and on a rewritten copy of it.
+
+    Each run starts in its file's directory, so the config echo names the
+    same path; both runs must succeed.
+    """
+    (tmp_path / name).write_text(rewrite((data_dir / name).read_text()), encoding="utf-8")
+    outputs = []
+    for where in (data_dir, tmp_path):
+        monkeypatch.chdir(where)
+        code, out, _ = run_cli(capsys, command, name, *options)
+        assert code == 0
+        outputs.append(out)
+    return outputs
+
+
 class TestCmdTest:
     def test_golden_snapshot(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "test", str(data_dir / "errors_fixture.csv"),
@@ -80,11 +97,35 @@ class TestCmdTest:
         assert "numerical" in err
 
     def test_malformed_errors_file(self, capsys, tmp_path):
+        # each file exits 2 with one stderr line, after the config echo and
+        # before any result
+        cases = [
+            ("e1,e2\n1.0\n", "line 2: expected 2 fields, got 1"),
+            ("", "empty errors file"),
+            ("e1,e3\n1.0,2.0\n", "expected header e1,e2, got 'e1,e3'"),
+            ("e1,e2\n1.0,2.0,3.0\n", "line 2: expected 2 fields, got 3"),
+            ("e1,e2\n" + "1.0,2.0\n" * 12 + "1.0,x\n", "line 14: bad number in ['1.0', 'x']"),
+            # the header is accepted in any case and with spaces, and blank rows
+            # are skipped, which leaves 9 errors: one too few for the test
+            (" E1 , e2\n\n , \n" + "1.0,2.0\n" * 9, "need at least 10 forecast errors"),
+        ]
         path = tmp_path / "bad.csv"
-        path.write_text("e1,e2\n1.0\n")
-        code, _, err = run_cli(capsys, "test", str(path))
-        assert code == 2
-        assert "line 2" in err
+        for text, message in cases:
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "test", str(path))
+            assert (code, err) == (2, f"error: {message}\n"), text
+            assert out.startswith("# config:") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: "\ufeff" + text,  # a spreadsheet's "CSV UTF-8" byte-order mark
+        lambda text: text.replace("e1,e2\n", " E1 ,e2 \n\n , \n", 1),
+    ], ids=["bom", "header-case-and-blank-rows"])
+    def test_accepted_variants_print_the_same(self, capsys, data_dir, tmp_path, monkeypatch,
+                                              rewrite):
+        original, variant = _stdout_of_rewritten_copy(
+            capsys, monkeypatch, data_dir, tmp_path, "errors_fixture.csv", rewrite,
+            "test", "--mu0", "0.4", "--bandwidth", "2")
+        assert original == variant
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "test", "/nonexistent/errors.csv")
@@ -331,6 +372,22 @@ class TestInflationCommand:
         code, out, _ = run_cli(capsys, "inflation", fixture_panel_path, "--format", fmt)
         assert code == 0
         assert _table_body(out) == (data_dir / f"golden_study.{ext}").read_text()
+
+    @pytest.mark.parametrize("exclude_own", [[], ["--exclude-own"]])
+    def test_bom_prints_the_same(self, capsys, data_dir, tmp_path, monkeypatch, exclude_own):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        original, variant = _stdout_of_rewritten_copy(
+            capsys, monkeypatch, data_dir, tmp_path, "fixture_panel.csv",
+            lambda text: "\ufeff" + text, "inflation", *exclude_own)
+        assert original == variant
+
+    def test_exclude_own_failure_names_the_quarter(self, capsys, fixture_panel_path):
+        code, out, _ = run_cli(capsys, "inflation", fixture_panel_path, "--exclude-own")
+        assert code == 0
+        assert _table_body(out).splitlines()[-2:] == [
+            "| aaa | error: country aaa: no contributing country at 1970Q2 |",
+            "| bbb | error: country bbb: no contributing country at 2000Q1 |",
+        ]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "inflation", "/nonexistent/panel.csv")

@@ -480,7 +480,8 @@ class TestRunStudy:
         calls = []
         real = inflation._contributor_mean
         monkeypatch.setattr(inflation, "_contributor_mean",
-                            lambda qoq, exclude=None: calls.append(exclude) or real(qoq, exclude))
+                            lambda qoq, dates, exclude=None:
+                            calls.append(exclude) or real(qoq, dates, exclude))
         report = run_study(panel, cfg)
         assert calls == ([None] if include_own else [0, 1, 2])
         one_by_one, failures = [], {}
@@ -492,7 +493,7 @@ class TestRunStudy:
         assert report.results == tuple(one_by_one)
         assert report.failures == failures
         if not include_own:
-            assert failures == {"c00": "country c00: no contributing country at quarter index 1"}
+            assert failures == {"c00": "country c00: no contributing country at 1970Q2"}
 
     def test_csv_and_json_round_trip(self, fixture_panel):
         report = run_study(fixture_panel, CountryStudyConfig())

@@ -252,3 +252,19 @@ def test_benchmark_setup_child_resolves_cli_loaders():
             check=True, env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.stdout.splitlines()[-1].startswith('{"import_ms": ')
+
+
+def test_only_tables_imports_csv():
+    # tables holds the syntax of every table the package reads and writes
+    importers = set()
+    for path in sorted((ROOT / "src" / "splitenc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "csv" or name.startswith("csv.") for name in names):
+                importers.add(path.name)
+    assert importers == {"tables.py"}
