@@ -4,7 +4,7 @@
 Full-fidelity runs use 10000 replications per cell.  Serially, all five
 grids take about 11 minutes on a 2-vCPU Xeon host (Python 3.11, numpy
 2.4): 40 times the median of three --reps 250 runs per table, which took
-2.7, 1.2, 4.0, 2.8 and 5.2 s for tables 1 to 5.  Pass --reps 2000 for a
+2.1, 1.9, 4.6, 3.0 and 4.9 s for tables 1 to 5.  Pass --reps 2000 for a
 desk-mode pass with wider Monte Carlo error, or --only to select specific
 tables.  Every selected config
 is loaded and checked before the first table runs.

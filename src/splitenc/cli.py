@@ -82,10 +82,13 @@ def _read_errors_file(path):
     e1, e2 = [], []
     for lineno, row in csv_rows(path, ["e1", "e2"], empty="empty errors file"):
         try:
-            e1.append(float(row[0]))
-            e2.append(float(row[1]))
+            a, b = float(row[0]), float(row[1])
         except ValueError:
             raise ParseError(f"line {lineno}: bad number in {row!r}") from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ParseError(f"line {lineno}: forecast errors must be finite, got {row!r}")
+        e1.append(a)
+        e2.append(b)
     return np.array(e1), np.array(e2)
 
 

@@ -190,9 +190,14 @@ def _ar1_path(innov: np.ndarray, coeff: float, axis: int = -1) -> np.ndarray:
     return lfilter([1.0], [1.0, -coeff], innov, axis=axis)
 
 
-def _ma_path(innov: np.ndarray, theta: float, h: int) -> np.ndarray:
-    # w_t = sum_{j=0}^{h-1} theta^j innov_{t-j} along the last axis, missing pre-sample terms as 0;
-    # one np.convolve per row is what lfilter's FIR branch runs, so the bits are lfilter's
+def ma_path(innov: np.ndarray, theta: float, h: int) -> np.ndarray:
+    """w_t = sum_{j=0}^{h-1} theta^j innov_{t-j} along the last axis, as a new array.
+
+    This is the MA(h-1) disturbance of y; missing pre-sample terms count
+    as 0.  One np.convolve per row is what lfilter's FIR branch runs, so
+    the bits are lfilter's.  w depends on the draws, theta and h alone, so
+    the specs that share all three share it.
+    """
     if h == 1:
         return innov.copy()
     weights = theta ** np.arange(h)
@@ -219,22 +224,21 @@ def _h_step_ar(drive: np.ndarray, beta1: float, h: int) -> np.ndarray:
     return y.reshape(padded.shape)[..., :T]
 
 
-def outcome(spec, innov: np.ndarray, predictor: np.ndarray) -> np.ndarray:
-    """y of either design, burn-in dropped, from its disturbance draws and predictor path.
+def outcome(spec, w: np.ndarray, predictor: np.ndarray) -> np.ndarray:
+    """y of either design, burn-in dropped, from its disturbance path and predictor path.
 
-    y_t = alpha + beta1 y_{t-h} + beta2 p_{t-h} + w_t, where w is the
-    MA(h-1) of ``innov`` and p is x for a Dgp1Spec (which has no intercept)
-    or the factor f for a Dgp2Spec.  ``innov`` and ``predictor`` hold one
-    replication per row of (..., burn_in + T) arrays: simulate_dgp1's
-    "eps" and "x_path", or simulate_dgp2's "w_innov" and "f_path".
-    Neither is written.  Every step acts on one row at a time, so a row is
-    the same bits whatever rows share the call.  The draws depend on the
-    stream fields alone, so one replication's draws give the y of every
-    spec that shares them.
+    y_t = alpha + beta1 y_{t-h} + beta2 p_{t-h} + w_t, where p is x for a
+    Dgp1Spec (which has no intercept) or the factor f for a Dgp2Spec.
+    ``w`` is the spec's MA(h-1) disturbance, ``ma_path(innov, spec.theta,
+    spec.h)`` of the draws ``innov``.  ``w`` and ``predictor`` hold one
+    replication per row of (..., burn_in + T) arrays, built from
+    simulate_dgp1's "eps" and "x_path" or simulate_dgp2's "w_innov" and
+    "f_path".  Neither is written.  Every step acts on one row at a time,
+    so a row is the same bits whatever rows share the call.  The draws
+    depend on the stream fields alone, so one replication's draws give the
+    y of every spec that shares them.
     """
-    drive = _ma_path(innov, spec.theta, spec.h)
-    if isinstance(spec, Dgp2Spec):
-        drive += spec.alpha
+    drive = w + spec.alpha if isinstance(spec, Dgp2Spec) else w.copy()
     drive[..., spec.h:] += spec.beta2 * predictor[..., :-spec.h]  # p_{t-h} enters once it exists
     return _h_step_ar(drive, spec.beta1, spec.h)[..., spec.burn_in:]
 
@@ -247,8 +251,8 @@ def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
     Each stream fills its own row of the normal draws, and every later step
     acts on one row at a time, so a row is the same bits whatever streams
     share the call.  "eps" and "x_path" are the y shocks and the predictor
-    path from t = 0, burn-in included: with them ``outcome`` gives the y of
-    any spec that shares this one's DGP1_STREAM_FIELDS.
+    path from t = 0, burn-in included: with them ``ma_path`` and ``outcome``
+    give the y of any spec that shares this one's DGP1_STREAM_FIELDS.
     """
     single = isinstance(rng, RngStream)
     streams = [rng] if single else rng
@@ -259,8 +263,8 @@ def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
     shocks = normals @ np.linalg.cholesky(spec.sigma).T
     eps = np.ascontiguousarray(shocks[..., 0])  # a copy: the caller keeps eps, not the v half
     x_path = _ar1_path(shocks[..., 1], spec.rho)
-    out = {"y": outcome(spec, eps, x_path), "x": x_path[:, spec.burn_in:],
-           "eps": eps, "x_path": x_path}
+    y = outcome(spec, ma_path(eps, spec.theta, spec.h), x_path)
+    out = {"y": y, "x": x_path[:, spec.burn_in:], "eps": eps, "x_path": x_path}
     return {name: path[0] for name, path in out.items()} if single else out
 
 
@@ -295,7 +299,8 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     extracted, "f_true" the latent factor path (for diagnostics only).
     "f_path" is that path from t = 0, burn-in included, and "w_innov" the
     burn_in + T standard normals behind the disturbances w: with them
-    ``outcome`` gives the y of any spec that shares this one's panel.
+    ``ma_path`` and ``outcome`` give the y of any spec that shares this
+    one's panel.
     The idiosyncratic AR(rho_i) columns need no burn-in: their first row is
     drawn from the stationary law N(0, 1/(1 - rho_i^2)), so every row has
     that law exactly; ``burn_in`` applies to y and f only.
@@ -313,8 +318,8 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     f_true = f[spec.burn_in:]
     _assemble_panel(X, f_true, lam, spec.rho_i)
     w_innov = g.standard_normal(total)
-    return {"y": outcome(spec, w_innov, f), "X": X, "f_true": f_true,
-            "f_path": f, "w_innov": w_innov}
+    y = outcome(spec, ma_path(w_innov, spec.theta, spec.h), f)
+    return {"y": y, "X": X, "f_true": f_true, "f_path": f, "w_innov": w_innov}
 
 
 def _power_top_eigenvector(A: np.ndarray):

@@ -13,16 +13,22 @@ Cells are grouped three ways:
 
 A design keeps its first forecast origin k0 = floor(T * pi0) and, per
 bandwidth M, its cells' split locations m0, all resolved before any
-replication runs.  The replications of a group run in chunks of up to
-250, and one ``run_replication`` call computes a whole chunk as
-(replications, T) arrays.  One simulate step serves both families: it
-gives the chunk's disturbance draws, predictor path (dgp1: x; dgp2: the
-factor) and extra regressor (dgp1: x; dgp2: the estimated factor), dgp1
-in one batch and dgp2 one replication at a time, simulating and factoring
-each panel once.  Every design builds its y from those draws with
-``dgp.outcome``, produces recursive expanding-window forecasts from both
-nested models starting at k0, and makes one split-statistic call per
-bandwidth over every mu0 and every replication's forecast-error pair.
+replication runs.  The groups' replications, taken in group order, are cut
+into tasks of at most TASK_REPLICATIONS (250), and of fewer when that
+would leave a pool worker without a task: a task holds a run of
+replications (a part) of one group or of several.  One
+``run_replication`` call computes a whole task as (replications, T)
+arrays.  One simulate step serves both families: it gives a part's
+disturbance draws, predictor path (dgp1: x; dgp2: the factor) and extra
+regressor (dgp1: x; dgp2: the estimated factor), dgp1 in one batch and
+dgp2 one replication at a time, simulating and factoring each panel once.
+Every design builds its y from those draws with ``dgp.outcome``, from one
+MA path per part, h and theta.  The designs of a task that differ only in
+their stream fields (the same family, T, burn_in, h, beta1, beta2, theta,
+alpha, k0 and m0s per M) run as one: one ``outcome`` call, one fit of the
+recursive expanding-window forecasts from both nested models starting at
+k0, and one split-statistic call per bandwidth cover every mu0 and every
+replication of all of them.
 The test is one-sided, so a cell's replication rejects when its statistic
 exceeds the normal critical value at the cell's level.
 
@@ -34,10 +40,10 @@ certify runs the two generic ``DirectDesign`` fits on its own.
 Determinism: the random stream of a replication is keyed by (base seed,
 stream digest, replication id) only, where the stream digest is that of
 the spec's stream-group fields; ``_design_groups`` computes it once per
-group.  Every step of a chunk acts on one replication at a time, so
-reports are bit-identical across worker counts, chunkings and execution
-orders, and a cell's statistics do not change when it runs alone, in a
-reordered grid or beside other cells, of its group or not.
+group.  Every step of a task acts on one replication at a time, so
+reports are bit-identical across worker counts, task packings and
+execution orders, and a cell's statistics do not change when it runs
+alone, in a reordered grid or beside other cells, of its group or not.
 All designs and mu0 of a stream group see common random numbers: cells
 that differ in h, alpha, beta1, beta2, theta or mu0 are dependent within
 a replication, while each cell's own law is unchanged.
@@ -71,6 +77,7 @@ from .dgp import (
     Dgp2Spec,
     RngStream,
     estimate_factor,
+    ma_path,
     outcome,
     simulate_dgp1,
     simulate_dgp2,
@@ -90,6 +97,7 @@ from .regression import DirectDesign, expanding_window_forecast_errors, nested_p
 from .tables import csv_text, json_text, markdown_text
 
 FAILURE_SHARE_LIMIT = 0.01
+TASK_REPLICATIONS = 250  # replications of one run_replication call at most
 DEFAULT_SEED = 20240817  # base seed of a config that sets none
 # what a failed replication raises; anything else aborts the grid
 _FAILURES = (SplitEncError, np.linalg.LinAlgError)
@@ -134,6 +142,22 @@ def _stream_digest(spec) -> int:
     return _spec_digest(spec, names)
 
 
+# per spec class, the fields that y adds to the draws, with T and burn_in (the draws' length)
+_Y_FIELDS = {cls: tuple(f.name for f in fields(cls)
+                        if f.name not in stream or f.name in ("T", "burn_in"))
+             for cls, stream in ((Dgp1Spec, DGP1_STREAM_FIELDS), (Dgp2Spec, DGP2_PANEL_FIELDS))}
+
+
+def _y_key(spec) -> tuple:
+    """The spec's class and _Y_FIELDS values, -0.0 as 0.0.
+
+    Specs with one y key give the same y from the same draws, and their
+    draws have one length, so their rows stack.  Within a stream group the
+    y key tells specs apart: with the stream fields it covers every field.
+    """
+    return (type(spec), *(getattr(spec, name) + 0.0 for name in _Y_FIELDS[type(spec)]))
+
+
 @dataclass(frozen=True)
 class McCell:
     """One experiment cell: a simulation design plus test tuning inputs."""
@@ -166,17 +190,24 @@ class McCell:
 class _Design:
     """One spec and one pi0 of a stream group, with its cells resolved (``McCell.resolve``).
 
-    ``bandwidths`` maps each bandwidth M of the cells, in order of first
-    appearance, to the (index, split location m0) of each of its cells.
+    ``y_key`` is the spec's ``_y_key``.  ``bandwidths`` maps each
+    bandwidth M of the cells, in order of first appearance, to the (index,
+    split location m0) of each of its cells.
     """
 
     spec: Dgp1Spec | Dgp2Spec
     k0: int
+    y_key: tuple
     bandwidths: dict = field(default_factory=dict)
 
     def cells(self) -> list:
         """The cells' indices, in the order of the design's rows of a run_replication block."""
         return [i for members in self.bandwidths.values() for i, _ in members]
+
+    def shape(self) -> tuple:
+        """What designs that run as one share: y from the draws, k0 and the m0s of each M."""
+        return self.y_key, self.k0, tuple(
+            (M, tuple(m0 for _, m0 in members)) for M, members in self.bandwidths.items())
 
 
 @dataclass(frozen=True)
@@ -226,13 +257,14 @@ def _forecast_error_pair(y, extra, h: int, k0: int):
 
 
 def _simulate(dgp, streams) -> tuple:
-    """(y, innov, predictor, extra) of a stream group's chunk, row b from stream b.
+    """(y, innov, predictor, extra) of a part of a stream group, row b from stream b.
 
     y is the simulated spec's outcome; innov and predictor are the
     disturbance draws and predictor path from t = 0 (dgp1: eps and x;
-    dgp2: w and the factor f), from which ``outcome`` gives the y of every
-    spec of the group; extra is the regressor of the larger model (dgp1: x;
-    dgp2: the estimated factor, NaN where it is not identified).  dgp1
+    dgp2: w and the factor f), from which ``ma_path`` and ``outcome``
+    give the y of every spec of the group; extra is the regressor of the
+    larger model (dgp1: x; dgp2: the estimated factor, NaN where it is not
+    identified).  dgp1
     simulates every stream in one call.  dgp2 simulates and factors one
     stream at a time, and each panel dies with its factor call, so one
     T x N panel is alive at once (a 250-stream batch would hold 250).
@@ -252,35 +284,80 @@ def _simulate(dgp, streams) -> tuple:
     return y, innov, predictor, extra
 
 
-def run_replication(designs, reps: range, key: tuple) -> np.ndarray:
-    """Statistics of one stream group over a run of replications, one row per cell.
+def _stack(arrays) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    ``designs`` lists the group's resolved designs (``_Design``), and the
-    rows follow each one's cells (``_Design.cells``) in that order.  Every
-    spec of the group draws the same random numbers, so the chunk is
-    simulated once, each design is fitted once, and the statistic runs
-    once per design and bandwidth M over all its cells.
-    Replication r draws from its own stream, keyed by (key, r) with ``key``
-    = (base seed, stream digest), and every step acts on one replication
-    at a time, so an entry does not depend on which replications share the
-    call.  A replication whose factor is not identified is NaN in every
-    cell of the group; one whose path is not finite or whose generic fit
-    fails is NaN in every cell of its design; a degenerate variance is NaN
-    in its own entry.
+
+def _run_shape(design, reused, built) -> None:
+    """Fill the rows of every design of one shape (``_Design.shape``) with one call per step.
+
+    ``reused`` holds (y, extra, rows) for each design that is its part's
+    simulated spec, ``built`` (w, predictor, extra, rows) for each other
+    one; rows is the design's (cells, replications) view of its part's
+    block.  The stacked y is the reused ys, then one ``outcome`` of the
+    stacked draws, and one fit and one statistic call per M run over it.
     """
-    simulated = designs[0].spec
-    y, innov, predictor, extra = _simulate(simulated, [RngStream(key, rep) for rep in reps])
-    blocks = []
-    for design in designs:
-        spec = design.spec
-        spec_y = y if spec is simulated else outcome(spec, innov, predictor)
-        finite = np.isfinite(spec_y).all(axis=1) & np.isfinite(extra).all(axis=1)
-        e1, e2 = _forecast_error_pair(spec_y[finite], extra[finite], spec.h, design.k0)
-        for M, members in design.bandwidths.items():
-            block = np.full((len(members), len(reps)), np.nan)
-            block[:, finite] = split_statistic(e1, e2, [m0 for _, m0 in members], M)[0]
-            blocks.append(block)
-    return np.concatenate(blocks)
+    ys = [y for y, _, _ in reused]
+    if built:
+        ys.append(outcome(design.spec, _stack([w for w, *_ in built]),
+                          _stack([p for _, p, *_ in built])))
+    members = [member[-2:] for member in reused + built]  # (extra, rows) in stacked order
+    y, extra = _stack(ys), _stack([extra for extra, _ in members])
+    finite = np.isfinite(y).all(axis=1) & np.isfinite(extra).all(axis=1)
+    # the fit reads its rows and writes none, so when every row is finite it takes the stacks
+    kept = (y, extra) if finite.all() else (y[finite], extra[finite])
+    e1, e2 = _forecast_error_pair(*kept, design.spec.h, design.k0)
+    first = 0
+    for M, cells in design.bandwidths.items():
+        stats = np.full((len(cells), len(y)), np.nan)
+        stats[:, finite] = split_statistic(e1, e2, [m0 for _, m0 in cells], M)[0]
+        column = 0
+        for _, rows in members:
+            rows[first:first + len(cells)] = stats[:, column:column + rows.shape[1]]
+            column += rows.shape[1]
+        first += len(cells)
+
+
+def run_replication(parts) -> list:
+    """Statistics of one task: a (cells, replications) block per part, rows per cell.
+
+    A part is (designs, reps, key): a stream group's resolved designs
+    (``_Design``), a run of its replications and its key (base seed,
+    stream digest).  A block's rows follow each design's cells
+    (``_Design.cells``) in that order.  Each part is simulated once, and
+    its specs with one (h, theta) share one MA path (``ma_path``).  The
+    designs of every part that share a shape (``_Design.shape``) then run
+    as one: one ``outcome`` call on their stacked draws (a part's simulated
+    spec reuses its y), one nested-pair fit and one statistic call per
+    bandwidth M over all their cells.
+    Replication r draws from its own stream, keyed by (key, r), and every
+    step acts on one replication at a time, so an entry does not depend on
+    which replications or parts share the call.  A replication whose
+    factor is not identified is NaN in every cell of its group; one whose
+    path is not finite or whose generic fit fails is NaN in every cell of
+    its design; a degenerate variance is NaN in its own entry.
+    """
+    blocks, shapes = [], {}
+    for designs, reps, key in parts:
+        simulated = designs[0].spec
+        y, innov, predictor, extra = _simulate(simulated, [RngStream(key, rep) for rep in reps])
+        block = np.full((sum(len(design.cells()) for design in designs), len(reps)), np.nan)
+        blocks.append(block)
+        paths, first = {}, 0
+        for design in designs:
+            spec, count = design.spec, len(design.cells())
+            rows = block[first:first + count]
+            first += count
+            _, reused, built = shapes.setdefault(design.shape(), (design, [], []))
+            if spec is simulated:
+                reused.append((y, extra, rows))
+                continue
+            if (spec.h, spec.theta) not in paths:
+                paths[spec.h, spec.theta] = ma_path(innov, spec.theta, spec.h)
+            built.append((paths[spec.h, spec.theta], predictor, extra, rows))
+    for design, reused, built in shapes.values():
+        _run_shape(design, reused, built)
+    return blocks
 
 
 def _design_groups(cells) -> list:
@@ -291,38 +368,55 @@ def _design_groups(cells) -> list:
     spec and one pi0 (``_Design``).  This is where every cell is resolved,
     once; a cell that does not resolve (``McCell.resolve``) joins no group.
     """
-    digests, groups = {}, {}  # digests: (stream, spec) digests per distinct spec object
+    keys, groups = {}, {}  # keys: (stream digest, y key) per distinct spec object
     for i, cell in enumerate(cells):
         try:
             k0, m0, M = cell.resolve()
         except _FAILURES:
             continue
-        if id(cell.dgp) not in digests:
-            digests[id(cell.dgp)] = (_stream_digest(cell.dgp), _spec_digest(cell.dgp))
-        stream, spec = digests[id(cell.dgp)]
-        design = groups.setdefault(stream, {}).setdefault((spec, cell.pi0), _Design(cell.dgp, k0))
+        spec = cell.dgp
+        if id(spec) not in keys:
+            keys[id(spec)] = (_stream_digest(spec), _y_key(spec))
+        stream, y = keys[id(spec)]
+        design = groups.setdefault(stream, {}).setdefault((y, cell.pi0), _Design(spec, k0, y))
         design.bandwidths.setdefault(M, []).append((i, m0))
     return [(stream, list(designs.values())) for stream, designs in groups.items()]
+
+
+def _tasks(groups, reps, base_seed, workers) -> list:
+    """The groups' replications cut, in group order, into tasks of parts (see run_replication).
+
+    A task holds at most TASK_REPLICATIONS replications, and fewer when
+    that leaves a worker without one: every task but the last holds
+    min(TASK_REPLICATIONS, ceil(replications / workers)), and a group's
+    run is split where a task fills.
+    """
+    total = len(groups) * reps
+    size = max(1, min(TASK_REPLICATIONS, -(-total // workers)))
+    return [[(designs, range(max(start - offset, 0), min(start + size - offset, reps)),
+              (base_seed, digest))
+             for offset, (digest, designs) in zip(range(0, total, reps), groups)
+             if offset < start + size and start < offset + reps]
+            for start in range(0, total, size)]
 
 
 def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     """Statistics of every (cell, replication) as a (cells, reps) array; NaN marks a failure."""
     if reps < 1:
         raise ValueError("need at least one replication")
-    chunk = min(reps, 250)
-    tasks = [(designs, range(start, min(start + chunk, reps)), (base_seed, digest))
-             for digest, designs in _design_groups(cells) for start in range(0, reps, chunk)]
+    tasks = _tasks(_design_groups(cells), reps, base_seed, workers)
     if workers <= 1:
-        blocks = [run_replication(*task) for task in tasks]
+        results = [run_replication(task) for task in tasks]
     else:
         # imported here, not at module import: only a pooled run needs it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run_replication, *zip(*tasks)))
+            results = list(pool.map(run_replication, tasks))
     stats = np.full((len(cells), reps), np.nan)
-    for (designs, part, _), block in zip(tasks, blocks):
-        stats[[i for design in designs for i in design.cells()], part.start:part.stop] = block
+    for task, blocks in zip(tasks, results):
+        for (designs, part, _), block in zip(task, blocks):
+            stats[[i for design in designs for i in design.cells()], part.start:part.stop] = block
     return stats
 
 
@@ -333,12 +427,13 @@ def _run_experiment(kind: str, cells, reps, base_seed, workers) -> McReport:
         _check_beta2(kind, cell.label, cell.dgp.beta2)
     stats = _run_cells(cells, reps, base_seed, workers)
     reps = stats.shape[1]
+    critical = {level: ndtri(1.0 - level) for level in {cell.level for cell in cells}}
+    # NaN compares False, so a failed replication never rejects
+    rejected = stats > np.reshape([critical[cell.level] for cell in cells], (-1, 1))
     out = []
-    for cell, row in zip(cells, stats):
-        failures = int(np.count_nonzero(np.isnan(row)))
+    for cell, failures, rejects in zip(cells, np.count_nonzero(np.isnan(stats), axis=1).tolist(),
+                                       np.count_nonzero(rejected, axis=1).tolist()):
         done = reps - failures
-        # NaN compares False, so a failed replication never rejects
-        rejects = int(np.count_nonzero(row > ndtri(1.0 - cell.level)))
         freq = rejects / done if done > 0 else float("nan")
         se = math.sqrt(freq * (1.0 - freq) / done) if done > 0 else float("nan")
         out.append(

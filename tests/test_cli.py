@@ -116,6 +116,17 @@ class TestCmdTest:
             assert (code, err) == (2, f"error: {message}\n"), text
             assert out.startswith("# config:") and out.count("\n") == 1
 
+    @pytest.mark.parametrize("row", ["nan,1", "1.0,inf", "-inf,2.0", " NaN , nan"])
+    def test_non_finite_error_names_its_line(self, capsys, tmp_path, row):
+        # read after 12 finite rows, so the file would otherwise be long enough to test
+        path = tmp_path / "errors.csv"
+        path.write_text("e1,e2\n" + "1.0,2.0\n" * 12 + row + "\n" + "1.0,2.0\n")
+        code, out, err = run_cli(capsys, "test", str(path))
+        fields = row.split(",")
+        message = f"line 14: forecast errors must be finite, got {fields!r}"
+        assert (code, err) == (2, f"error: {message}\n")
+        assert out.startswith("# config:") and out.count("\n") == 1
+
     @pytest.mark.parametrize("rewrite", [
         lambda text: "\ufeff" + text,  # a spreadsheet's "CSV UTF-8" byte-order mark
         lambda text: text.replace("e1,e2\n", " E1 ,e2 \n\n , \n", 1),

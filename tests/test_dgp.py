@@ -22,6 +22,7 @@ from splitenc.dgp import (
     Dgp2Spec,
     RngStream,
     estimate_factor,
+    ma_path,
     outcome,
     simulate_dgp1,
     simulate_dgp2,
@@ -210,7 +211,7 @@ class TestDgp1Outcome:
         shared = simulate_dgp1(specs[0], streams)
         eps, x_path = shared["eps"].copy(), shared["x_path"].copy()
         for spec in specs:
-            y = outcome(spec, shared["eps"], shared["x_path"])
+            y = outcome(spec, ma_path(shared["eps"], spec.theta, spec.h), shared["x_path"])
             alone = simulate_dgp1(spec, streams)
             assert y.tobytes() == alone["y"].tobytes()
             assert alone["x"].tobytes() == shared["x"].tobytes()
@@ -245,7 +246,7 @@ class TestMaPath:
 
         draws = np.random.default_rng(seed).standard_normal(batch + (T, 2))
         innov = draws[..., 0] if strided else np.ascontiguousarray(draws[..., 0])
-        w = dgp_module._ma_path(innov, theta, h)
+        w = ma_path(innov, theta, h)
         expected = lfilter(theta ** np.arange(h), [1.0], innov)
         assert w.shape == expected.shape == innov.shape
         assert_array_equal(w.view(np.int64), expected.view(np.int64))
@@ -477,7 +478,7 @@ class TestPanelKernel:
                          theta=theta)
         sims = [simulate_dgp2(base, RngStream(seed, r)) for r in range(3)]
         alone = [simulate_dgp2(other, RngStream(seed, r)) for r in range(3)]
-        rows = outcome(other, np.stack([s["w_innov"] for s in sims]),
+        rows = outcome(other, ma_path(np.stack([s["w_innov"] for s in sims]), theta, h),
                        np.stack([s["f_path"] for s in sims]))
         for sim, single, row in zip(sims, alone, rows):
             assert single["X"].tobytes() == sim["X"].tobytes()

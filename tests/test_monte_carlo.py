@@ -42,7 +42,7 @@ from splitenc.monte_carlo import (
 def _replicate(cells, reps, seed):
     """run_replication over the one stream group of ``cells``, rows in cell order."""
     ((digest, designs),) = mc._design_groups(cells)
-    block = run_replication(designs, reps, (seed, digest))
+    (block,) = run_replication([(designs, reps, (seed, digest))])
     return block[np.argsort([i for design in designs for i in design.cells()])]
 
 
@@ -156,13 +156,14 @@ class TestExperiments:
                     + run_size_experiment([good], reps=8, base_seed=2).cells)
         real, calls = mc.run_replication, []
 
-        def counted(designs, reps, key):
-            calls.append(([design.cells() for design in designs], reps))
-            return real(designs, reps, key)
+        def counted(parts):
+            calls.append([([design.cells() for design in designs], reps)
+                          for designs, reps, _ in parts])
+            return real(parts)
 
         monkeypatch.setattr(mc, "run_replication", counted)
         report = run_size_experiment([bad, good], reps=8, base_seed=2)
-        assert calls == [([[1]], range(0, 8))]  # the good cell, index 1, alone
+        assert calls == [[([[1]], range(0, 8))]]  # one task of one part: the good cell, index 1
         assert repr(report.cells) == repr(expected)  # NaN frequencies compare by repr
         assert report.cells[0].failures == 8
 
@@ -344,7 +345,8 @@ class TestDesignGroups:
             "dgp:\n  family: dgp2\n  NT: [[100, 250], [500, 500]]\n  h: 4\n"
             "  beta1: 0.3\n  beta2: 0.3\n  theta: 0.5\n  alpha1: 0.5\n  rho_i: 0.5\n")
         config = load_experiment_config(path)
-        calls = {"simulate_dgp2": 0, "estimate_factor": 0, "_forecast_error_pair": 0}
+        calls = {"run_replication": 0, "simulate_dgp2": 0, "estimate_factor": 0,
+                 "_forecast_error_pair": 0}
         for name in calls:
             def counted(*args, _real=getattr(mc, name), _name=name):
                 calls[_name] += 1
@@ -353,13 +355,15 @@ class TestDesignGroups:
         report = run_power_experiment(config.cells, config.reps, config.seed)
         assert len(report.cells) == 8
         assert all(c.failures == 0 for c in report.cells)
-        # one design per panel: each panel is simulated and factored per replication,
-        # and the pair runs once per (design, chunk)
-        assert calls == {"simulate_dgp2": 4, "estimate_factor": 4, "_forecast_error_pair": 2}
+        # one task of both panels, one design per panel: each panel is simulated and
+        # factored per replication, and the panels differ in T, so their designs share
+        # no shape and the pair runs once per design
+        assert calls == {"run_replication": 1, "simulate_dgp2": 4, "estimate_factor": 4,
+                         "_forecast_error_pair": 2}
 
     def test_dgp1_subgrid_simulated_once_per_stream_group(self, tmp_path, monkeypatch):
         # the mc-dgp1 sub-grid of perfbench/inputs.py: 4 stream groups (T, rho) of 2 h,
-        # 4 mu0 each, 10 reps in one chunk
+        # 4 mu0 each, 10 reps: one task of 4 parts
         path = tmp_path / "dgp1.yaml"
         path.write_text(
             "experiment:\n  kind: size\n  reps: 10\n  mu0: [0.30, 0.35, 0.40, 0.45]\n"
@@ -367,33 +371,65 @@ class TestDesignGroups:
             "dgp:\n  family: dgp1\n  T: [250, 1000]\n  h: [1, 24]\n  rho: [0.25, 0.95]\n"
             "  beta1: 0.3\n  beta2: 0.0\n  theta: 0.5\n  sigma: sigma1\n")
         config = load_experiment_config(path)
-        calls, pairs = {"simulate_dgp1": 0}, []
+        calls, pairs, statistics = {"simulate_dgp1": 0}, [], []
         real_simulate, real_pair = mc.simulate_dgp1, mc._forecast_error_pair
+        real_statistic = mc.split_statistic
 
         def counted(spec, streams):
             calls["simulate_dgp1"] += 1
             return real_simulate(spec, streams)
 
         def recorded(y, extra, h, k0):
-            pairs.append((y.copy(), extra.copy(), h))
+            pairs.append((y.copy(), extra.copy(), h, k0))
             return real_pair(y, extra, h, k0)
+
+        def recorded_statistic(e1, e2, m0s, M):
+            result = real_statistic(e1, e2, m0s, M)
+            statistics.append((list(m0s), M, result[0]))
+            return result
 
         monkeypatch.setattr(mc, "simulate_dgp1", counted)
         monkeypatch.setattr(mc, "_forecast_error_pair", recorded)
+        monkeypatch.setattr(mc, "split_statistic", recorded_statistic)
         report = run_size_experiment(config.cells, config.reps, config.seed)
         assert len(report.cells) == 32
         assert all(c.failures == 0 for c in report.cells)
         assert calls == {"simulate_dgp1": 4}
-        assert len(pairs) == 8  # one per design: 4 groups x 2 h, one chunk
-        # each design's series are those it simulates on its own
-        designs = list({id(cell.dgp): cell.dgp for cell in config.cells}.values())
-        groups = list(dict.fromkeys((spec.T, spec.rho) for spec in designs))
-        designs = [spec for group in groups for spec in designs if (spec.T, spec.rho) == group]
-        for (y, extra, h), spec in zip(pairs, designs):
-            streams = [RngStream((config.seed, mc._stream_digest(spec)), r) for r in range(10)]
-            alone = real_simulate(spec, streams)
-            assert h == spec.h
-            assert y.tobytes() == alone["y"].tobytes() and extra.tobytes() == alone["x"].tobytes()
+        # one call per (T, h): the designs of the two rho groups of one T run as one
+        assert [len(y) for y, *_ in pairs] == [20] * 4
+        assert [stat.shape for *_, stat in statistics] == [(4, 20)] * 4
+        assert sorted((y.shape[1], h) for y, _, h, _ in pairs) == [
+            (250, 1), (250, 24), (1000, 1), (1000, 24)]
+        # each call's rows are its groups' rows alone, in group order, byte for byte
+        specs = list({id(cell.dgp): cell.dgp for cell in config.cells}.values())
+        for (y, extra, h, k0), (m0s, M, stat) in zip(pairs, statistics):
+            alone_y, alone_extra, alone_stat = [], [], []
+            for spec in (s for s in specs if (s.T, s.h) == (y.shape[1], h)):
+                streams = [RngStream((config.seed, mc._stream_digest(spec)), r)
+                           for r in range(10)]
+                alone = real_simulate(spec, streams)
+                alone_y.append(alone["y"])
+                alone_extra.append(alone["x"])
+                e1, e2 = real_pair(alone["y"], alone["x"], h, k0)
+                alone_stat.append(real_statistic(e1, e2, m0s, M)[0])
+            assert len(alone_y) == 2
+            assert y.tobytes() == np.concatenate(alone_y).tobytes()
+            assert extra.tobytes() == np.concatenate(alone_extra).tobytes()
+            assert stat.tobytes() == np.concatenate(alone_stat, axis=1).tobytes()
+
+    def test_one_ma_path_per_h_and_theta(self, monkeypatch):
+        # one group of 9 designs, 3 beta2 for each (h, theta); the first is simulated
+        specs = [Dgp1Spec(T=100, h=h, theta=theta, beta2=beta2)
+                 for h, theta in ((1, 0.5), (3, 0.5), (3, 0.2)) for beta2 in (0.1, 0.2, 0.3)]
+        cells = [McCell(dgp=spec, mu0=0.45) for spec in specs]
+        real, paths = mc.ma_path, []
+        monkeypatch.setattr(mc, "ma_path", lambda innov, theta, h: paths.append((h, theta))
+                            or real(innov, theta, h))
+        got = mc._run_cells(cells, 12, 5, 1)
+        monkeypatch.undo()
+        assert paths == [(1, 0.5), (3, 0.5), (3, 0.2)]
+        for cell, row in zip(cells, got):
+            assert row.tobytes() == _row_alone(cell, 12, 5).tobytes()
 
     def test_cell_row_independent_of_dgp1_grid(self, tmp_path):
         cells, reps, seed = _dgp1_grid(tmp_path)
@@ -451,12 +487,12 @@ class TestDesignGroups:
         # a panel at N = T = 200 is 320 kB; a replication adds a few kB of series to a chunk
         cells = [McCell(dgp=Dgp2Spec(T=200, N=200, h=2), mu0=0.45)]
         ((digest, designs),) = mc._design_groups(cells)
-        run_replication(designs, range(3), (5, digest))  # grows the kept work buffers first
+        run_replication([(designs, range(3), (5, digest))])  # grows the kept work buffers first
         peaks = []
         for reps in (range(1), range(3)):
             tracemalloc.start()
             try:
-                run_replication(designs, reps, (5, digest))
+                run_replication([(designs, reps, (5, digest))])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -617,6 +653,69 @@ class TestDesignGroups:
                  _cell(T=100, mu0=0.45), _cell(T=100, mu0=0.45, pi0=0.4),
                  _cell(T=120, rho=0.9, mu0=0.30)]
         serial = mc._run_cells(cells, 300, 23, 1)
+        pooled = mc._run_cells(cells, 300, 23, 2)
+        assert serial.tobytes() == pooled.tobytes()
+        for cell, row in zip(cells, serial):
+            assert row.tobytes() == _row_alone(cell, 300, 23).tobytes()
+
+
+class TestTasks:
+    """Replications are packed into tasks of parts; a cell's bits do not depend on the packing."""
+
+    @pytest.mark.parametrize("groups, reps, workers, expected", [
+        # the serial mc-dgp1 sub-grid: one task of the 4 groups
+        (4, 10, 1, [[(0, 0, 10), (1, 0, 10), (2, 0, 10), (3, 0, 10)]]),
+        # a pool gets at least one task per worker
+        (1, 30, 2, [[(0, 0, 15)], [(0, 15, 30)]]),
+        (1, 10, 3, [[(0, 0, 4)], [(0, 4, 8)], [(0, 8, 10)]]),
+        # a group's run is split where a task fills
+        (3, 100, 1, [[(0, 0, 100), (1, 0, 100), (2, 0, 50)], [(2, 50, 100)]]),
+        (2, 300, 2, [[(0, 0, 250)], [(0, 250, 300), (1, 0, 200)], [(1, 200, 300)]]),
+        (0, 10, 2, []),
+    ])
+    def test_parts_fill_tasks_in_group_order(self, groups, reps, workers, expected):
+        tasks = mc._tasks([(digest, [digest]) for digest in range(groups)], reps, 7, workers)
+        assert [[(designs[0], part.start, part.stop) for designs, part, _ in task]
+                for task in tasks] == expected
+        assert all(key == (7, designs[0]) for task in tasks for designs, _, key in task)
+
+    def test_table_scale_keeps_250_replication_tasks(self):
+        tasks = mc._tasks([(digest, [digest]) for digest in range(3)], 10000, 7, 2)
+        assert len(tasks) == 120
+        assert {(len(task), len(task[0][1])) for task in tasks} == {(1, 250)}
+
+    def test_collect_statistics_on_two_workers_runs_two_tasks(self, monkeypatch):
+        real, tasks = mc._tasks, []
+        monkeypatch.setattr(mc, "_tasks", lambda *args: tasks.extend(real(*args)) or tasks)
+        stats = collect_statistics(_cell(T=100), reps=30, base_seed=9, workers=2)
+        assert [[part for _, part, _ in task] for task in tasks] == [[range(0, 15)],
+                                                                    [range(15, 30)]]
+        assert stats.tobytes() == collect_statistics(_cell(T=100), reps=30, base_seed=9).tobytes()
+
+    def test_grid_with_some_shared_shapes_matches_each_cell_alone(self, monkeypatch):
+        cells = [
+            _cell(T=100, mu0=0.40),                 # group (100, 0.25): h=1 simulated
+            _cell(T=100, rho=0.5, h=3, mu0=0.45),   # group (100, 0.5): h=3 simulated
+            _cell(T=100, rho=0.5, mu0=0.40),        # h=1 built: shares the first cell's shape
+            _cell(T=100, h=3, mu0=0.45),            # h=3 built: shares the second cell's shape
+            _cell(T=100, rho=0.9, mu0=0.40),        # group (100, 0.9): a second M below
+            _cell(T=100, rho=0.9, mu0=0.40, pi0=0.4),   # another k0: a shape of its own
+            _cell(T=120, mu0=0.30),                 # another T: a shape of its own
+            # a second bandwidth for the fifth cell's design: its m0 layout differs
+            _cell(T=100, rho=0.9, mu0=0.45, hac=HacConfig(bandwidth=2)),
+        ]
+        real, rows = mc._forecast_error_pair, []
+        monkeypatch.setattr(mc, "_forecast_error_pair",
+                            lambda y, extra, h, k0: rows.append(len(y)) or real(y, extra, h, k0))
+        serial = mc._run_cells(cells, 300, 23, 1)
+        monkeypatch.undo()
+        # 4 groups x 300 replications in 5 tasks of 250; the second task holds the end of
+        # the first group and the start of the second, whose shared shapes run as one call
+        tasks = mc._tasks(mc._design_groups(cells), 300, 23, 1)
+        assert [len(task) for task in tasks] == [1, 2, 2, 2, 1]
+        design_parts = sum(len(designs) for task in tasks for designs, _, _ in task)
+        assert sum(rows) == 300 * 7 and len(rows) < design_parts
+        assert np.isfinite(serial).all()
         pooled = mc._run_cells(cells, 300, 23, 2)
         assert serial.tobytes() == pooled.tobytes()
         for cell, row in zip(cells, serial):
