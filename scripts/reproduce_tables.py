@@ -2,9 +2,9 @@
 """Run the shipped size/power experiment configs and write their reports.
 
 Full-fidelity runs use 10000 replications per cell.  Serially, all five
-grids take about 11 minutes on a 2-vCPU Xeon host (Python 3.11, numpy
+grids take about 10 minutes on a 2-vCPU Xeon host (Python 3.11, numpy
 2.4): 40 times the median of three --reps 250 runs per table, which took
-2.1, 1.9, 4.6, 3.0 and 4.9 s for tables 1 to 5.  Pass --reps 2000 for a
+2.5, 1.2, 4.5, 2.3 and 5.0 s for tables 1 to 5.  Pass --reps 2000 for a
 desk-mode pass with wider Monte Carlo error, or --only to select specific
 tables.  Every selected config
 is loaded and checked before the first table runs.

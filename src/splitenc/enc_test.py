@@ -54,7 +54,6 @@ MU0_HALF_GAP = 0.02  # exclusion band around 1/2
 # Relative floor below which the studentization is numerically meaningless.
 OMEGA2_FLOOR = 1e-14
 MIN_FORECAST_ERRORS = 10  # fewest forecast errors the test accepts
-_STAT_BLOCK = 1 << 17  # split terms (1 MB) of one row block of split_statistic, every m0 together
 
 
 @dataclass(frozen=True)
@@ -306,32 +305,22 @@ def split_statistic(e1, e2, m0, M: int, centering: str = "segment") -> tuple:
     ``m0`` is one split location, or a sequence of them; the three results
     then gain a leading axis with one row per m0, and row c is bit for bit
     the result for m0[c] alone.  e1*e1 and e1*e2 are formed once for every
-    m0.  The pairs run in row blocks of about _STAT_BLOCK split terms, every
-    m0 together, in a work array kept between calls and centred in place,
-    so that a block's terms stay in cache and fault no pages in.
+    m0, and the terms of every m0 are centred in place in a work array kept
+    between calls.  A caller that wants a block's terms to stay in cache
+    passes the pairs a block at a time (as the Monte Carlo engine does).
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     single = np.ndim(m0) == 0
     m0s = [m0] if single else list(m0)
-    *batch, n = e1.shape
-    # checked here as well as per block, so that a call with no rows raises alike
-    _check_bandwidth(M, n)
-    _check_centering(centering)
-    e1, e2 = e1.reshape(-1, n), e2.reshape(-1, n)
-    dbar, omega2 = np.empty((2, len(m0s), len(e1)))
-    step = max(1, _STAT_BLOCK // (len(m0s) * n))
-    for start in range(0, len(e1), step):
-        rows = slice(start, start + step)
-        a, b = e1[rows], e2[rows]
-        d = _split_terms(a, b, m0s, out=work_array("stat.terms", (len(m0s),) + a.shape))
-        dbar[:, rows] = np.add.reduce(d, axis=-1) / n
-        omega2[:, rows] = bartlett_lrv(demeaned_split_terms(d, m0s, centering, out=d), M)
+    n = e1.shape[-1]
+    d = _split_terms(e1, e2, m0s, out=work_array("stat.terms", (len(m0s),) + e1.shape))
+    dbar = np.add.reduce(d, axis=-1) / n
+    omega2 = bartlett_lrv(demeaned_split_terms(d, m0s, centering, out=d), M)
     studentizable = omega2 > OMEGA2_FLOOR * (1.0 + dbar * dbar)
     statistic = np.divide(math.sqrt(n) * dbar, np.sqrt(omega2),
                           out=np.full_like(dbar, np.nan), where=studentizable)
-    results = [r.reshape([len(m0s)] + batch) for r in (statistic, dbar, omega2)]
-    return tuple(r[0] for r in results) if single else tuple(results)
+    return (statistic[0], dbar[0], omega2[0]) if single else (statistic, dbar, omega2)
 
 
 def encompassing_test(

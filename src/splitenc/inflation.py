@@ -252,19 +252,24 @@ def _qoq_matrix(panel: InflationPanel) -> np.ndarray:
 
 
 def _contributor_mean(qoq: np.ndarray, dates, exclude: int | None = None) -> np.ndarray:
+    """Per-quarter mean quarter-on-quarter inflation of the countries with a value there.
+
+    ``exclude`` leaves one column out.  Quarters before the first and after
+    the last quarter with a contributing country are NaN (the panel's first
+    quarter always is: it has no prior price anywhere); an empty quarter
+    between them is a genuine gap and raises EmptyQuarter with its label.
+    """
     avail = np.isfinite(qoq)
     if exclude is not None:
         avail[:, exclude] = False
     counts = avail.sum(axis=1)
     sums = np.where(avail, qoq, 0.0).sum(axis=1)
-    out = np.full(qoq.shape[0], np.nan)
-    # the panel's first quarter has no prior price anywhere, so it is
-    # structurally unavailable; any later empty quarter is a genuine gap
-    empty_interior = np.flatnonzero((counts == 0) & (np.arange(len(counts)) > 0))
-    if empty_interior.size:
-        raise EmptyQuarter(f"no contributing country at {dates[empty_interior[0]]}")
-    out[counts > 0] = sums[counts > 0] / counts[counts > 0]
-    return out
+    contributed = np.flatnonzero(counts)
+    # a jump between two contributed quarters skips the quarter after the first of them
+    gaps = np.flatnonzero(np.diff(contributed) > 1)
+    if gaps.size:
+        raise EmptyQuarter(f"no contributing country at {dates[contributed[gaps[0]] + 1]}")
+    return np.divide(sums, counts, out=np.full(len(counts), np.nan), where=counts > 0)
 
 
 def _global_inflation_source(panel: InflationPanel):
@@ -286,23 +291,27 @@ def _country_designs(config: CountryStudyConfig, selected_lag: int,
     pih and pi1 are the block's h-quarter and one-quarter annualized
     inflation, and g the global inflation on the same quarters.  Both
     designs share the same target rows (the intersection of the two models'
-    usable ranges), so dropping the global columns of the large design
-    reproduces the benchmark exactly.
+    usable ranges: every lag finite), so dropping the global columns of the
+    large design reproduces the benchmark exactly.
     """
     h, p2 = config.h, config.p2
-    T_i = pih.shape[0]
-    # _contributor_mean raises on every empty quarter after the panel's
-    # first, so only g's first entry can lack a value
-    g_first = int(np.flatnonzero(np.isfinite(g))[0])
+    # _contributor_mean raises on an interior empty quarter, so g lacks values
+    # only before its first and after its last finite entry; the target rows
+    # end where the newest global lag g_{t-h} reaches the last one
+    span = np.flatnonzero(np.isfinite(g))
+    if span.size == 0:
+        raise InsufficientData("no contributing country on any of its quarters")
+    g_first = int(span[0])
+    T_i = min(pih.shape[0], int(span[-1]) + h + 1)
     # 0-based first target index: own lags need pi1 back to index 1, global
     # lags need g back to its first finite entry
     t0 = max(h + selected_lag + 1, h + p2 + g_first)
     if t0 >= T_i:
         raise InsufficientData(f"no usable target rows at h={h}")
-    targets = pih[t0:]
+    targets = pih[t0:T_i]
     ones = np.ones(T_i - t0)
-    own = lag_columns(pi1, h, selected_lag, t0)
-    glob = lag_columns(g, h, p2, t0)
+    own = lag_columns(pi1[:T_i], h, selected_lag, t0)
+    glob = lag_columns(g[:T_i], h, p2, t0)
     bench = DirectDesign(
         regressors=np.column_stack([ones] + own), targets=targets,
         h=h, first_origin=t0 + 1,

@@ -25,10 +25,12 @@ dgp2 one replication at a time, simulating and factoring each panel once.
 Every design builds its y from those draws with ``dgp.outcome``, from one
 MA path per part, h and theta.  The designs of a task that differ only in
 their stream fields (the same family, T, burn_in, h, beta1, beta2, theta,
-alpha, k0 and m0s per M) run as one: one ``outcome`` call, one fit of the
-recursive expanding-window forecasts from both nested models starting at
-k0, and one split-statistic call per bandwidth cover every mu0 and every
-replication of all of them.
+alpha, k0 and m0s per M) run as one: one ``outcome`` call covers all of
+them, and their replications are then cut into row blocks of
+max(1, _ROW_BLOCK // T), so that a block's running sums and split terms
+stay in cache.  Per block, one fit of the recursive expanding-window
+forecasts from both nested models starting at k0, and one split-statistic
+call per bandwidth, cover every mu0 of every design.
 The test is one-sided, so a cell's replication rejects when its statistic
 exceeds the normal critical value at the cell's level.
 
@@ -98,6 +100,7 @@ from .tables import csv_text, json_text, markdown_text
 
 FAILURE_SHARE_LIMIT = 0.01
 TASK_REPLICATIONS = 250  # replications of one run_replication call at most
+_ROW_BLOCK = 1 << 15  # path entries (rows x T) of one row block of a shape's fit and statistic
 DEFAULT_SEED = 20240817  # base seed of a config that sets none
 # what a failed replication raises; anything else aborts the grid
 _FAILURES = (SplitEncError, np.linalg.LinAlgError)
@@ -289,13 +292,16 @@ def _stack(arrays) -> np.ndarray:
 
 
 def _run_shape(design, reused, built) -> None:
-    """Fill the rows of every design of one shape (``_Design.shape``) with one call per step.
+    """Fill the rows of every design of one shape (``_Design.shape``), a row block at a time.
 
     ``reused`` holds (y, extra, rows) for each design that is its part's
     simulated spec, ``built`` (w, predictor, extra, rows) for each other
     one; rows is the design's (cells, replications) view of its part's
     block.  The stacked y is the reused ys, then one ``outcome`` of the
-    stacked draws, and one fit and one statistic call per M run over it.
+    stacked draws.  Its replications run in blocks of max(1, _ROW_BLOCK // T),
+    so that a block's running sums and split terms stay in cache: each block
+    gets its finiteness mask, one fit and one statistic call per M.  The
+    statistics go to the parts' blocks once, at the end.
     """
     ys = [y for y, _, _ in reused]
     if built:
@@ -303,19 +309,21 @@ def _run_shape(design, reused, built) -> None:
                           _stack([p for _, p, *_ in built])))
     members = [member[-2:] for member in reused + built]  # (extra, rows) in stacked order
     y, extra = _stack(ys), _stack([extra for extra, _ in members])
-    finite = np.isfinite(y).all(axis=1) & np.isfinite(extra).all(axis=1)
-    # the fit reads its rows and writes none, so when every row is finite it takes the stacks
-    kept = (y, extra) if finite.all() else (y[finite], extra[finite])
-    e1, e2 = _forecast_error_pair(*kept, design.spec.h, design.k0)
-    first = 0
-    for M, cells in design.bandwidths.items():
-        stats = np.full((len(cells), len(y)), np.nan)
-        stats[:, finite] = split_statistic(e1, e2, [m0 for _, m0 in cells], M)[0]
-        column = 0
-        for _, rows in members:
-            rows[first:first + len(cells)] = stats[:, column:column + rows.shape[1]]
-            column += rows.shape[1]
-        first += len(cells)
+    stats = np.full((len(design.cells()), len(y)), np.nan)
+    step = max(1, _ROW_BLOCK // y.shape[1])
+    for start in range(0, len(y), step):
+        a, b = y[start:start + step], extra[start:start + step]
+        finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+        # the fit reads its rows and writes none, so when every row is finite it takes views
+        e1, e2 = _forecast_error_pair(*((a, b) if finite.all() else (a[finite], b[finite])),
+                                      design.spec.h, design.k0)
+        stats[:, start:start + step][:, finite] = np.concatenate(
+            [split_statistic(e1, e2, [m0 for _, m0 in cells], M)[0]
+             for M, cells in design.bandwidths.items()])
+    column = 0
+    for _, rows in members:
+        rows[:] = stats[:, column:column + rows.shape[1]]
+        column += rows.shape[1]
 
 
 def run_replication(parts) -> list:
@@ -328,8 +336,9 @@ def run_replication(parts) -> list:
     its specs with one (h, theta) share one MA path (``ma_path``).  The
     designs of every part that share a shape (``_Design.shape``) then run
     as one: one ``outcome`` call on their stacked draws (a part's simulated
-    spec reuses its y), one nested-pair fit and one statistic call per
-    bandwidth M over all their cells.
+    spec reuses its y), then, per row block (``_run_shape``), one
+    nested-pair fit and one statistic call per bandwidth M over all their
+    cells.
     Replication r draws from its own stream, keyed by (key, r), and every
     step acts on one replication at a time, so an entry does not depend on
     which replications or parts share the call.  A replication whose

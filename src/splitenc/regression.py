@@ -208,7 +208,7 @@ def nested_pair_forecast_errors(y, x, h: int, k0: int):
     check = work_array("pair.check", (3,) + batch + (m,), dtype=bool)
     finite = np.isfinite(v, out=check).all(axis=(0, -1))
     # per origin: the means of a, b, t (then scratch) and the deviations da, db, dt;
-    # caa, cab, cat, cbb, cbt and det (two roles, each under the keep cap at table scale)
+    # caa, cab, cat, cbb, cbt and det (two roles; the engine passes one row block at a time)
     means, dev = work_array("pair.origin", (2, 3) + batch + (n,))
     centred = work_array("pair.centred", (6,) + batch + (n,))
     errors = np.empty((2,) + batch + (n,))  # e1, e2: new, never a view of a work array

@@ -3,6 +3,7 @@ import io
 import json
 import textwrap
 
+import numpy as np
 import pytest
 
 import splitenc.cli as cli
@@ -369,6 +370,14 @@ class TestLocalPowerCommand:
         assert code == 2
         assert "JSON object" in err
 
+    def test_blocks_file_not_valid_json(self, capsys, tmp_path):
+        path = tmp_path / "blocks.json"
+        path.write_text('{"c": [1.0,')
+        code, _, err = run_cli(capsys, "local-power", str(path))
+        assert code == 2
+        assert err == ("error: blocks file is not valid JSON: "
+                       "Expecting value: line 1 column 12 (char 11)\n")
+
 
 class TestInflationCommand:
     def test_fixture_golden(self, capsys, fixture_panel_path, data_dir, tmp_path):
@@ -392,13 +401,34 @@ class TestInflationCommand:
             lambda text: "\ufeff" + text, "inflation", *exclude_own)
         assert original == variant
 
-    def test_exclude_own_failure_names_the_quarter(self, capsys, fixture_panel_path):
+    def test_exclude_own_failure_names_the_quarter(self, capsys, tmp_path):
+        # bbb ends in 1989Q4 and ccc starts in 1990Q1, which has no prior ccc price, so
+        # without aaa the quarter 1990Q1 has no contributor between contributed quarters
+        g = np.random.default_rng(12)
+        rows = ["country,date,hcpi"]
+        for name, start, count in (("aaa", 1970, 160), ("bbb", 1970, 80), ("ccc", 1990, 80)):
+            prices = 100.0 * np.exp(np.cumsum(2.0 + g.standard_normal(count)) / 400.0)
+            rows += [f"{name},{start + i // 4}Q{i % 4 + 1},{p:.6f}" for i, p in enumerate(prices)]
+        path = tmp_path / "gap.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, _ = run_cli(capsys, "inflation", str(path), "--exclude-own")
+        assert code == 0
+        body = _table_body(out).splitlines()
+        assert body[-1] == "| aaa | error: country aaa: no contributing country at 1990Q1 |"
+        assert [row.split(" | ")[0] for row in body[2:-1]] == ["| bbb", "| ccc"]
+
+    def test_exclude_own_trims_the_quarters_no_other_country_covers(self, capsys,
+                                                                     fixture_panel_path):
+        # without aaa the quarters up to 1972Q1 have no contributor, and without bbb the
+        # quarters from 2000Q1; each country runs on the quarters the others cover
         code, out, _ = run_cli(capsys, "inflation", fixture_panel_path, "--exclude-own")
         assert code == 0
-        assert _table_body(out).splitlines()[-2:] == [
-            "| aaa | error: country aaa: no contributing country at 1970Q2 |",
-            "| bbb | error: country bbb: no contributing country at 2000Q1 |",
-        ]
+        rows = _table_body(out).splitlines()[2:]
+        assert [row.split(" | ")[0] for row in rows] == ["| aaa", "| bbb", "| ccc"]
+        assert "error" not in out
+        # bbb loses the forecasts of its targets after 2000Q4; ccc is as before
+        assert rows[1].endswith(" | 0 | 56 |")
+        assert rows[2] == "| ccc | 1.110 | 0.674 | 0.657 | 0 | 72 |"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "inflation", "/nonexistent/panel.csv")

@@ -191,6 +191,25 @@ def test_shared_spec_checks(spec_cls, own_bad, field, value, message):
         spec_cls(**{**size, **own_bad, field: value})
 
 
+@pytest.mark.parametrize("spec_cls, field, value, message", [
+    (Dgp1Spec, "rho", -1.0, "|rho| must be < 1"),
+    (Dgp1Spec, "sigma", np.eye(3), "sigma must be 2x2"),
+    (Dgp1Spec, "sigma", np.array([[1.0, 0.5], [0.4, 1.0]]), "sigma must be symmetric"),
+    (Dgp1Spec, "sigma", np.array([[1.0, 2.0], [2.0, 1.0]]), "sigma must be positive definite"),
+    (Dgp2Spec, "N", 9, "N must be at least 10"),
+    (Dgp2Spec, "alpha1", -1.0, "|alpha1| must be < 1"),
+    (Dgp2Spec, "rho_i", 1.0, "|rho_i| must be < 1"),
+    (Dgp2Spec, "rho_i", -1.5, "|rho_i| must be < 1"),
+    (Dgp2Spec, "loading_std", 0.0, "loading_std must be positive"),
+    (Dgp2Spec, "loading_std", -1.0, "loading_std must be positive"),
+], ids=["rho", "sigma-shape", "sigma-symmetry", "sigma-definite", "N", "alpha1", "rho_i",
+        "rho_i-negative", "loading_std", "loading_std-negative"])
+def test_own_spec_checks(spec_cls, field, value, message):
+    size = {"T": 100, "N": 10} if spec_cls is Dgp2Spec else {"T": 100}
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        spec_cls(**{**size, field: value})
+
+
 _DGP1_DESIGN = st.tuples(st.integers(1, 12), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),
                          st.floats(-1.0, 1.0))  # h, theta, beta1, beta2
 

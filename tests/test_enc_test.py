@@ -1,7 +1,7 @@
 import math
+import re
 import sys
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from _oracles import (
     split_terms_direct,
     statistic_direct,
 )
-import splitenc.enc_test as enc_test
 from splitenc.enc_test import (
     ForecastErrorSet,
     HacConfig,
@@ -350,20 +349,16 @@ class TestStatisticOverSplits:
 
     @given(st.integers(0, 2**32 - 1), st.integers(12, 300), st.integers(0, 40),
            st.lists(st.floats(0.1, 0.9), min_size=1, max_size=4), st.booleans(),
-           st.sampled_from(["segment", "global"]), st.sampled_from([None, 1, 2, 3]))
+           st.sampled_from(["segment", "global"]))
     @settings(max_examples=80, deadline=None)
-    def test_each_row_is_its_scalar_call(self, seed, n, rows, fractions, repeat, centering,
-                                         blocks_of):
+    def test_each_row_is_its_scalar_call(self, seed, n, rows, fractions, repeat, centering):
         g = np.random.default_rng(seed)
         e1 = g.standard_normal((rows, n))
         e2 = e1 + 0.5 * g.standard_normal((rows, n))
         m0s = [min(max(2, int(n * f)), n - 2) for f in fractions]
         m0s += m0s[:1] if repeat else []  # a coinciding m0
         M = int(g.integers(1, min(n, 12)))
-        # a row block of blocks_of replications (every m0 together), or the module's own
-        block = enc_test._STAT_BLOCK if blocks_of is None else blocks_of * len(m0s) * n
-        with mock.patch.object(enc_test, "_STAT_BLOCK", block):
-            together = split_statistic(e1, e2, m0s, M, centering)
+        together = split_statistic(e1, e2, m0s, M, centering)
         assert all(r.shape == (len(m0s), rows) for r in together)
         for c, m0 in enumerate(m0s):
             alone = split_statistic(e1, e2, m0, M, centering)
@@ -372,17 +367,6 @@ class TestStatisticOverSplits:
             b = int(g.integers(rows))
             single = split_statistic(e1[b], e2[b], m0s, M, centering)
             assert _statistic_bytes(single) == _statistic_bytes(r[:, b] for r in together)
-
-    def test_rows_above_one_block_of_the_module(self):
-        n, m0s = 150, [45, 60, 67, 90]
-        assert 300 > enc_test._STAT_BLOCK // (len(m0s) * n)
-        g = np.random.default_rng(8)
-        e1 = g.standard_normal((300, n))
-        e2 = e1 + 0.3 * g.standard_normal((300, n))
-        together = split_statistic(e1, e2, m0s, 5)
-        for c, m0 in enumerate(m0s):
-            assert _statistic_bytes(r[c] for r in together) == \
-                _statistic_bytes(split_statistic(e1, e2, m0, 5))
 
     def test_leading_axes_kept(self):
         g = np.random.default_rng(9)
@@ -510,6 +494,23 @@ class TestLocalPower:
             LocalPowerInput(c=[1.0, 2.0], b11=[[1.0]], b12=[[0.0]], b21=[[0.0]],
                             b22=[[1.0]], phi2=1.0, mu0=0.45)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"b11": [[1.0, 0.0]]}, "diagonal blocks must be square"),
+        ({"b22": [[1.0], [0.0]]}, "diagonal blocks must be square"),
+        ({"b12": [[0.0, 0.0]]}, "off-diagonal blocks have inconsistent shapes"),
+        ({"b21": [[0.0], [0.0]]}, "off-diagonal blocks have inconsistent shapes"),
+        ({"c": [1.0, 2.0]}, "c must have length 1"),
+        ({"c": [float("nan")]}, "c must be finite"),
+        ({"b11": [[float("inf")]]}, "b11 must be finite"),
+        ({"b21": [[float("nan")]]}, "b21 must be finite"),
+        ({"b22": [[-float("inf")]]}, "b22 must be finite"),
+    ], ids=["b11", "b22", "b12", "b21", "c-length", "c-nan", "b11-inf", "b21-nan", "b22-inf"])
+    def test_block_shapes_and_values_checked(self, change, message):
+        blocks = {"c": [1.0], "b11": [[1.0]], "b12": [[0.0]], "b21": [[0.0]], "b22": [[1.0]],
+                  **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LocalPowerInput(**blocks, phi2=1.0, mu0=0.45)
+
     @pytest.mark.parametrize("field, value", [("pi0", 0.0), ("pi0", 1.0), ("level", 1.5),
                                               ("level", float("nan"))])
     def test_fraction_outside_unit_interval_names_its_field(self, field, value):
@@ -527,3 +528,17 @@ class TestForecastErrorSet:
             ForecastErrorSet(np.full(10, np.nan), np.zeros(10))
         fes = ForecastErrorSet(np.zeros(12), np.zeros(12), h=4, k0=30)
         assert fes.n == 12
+
+    @pytest.mark.parametrize("e1, e2, h, k0, error, message", [
+        (np.zeros(9), np.zeros(9), 1, 1, InsufficientData, "need at least 10 forecast errors"),
+        (np.zeros(10), np.zeros(11), 1, 1, ValueError, "e1 and e2 must be equal-length vectors"),
+        (np.zeros((2, 10)), np.zeros((2, 10)), 1, 1, ValueError,
+         "e1 and e2 must be equal-length vectors"),
+        (np.zeros(10), np.r_[np.zeros(9), np.inf], 1, 1, ValueError,
+         "forecast errors must be finite"),
+        (np.zeros(10), np.zeros(10), 0, 1, ValueError, "h and k0 must be positive integers"),
+        (np.zeros(10), np.zeros(10), 1, 0, ValueError, "h and k0 must be positive integers"),
+    ], ids=["short", "lengths", "matrix", "inf", "h", "k0"])
+    def test_each_check_names_its_rule(self, e1, e2, h, k0, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ForecastErrorSet(e1, e2, h=h, k0=k0)

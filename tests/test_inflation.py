@@ -13,6 +13,7 @@ from splitenc.dgp import RngStream
 from splitenc.errors import (
     CoverageError,
     EmptyQuarter,
+    InsufficientData,
     InvalidSplit,
     NonPositivePrice,
     ParseError,
@@ -74,6 +75,41 @@ class TestAnnualizedInflation:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositivePrice):
             annualized_inflation(np.array([1.0, -2.0, 3.0]), h=1)
+
+    def test_rejects_h_below_one(self):
+        with pytest.raises(ValueError, match="^h must be >= 1$"):
+            annualized_inflation(np.ones(5), h=0)
+
+
+def _two_country_panel(**change):
+    """InflationPanel fields of two countries on 4 quarters, with ``change`` applied."""
+    prices = np.array([[100.0, 50.0], [101.0, 51.0], [102.0, 52.0], [103.0, np.nan]])
+    fields = {"countries": ("a", "b"), "dates": ("1970Q1", "1970Q2", "1970Q3", "1970Q4"),
+              "prices": prices, "coverage": np.isfinite(prices)}
+    return {**fields, **change}
+
+
+class TestInflationPanel:
+    @pytest.mark.parametrize("change, message", [
+        ({"countries": ("a",)}, "prices/coverage must be T x C aligned with dates and countries"),
+        ({"coverage": np.ones((3, 2), dtype=bool)},
+         "prices/coverage must be T x C aligned with dates and countries"),
+        ({"dates": ("1970Q1", "1970Q2", "1970Q4", "1971Q1")}, "dates must be consecutive quarters"),
+        ({"coverage": np.array([[1, 0], [1, 0], [1, 0], [1, 0]], dtype=bool)},
+         "country b has no observations"),
+        ({"coverage": np.array([[1, 1], [1, 0], [1, 1], [1, 0]], dtype=bool)},
+         "country b coverage is not contiguous"),
+        ({"coverage": np.ones((4, 2), dtype=bool)}, "country b has non-finite prices inside coverage"),
+        ({"prices": np.array([[100.0, 50.0], [0.0, 51.0], [102.0, 52.0], [103.0, np.nan]])},
+         "country a has non-positive prices"),
+    ], ids=["countries", "coverage-shape", "dates", "empty", "gap", "non-finite", "non-positive"])
+    def test_each_check_names_its_rule(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            InflationPanel(**_two_country_panel(**change))
+
+    def test_valid_fields_load(self):
+        panel = InflationPanel(**_two_country_panel())
+        assert panel.block("b")[0] == 0 and panel.block("b")[1].tolist() == [50.0, 51.0, 52.0]
 
 
 class TestLoadPanel:
@@ -282,6 +318,55 @@ class TestGlobalInflation:
         with pytest.raises(EmptyQuarter):
             _global_inflation_source(panel)(None)
 
+    def test_exclusion_interior_gap_names_its_quarter(self):
+        # b ends in 1984Q4 and c starts in 1985Q1, which has no prior c price
+        base = _ar1_panel(7, C=3, T=120)
+        panel = InflationPanel.from_blocks({"a": ("1970Q1", base.prices[:, 0]),
+                                            "b": ("1970Q1", base.prices[:60, 1]),
+                                            "c": ("1985Q1", base.prices[60:, 2])})
+        source = _global_inflation_source(panel)
+        for _ in range(2):  # raised again when repeated
+            with pytest.raises(EmptyQuarter, match="^no contributing country at 1985Q1$"):
+                source(0)
+        for exclude in (None, 1, 2):
+            assert np.isnan(source(exclude)[0]) and np.isfinite(source(exclude)[1:]).all()
+
+    def test_exclusion_with_no_other_country_on_the_block(self):
+        # a ends in 1989Q4 and b and c start in 1990Q1: without a, none of a's quarters
+        # has a contributor
+        base = _ar1_panel(7, C=3, T=160)
+        panel = InflationPanel.from_blocks({"a": ("1970Q1", base.prices[:80, 0]),
+                                            "b": ("1990Q1", base.prices[80:, 1]),
+                                            "c": ("1990Q1", base.prices[80:, 2])})
+        cfg = CountryStudyConfig(h=4, p2=4, p_max=2, include_own_country=False)
+        with pytest.raises(InsufficientData,
+                           match="^country a: no contributing country on any of its quarters$"):
+            country_encompassing(panel, "a", cfg)
+
+    @pytest.mark.parametrize("country, first_origin, last_target", [
+        ("a", 30, 120),  # no other country before 1975Q2: the global lags start there
+        ("b", 9, 100),   # a covers every quarter of b
+        ("c", 9, 84),    # no other country after 1999Q4: the targets end 4 quarters later
+    ])
+    def test_exclusion_trims_the_quarters_no_other_country_covers(self, country, first_origin,
+                                                                   last_target):
+        # a: 1970Q1-1999Q4, b: 1975Q1-1999Q4, c: 1980Q1-2004Q4
+        base = _ar1_panel(7, C=3, T=120)
+        panel = InflationPanel.from_blocks({"a": ("1970Q1", base.prices[:, 0]),
+                                            "b": ("1975Q1", base.prices[:100, 1]),
+                                            "c": ("1980Q1", base.prices[:100, 2])})
+        cfg = CountryStudyConfig(h=4, p2=4, p_max=2, include_own_country=False)
+        bench, large, _ = _designs(panel, country, cfg, selected_lag=0)
+        assert (large.first_origin, large.last_target) == (first_origin, last_target)
+        assert bench.targets.tobytes() == large.targets.tobytes()
+        # the newest global lag is the mean of the other countries' qoq inflation
+        qoq = inflation._qoq_matrix(panel)
+        j = panel.countries.index(country)
+        b0 = panel.block(country)[0]
+        dates = b0 + np.arange(first_origin - 1, last_target) - cfg.h
+        expected = np.nanmean(np.delete(qoq, j, axis=1)[dates], axis=1)
+        assert_allclose(large.regressors[:, -(cfg.p2 + 1)], expected, rtol=1e-12)
+
     def test_identical_countries_reduce_to_own_series(self):
         prices = 100 * np.exp(np.cumsum(np.sin(np.arange(90)) + 2) / 400)
         own = annualized_inflation(prices, 1)
@@ -424,6 +509,11 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=r"^pi0 must lie in \(0, 1\)"):
             CountryStudyConfig(pi0=pi0)
 
+    @pytest.mark.parametrize("field, value", [("h", 0), ("p2", -1), ("p_max", -1)])
+    def test_lag_counts_and_horizon_checked(self, field, value):
+        with pytest.raises(ValueError, match=r"^need h >= 1, p2 >= 0, p_max >= 0$"):
+            CountryStudyConfig(**{field: value})
+
     @pytest.mark.parametrize("mu0_list", [(0.40, 0.45, 0.40), (0.40, 0.4000001)])
     def test_mu0_list_sharing_a_label_rejected(self, mu0_list):
         # the p-value columns are labelled p_mu0_{mu0:g}
@@ -468,8 +558,8 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("include_own", [True, False])
     def test_global_series_computed_once_per_exclusion(self, monkeypatch, include_own):
-        # c01 and c02 start five years late, so without c00 the early
-        # quarters have no contributor and only c00 fails under exclusion
+        # c01 and c02 start five years late, so without c00 the early quarters
+        # have no contributor, and c00's designs start after them; only c00 fails
         base = _ar1_panel(81, C=3, T=120)
         panel = InflationPanel.from_blocks({
             "c00": ("1970Q1", base.prices[:, 0]),
@@ -493,7 +583,10 @@ class TestRunStudy:
         assert report.results == tuple(one_by_one)
         assert report.failures == failures
         if not include_own:
-            assert failures == {"c00": "country c00: no contributing country at 1970Q2"}
+            # g starts in 1975Q2, so c00's first usable target is its first origin
+            # k0 = 30 and the first fit would have one row for 7 parameters
+            assert failures == {"c00": "country c00: k0=30 leaves too few rows for the first "
+                                       "fit (first usable target 30, 7 parameters with p2=4)"}
 
     def test_csv_and_json_round_trip(self, fixture_panel):
         report = run_study(fixture_panel, CountryStudyConfig())

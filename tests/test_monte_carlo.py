@@ -658,6 +658,10 @@ class TestDesignGroups:
         for cell, row in zip(cells, serial):
             assert row.tobytes() == _row_alone(cell, 300, 23).tobytes()
 
+    def test_no_replication_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one replication$"):
+            mc._run_cells([_cell()], 0, 1, 1)
+
 
 class TestTasks:
     """Replications are packed into tasks of parts; a cell's bits do not depend on the packing."""
@@ -720,6 +724,97 @@ class TestTasks:
         assert serial.tobytes() == pooled.tobytes()
         for cell, row in zip(cells, serial):
             assert row.tobytes() == _row_alone(cell, 300, 23).tobytes()
+
+
+def _blocked_grid():
+    """A dgp1 and a dgp2 shape, each over 2 stream groups x 30 replications.
+
+    dgp1: 2 groups (rho 0.25, 0.5) x 2 beta2 (one simulated, one built) x 2 mu0;
+    dgp2: 2 panels (N 12, 20) x 2 mu0.
+    """
+    dgp1 = [_cell(T=100, rho=rho, beta2=beta2, mu0=mu0)
+            for rho in (0.25, 0.5) for beta2 in (0.2, 0.4) for mu0 in (0.35, 0.45)]
+    dgp2 = [McCell(dgp=Dgp2Spec(T=60, N=N, beta2=0.3), mu0=mu0)
+            for N in (12, 20) for mu0 in (0.35, 0.45)]
+    return dgp1 + dgp2
+
+
+class TestRowBlocks:
+    """A shape's replications run in row blocks of max(1, _ROW_BLOCK // T); no bit depends on them."""
+
+    @pytest.fixture
+    def failing_rows(self, monkeypatch):
+        """Replication 3 of the rho=0.25 group has a non-finite x, the kernel declines
+        replication 20 of the rho=0.5 group, and the N=20 panel's factor is not identified
+        in replication 7; returns the generic fits' call log."""
+        real_sim1, real_sim2, real_kernel = mc.simulate_dgp1, mc.simulate_dgp2, \
+            mc.nested_pair_forecast_errors
+        declined = real_sim1(Dgp1Spec(T=100, rho=0.5),
+                             [RngStream((5, mc._stream_digest(Dgp1Spec(T=100, rho=0.5))), 20)])
+
+        def simulate_dgp1(spec, streams):
+            sim = real_sim1(spec, streams)
+            ids = [s.stream_id for s in streams]
+            if spec.rho == 0.25 and 3 in ids:
+                x = sim["x"].copy()
+                x[ids.index(3), 40] = np.inf
+                sim = {**sim, "x": x}
+            return sim
+
+        def simulate_dgp2(spec, stream):
+            sim = real_sim2(spec, stream)
+            if spec.N == 20 and stream.stream_id == 7:
+                sim = {**sim, "X": np.ones_like(sim["X"])}  # no simple top eigenvalue
+            return sim
+
+        def kernel(y, x, h, k0):
+            # the rows of the declined replication are left to the generic path
+            e1, e2 = real_kernel(y, x, h, k0)
+            rows = x[:, 0] == declined["x"][0, 0]
+            e1[rows] = e2[rows] = np.nan
+            return e1, e2
+
+        real_generic, generic = mc._generic_pair, []
+        monkeypatch.setattr(mc, "simulate_dgp1", simulate_dgp1)
+        monkeypatch.setattr(mc, "simulate_dgp2", simulate_dgp2)
+        monkeypatch.setattr(mc, "nested_pair_forecast_errors", kernel)
+        monkeypatch.setattr(mc, "_generic_pair",
+                            lambda *args: generic.append(len(args[0])) or real_generic(*args))
+        return generic
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_blocks_match_each_cell_alone(self, monkeypatch, failing_rows, workers):
+        cells = _blocked_grid()
+        alone = [_row_alone(cell, 30, 5) for cell in cells]  # one block per call
+        assert len(failing_rows) == 4  # each cell of the declined replication's group
+        real, rows = mc._forecast_error_pair, []
+        monkeypatch.setattr(mc, "_forecast_error_pair",
+                            lambda y, extra, h, k0: rows.append(len(y)) or real(y, extra, h, k0))
+        monkeypatch.setattr(mc, "_ROW_BLOCK", 1500)  # 15 rows at T=100, 25 at T=60
+        got = mc._run_cells(cells, 30, 5, workers)
+        if workers == 1:
+            # one task: 2 dgp1 shapes of 60 rows in 4 blocks and one dgp2 shape in 3, each
+            # block without its non-finite rows
+            assert rows == [14, 15, 15, 15] * 2 + [25, 24, 10]
+            assert len(failing_rows) == 6  # and once per design of that group
+        for cell, row, single in zip(cells, got, alone):
+            assert row.tobytes() == single.tobytes()
+        assert np.isnan(got[:4, 3]).all() and np.isnan(got[-2:, 7]).all()
+        assert np.isfinite(np.delete(got[:4], 3, axis=1)).all() and np.isfinite(got[4:8]).all()
+        assert np.isfinite(np.delete(got[8:], 7, axis=1)).all()
+
+    def test_rows_above_one_block_of_the_module(self, monkeypatch):
+        # 300 replications at T=150 run as tasks of 250 and 50 rows, in blocks of 218
+        cells = [_cell(T=150, mu0=m) for m in (0.3, 0.4, 0.45, 0.6)]
+        assert mc.TASK_REPLICATIONS > mc._ROW_BLOCK // 150 == 218
+        real, rows = mc._forecast_error_pair, []
+        monkeypatch.setattr(mc, "_forecast_error_pair",
+                            lambda y, extra, h, k0: rows.append(len(y)) or real(y, extra, h, k0))
+        blocked = mc._run_cells(cells, 300, 8, 1)
+        assert rows == [218, 32, 50]
+        monkeypatch.setattr(mc, "_ROW_BLOCK", 250 * 150)
+        assert blocked.tobytes() == mc._run_cells(cells, 300, 8, 1).tobytes()
+        assert rows[3:] == [250, 50] and np.isfinite(blocked).all()
 
 
 class TestRenderReport:
@@ -878,6 +973,38 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as err:
             load_experiment_config(path)
         assert err.value.key_path == "experiment.repz"
+
+    @pytest.mark.parametrize("body, key_path, message", [
+        ("experiment: [kind", "<file>", "not valid YAML: "),
+        ("- 1\n- 2\n", "<root>", "config must be a mapping"),
+        ("experiment: {kind: size, mu0: 0.45}\ndgp: {family: dgp1, T: 250}\nextra: 1\n",
+         "extra", "unknown section"),
+        ("experiment: {kind: size, mu0: 0.45}\n", "dgp", "missing or not a mapping"),
+        ("experiment: 3\ndgp: {family: dgp1, T: 250}\n", "experiment",
+         "missing or not a mapping"),
+        ("experiment: {mu0: 0.45}\ndgp: {family: dgp1, T: 250}\n", "experiment.kind",
+         "missing required key"),
+        ("experiment: {kind: size}\ndgp: {family: dgp1, T: 250}\n", "experiment.mu0",
+         "missing required key"),
+        ("experiment: {kind: size, mu0: 0.45}\ndgp: {T: 250}\n", "dgp.family",
+         "missing required key"),
+        ("experiment: {kind: size, mu0: 0.45}\ndgp: {family: dgp1}\n", "dgp.T",
+         "missing required key"),
+        ("experiment: {kind: size, mu0: 0.45}\ndgp: {family: dgp2, h: 1}\n", "dgp.NT",
+         "missing required key"),
+        ("experiment: {kind: size, mu0: 0.45}\ndgp: {family: dgp3, T: 250}\n", "dgp.family",
+         "unknown family 'dgp3'"),
+    ], ids=["yaml", "root", "unknown-section", "missing-section", "section-not-mapping", "kind",
+            "mu0", "family", "dgp1-T", "dgp2-NT", "unknown-family"])
+    def test_malformed_file_names_its_key_path(self, tmp_path, body, key_path, message):
+        path = tmp_path / "exp.yaml"
+        path.write_text(body)
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.key_path == key_path
+        assert str(err.value).startswith(f"{key_path}: {message}")
+        if key_path != "<file>":  # the YAML error goes on to say where the parser stopped
+            assert str(err.value) == f"{key_path}: {message}"
 
     def test_both_bandwidth_keys_rejected(self, tmp_path):
         path = self._write(tmp_path, """

@@ -44,6 +44,33 @@ class TestDirectDesign:
             DirectDesign(regressors=rng.standard_normal((10, 2)),
                          targets=rng.standard_normal(10), h=1, first_origin=2)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"targets": np.ones(9)}, "regressors must be (m, k) aligned with m targets"),
+        ({"regressors": np.ones(10)}, "regressors must be (m, k) aligned with m targets"),
+        ({"regressors": np.ones((0, 2)), "targets": np.ones(0)}, "design has no rows"),
+        ({"targets": np.r_[np.ones(9), np.nan]}, "design entries must be finite"),
+        ({"regressors": np.c_[np.ones(10), np.r_[np.ones(9), np.inf]]},
+         "design entries must be finite"),
+        ({"h": 0, "first_origin": 1}, "horizon must be >= 1"),
+        ({"h": 2, "first_origin": 2}, "first usable target cannot predate h + 1"),
+    ], ids=["targets", "regressors-1d", "no-rows", "targets-nan", "regressors-inf", "h",
+            "first-origin"])
+    def test_invalid_design_names_its_rule(self, change, message):
+        fields = {"regressors": np.ones((10, 2)), "targets": np.ones(10), "h": 1,
+                  "first_origin": 2, **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DirectDesign(**fields)
+
+    @pytest.mark.parametrize("y, predictors, h, error, message", [
+        (np.ones(10), None, 0, ValueError, "horizon must be >= 1"),
+        (np.ones(3), None, 3, InsufficientData, "series of length 3 has no usable pairs at h=3"),
+        (np.ones(10), np.ones((9, 2)), 1, ValueError,
+         "predictors must share the target's time index"),
+    ], ids=["h", "short", "predictors"])
+    def test_from_series_rejects(self, y, predictors, h, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            DirectDesign.from_series(y, predictors, h=h)
+
 
 class TestExpandingWindow:
     def test_constant_only_gives_running_mean(self, rng):
@@ -478,3 +505,18 @@ class TestBicSelectLag:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             bic_select_lag(np.zeros(15), h=1, p_max=8)
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"lag_source": np.zeros(39)}, ValueError, "lag_source must share y's length"),
+        ({"p_max": -1}, ValueError, "need p_max >= 0 and h >= 1"),
+        ({"h": 0}, ValueError, "need p_max >= 0 and h >= 1"),
+        ({"y": np.zeros(20)}, InsufficientData, "need at least p_max + h + 10 = 21 observations"),
+        ({"y": np.r_[np.zeros(39), np.nan]}, ValueError,
+         "targets contain non-finite values on the comparison sample"),
+        ({"lag_source": np.r_[np.inf, np.zeros(39)]}, ValueError,
+         "lags contain non-finite values on the comparison sample"),
+    ], ids=["lag-source", "p-max", "h", "short", "targets", "lags"])
+    def test_invalid_input_names_its_rule(self, change, error, message):
+        args = {"y": np.zeros(40), "h": 2, "p_max": 9, **change}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            bic_select_lag(**args)

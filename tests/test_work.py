@@ -5,6 +5,7 @@ import threading
 import numpy as np
 
 import splitenc._work as work
+import splitenc.monte_carlo as mc
 from splitenc.enc_test import split_statistic
 from splitenc.regression import nested_pair_forecast_errors
 
@@ -74,3 +75,23 @@ def test_kept_memory_of_the_largest_dgp1_chunk_is_bounded():
     after = _on_new_thread(larger)
     assert after["pair.rows"] == chunk["pair.rows"]
     assert all(size <= work.KEEP_ENTRIES for size in after.values())
+
+
+def test_engine_keeps_one_row_block_of_the_kernel():
+    # one 250-replication part at T = 1000 runs in row blocks of 32, so each kernel buffer
+    # is sized for a block, not for the part
+    cells = [mc.McCell(dgp=mc.Dgp1Spec(T=1000), mu0=mu0) for mu0 in (0.3, 0.4, 0.45, 0.6)]
+    ((digest, designs),) = mc._design_groups(cells)
+    rows = mc._ROW_BLOCK // 1000
+    assert rows == 32
+
+    def task():
+        (block,) = mc.run_replication([(designs, range(250), (3, digest))])
+        return block, _kept_sizes()
+
+    block, kept = _on_new_thread(task)
+    assert block.shape == (4, 250) and np.isfinite(block).all()
+    per_block = {"pair.rows": 8 * rows * 999, "pair.check": 3 * rows * 999,
+                 "pair.origin": 2 * 3 * rows * 750, "pair.centred": 6 * rows * 750}
+    assert {role: size for role, size in kept.items() if role.startswith("pair.")} == per_block
+    assert kept["stat.terms"] == 4 * rows * 750
