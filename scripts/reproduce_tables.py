@@ -2,12 +2,14 @@
 """Run the shipped size/power experiment configs and write their reports.
 
 Full-fidelity runs use 10000 replications per cell.  Serially, all five
-grids take about 10 minutes on a 2-vCPU Xeon host (Python 3.11, numpy
-2.4): 40 times the median of three --reps 250 runs per table, which took
-2.5, 1.2, 4.5, 2.3 and 5.0 s for tables 1 to 5.  Pass --reps 2000 for a
-desk-mode pass with wider Monte Carlo error, or --only to select specific
-tables.  Every selected config
-is loaded and checked before the first table runs.
+grids take about 10 minutes on a shared 2-vCPU Xeon host (Python 3.11,
+numpy 2.4, scipy 1.17): 40 times the median of three --reps 250 runs per
+table, which took 2.7, 1.3, 4.2, 2.9 and 5.8 s for tables 1 to 5.  The
+first table run carries the one-off import of scipy.signal (1.5 s there,
+as it pulls in scipy.stats, interpolate and optimize), which the 40x
+extrapolation leaves out.  Pass --reps 2000 for a desk-mode pass with
+wider Monte Carlo error, or --only to select specific tables.  Every
+selected config is loaded and checked before the first table runs.
 
 Usage:
     python scripts/reproduce_tables.py --reps 2000 --out-dir results/

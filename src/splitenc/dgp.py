@@ -268,28 +268,28 @@ def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
     return {name: path[0] for name, path in out.items()} if single else out
 
 
-_PANEL_BLOCK = 1 << 15  # panel entries (256 KB) filtered and assembled at once
+_PANEL_BLOCK = 1 << 15  # panel entries (256 KB) whose common component is formed at once
 
 
 def _assemble_panel(E: np.ndarray, f: np.ndarray, lam: np.ndarray, rho: float) -> None:
     """Turn the T x N innovations E into the panel f lam' + AR(rho) of E, in place.
 
-    The idiosyncratic AR(rho) columns are filtered one block of rows (about
-    _PANEL_BLOCK entries) at a time, lfilter carrying each column's state
-    from block to block, and the block's common component f_t lam' is
-    formed in the panel rows themselves.  Each entry is rounded as in
-    ``outer(f, lam) + _ar1_path(E, rho, axis=0)``, so the bits are the
-    same, and the working memory is one block rather than three panels.
+    The idiosyncratic AR(rho) recursion runs down the rows, every column
+    in one step: e_t += rho e_{t-1}, two ufunc calls per row where lfilter
+    walks one strided column at a time.  The common component f_t lam' is
+    then added one block of about _PANEL_BLOCK entries at a time, formed
+    in a kept work array.  Each entry is rounded as in ``outer(f, lam) +
+    _ar1_path(E, rho, axis=0)``, so the bits are the same.
     """
-    from scipy.signal import lfilter
-
-    step = max(1, _PANEL_BLOCK // E.shape[1])
-    state = np.zeros((1, E.shape[1]))
-    for start in range(0, len(E), step):
-        rows = E[start:start + step]
-        idio, state = lfilter([1.0], [1.0, -rho], rows, axis=0, zi=state)
-        np.multiply.outer(f[start:start + len(rows)], lam, out=rows)
-        rows += idio
+    T, N = E.shape
+    step = np.empty(N)
+    for prev, row in zip(E, E[1:]):
+        row += np.multiply(prev, rho, step)
+    rows = max(1, _PANEL_BLOCK // N)
+    common = work_array("panel.common", (min(rows, T), N))
+    for start in range(0, T, rows):
+        block = E[start:start + rows]
+        block += np.multiply.outer(f[start:start + rows], lam, out=common[:len(block)])
 
 
 def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:

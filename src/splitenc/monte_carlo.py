@@ -65,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -420,7 +421,9 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
         # imported here, not at module import: only a pooled run needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool launches all its processes at the first submit, so
+        # start no more than there are tasks or CPUs; the tasks stay cut by workers
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
             results = list(pool.map(run_replication, tasks))
     stats = np.full((len(cells), reps), np.nan)
     for task, blocks in zip(tasks, results):

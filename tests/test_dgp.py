@@ -443,6 +443,32 @@ class TestPanelKernel:
             assert factor.tobytes() == oracle.tobytes()
         assert sim["X"].tobytes() == panel.tobytes()  # the argument is left as it was
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 80),
+           st.one_of(st.just(0.0), st.floats(-0.99, 0.99)), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_row_pass_matches_outer_plus_lfilter(self, seed, T, N, rho, block_share):
+        # one row per block up to the whole panel in one block
+        from scipy.signal import lfilter
+
+        g = np.random.default_rng(seed)
+        E, f, lam = g.standard_normal((T, N)), g.standard_normal(T), g.standard_normal(N)
+        expected = np.multiply.outer(f, lam) + lfilter([1.0], [1.0, -rho], E, axis=0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dgp_module, "_PANEL_BLOCK", 1 + round(block_share * (T * N - 1)))
+            dgp_module._assemble_panel(E, f, lam, rho)
+        assert E.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("N, T", [(100, 250), (500, 500)])
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    def test_shipped_shapes_match_copying_oracle(self, N, T, stream):
+        # the shapes the tables run, where BLAS takes other paths than at T <= 80
+        spec = Dgp2Spec(T=T, N=N, h=2, beta2=0.4)
+        sim = simulate_dgp2(spec, RngStream((11, 7), stream))
+        expected = simulate_dgp2_copying(spec, (11, 7), stream)
+        for key in ("y", "X", "f_true"):
+            assert sim[key].tobytes() == expected[key].tobytes(), key
+        assert estimate_factor(sim["X"]).tobytes() == estimate_factor_copying(expected["X"]).tobytes()
+
     @pytest.mark.parametrize("N, T", [(20, 60), (60, 60), (70, 55)])
     def test_eigh_fallback_matches_oracle(self, N, T, monkeypatch):
         # loadings this small leave a pure-noise panel: no certified eigengap

@@ -696,6 +696,42 @@ class TestTasks:
                                                                     [range(15, 30)]]
         assert stats.tobytes() == collect_statistics(_cell(T=100), reps=30, base_seed=9).tobytes()
 
+    @pytest.mark.parametrize("workers, cpus, started", [
+        (5000, 2, 2),  # never more processes than CPUs
+        (5000, None, 1),  # an unknown CPU count starts one
+        (5000, 64, 30),  # nor more than tasks: 30 one-replication tasks
+        (3, 8, 3),
+    ])
+    def test_pool_starts_at_most_one_process_per_cpu_and_task(self, monkeypatch, workers,
+                                                               cpus, started):
+        # a fork-started pool launches max_workers processes at its first submit; the
+        # stand-in records that number and runs the tasks in this process
+        import concurrent.futures
+
+        launched = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                launched.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        real, tasks = mc._tasks, []
+        monkeypatch.setattr(mc, "_tasks", lambda *args: tasks.extend(real(*args)) or tasks)
+        stats = mc._run_cells([_cell(T=100)], 30, 9, workers)
+        assert launched == [started]
+        assert len(tasks) == min(workers, 30)  # the tasks are cut by workers as before
+        assert stats.tobytes() == mc._run_cells([_cell(T=100)], 30, 9, 1).tobytes()
+
     def test_grid_with_some_shared_shapes_matches_each_cell_alone(self, monkeypatch):
         cells = [
             _cell(T=100, mu0=0.40),                 # group (100, 0.25): h=1 simulated

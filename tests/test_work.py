@@ -5,6 +5,7 @@ import threading
 import numpy as np
 
 import splitenc._work as work
+import splitenc.dgp as dgp
 import splitenc.monte_carlo as mc
 from splitenc.enc_test import split_statistic
 from splitenc.regression import nested_pair_forecast_errors
@@ -95,3 +96,16 @@ def test_engine_keeps_one_row_block_of_the_kernel():
                  "pair.origin": 2 * 3 * rows * 750, "pair.centred": 6 * rows * 750}
     assert {role: size for role, size in kept.items() if role.startswith("pair.")} == per_block
     assert kept["stat.terms"] == 4 * rows * 750
+
+
+def test_panel_keeps_one_row_block_of_the_common_component():
+    # a 500 x 500 panel gets its common component in blocks of _PANEL_BLOCK // 500 rows,
+    # so the kept buffer is one block, not the panel
+    rows = dgp._PANEL_BLOCK // 500
+    assert rows < 500
+
+    def task():
+        dgp.simulate_dgp2(dgp.Dgp2Spec(T=500, N=500), dgp.RngStream(3, 1))
+        return _kept_sizes()
+
+    assert _on_new_thread(task) == {"panel.common": rows * 500}
