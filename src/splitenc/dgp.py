@@ -91,8 +91,17 @@ def _check_cov(name: str, cov: np.ndarray, dim: int) -> np.ndarray:
     return cov
 
 
+def _check_integers(spec, names) -> None:
+    """Each named field is an integer (a bool is not): it sizes an array or a slice."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidSpec(f"{name} must be an integer")
+
+
 def _check_shared(spec) -> None:
     """The checks of the fields both designs share: T, h, beta1 and burn_in."""
+    _check_integers(spec, ("T", "h", "burn_in"))
     if spec.T < 50:
         raise InvalidSpec("T must be at least 50")
     if spec.h < 1:
@@ -159,6 +168,7 @@ class Dgp2Spec:
 
     def __post_init__(self):
         _check_shared(self)
+        _check_integers(self, ("N",))
         if self.N < 10:
             raise InvalidSpec("N must be at least 10")
         if not abs(self.alpha1) < 1.0:

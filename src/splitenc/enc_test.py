@@ -194,7 +194,7 @@ class EncompassingResult:
     omega2: float          # Bartlett long-run variance of the demeaned terms
     mse1: float
     mse2: float
-    classic_moment: float  # plain-sample-mean moment, reported raw
+    classic_moment: float  # plain-sample-mean moment, degenerate under nesting: reported raw
     n: int
     m0: int
     M: int
@@ -202,35 +202,17 @@ class EncompassingResult:
     centering: str = "segment"
 
 
-def sample_mse(errors) -> float:
-    """Mean squared error of a forecast-error vector."""
-    errors = np.asarray(errors, dtype=float)
-    return float(np.mean(errors * errors))
-
-
-def classic_moment(fes: ForecastErrorSet) -> float:
-    """Plain sample moment (1/n) sum e1^2 - (1/n) sum e1 e2.
-
-    Degenerate under nesting, so it is reported as a raw diagnostic only and
-    never studentized.
-    """
-    e1, e2 = fes.e1, fes.e2
-    n = fes.n
-    return float((np.sum(e1 * e1) - np.sum(e1 * e2)) / n)
-
-
-def _split_terms(e1: np.ndarray, e2: np.ndarray, m0, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-observation split-sample moment terms along the last axis (unvalidated core).
+def _split_terms(e1: np.ndarray, e2: np.ndarray, m0s, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-observation split-sample moment terms along the last axis, one row per m0 (unvalidated core).
 
     Each term is e1^2 - w e1 e2 with w = 0.5 n / m0 before the split and
-    0.5 n / (n - m0) after it.  A sequence of m0 gives the terms a leading
-    axis with one row per m0, all from one e1*e1 and one e1*e2, which are
-    formed in a work array kept between calls (see ``_work.work_array``).
-    The terms go to ``out`` when given, else to a new array.
+    0.5 n / (n - m0) after it.  The terms gain a leading axis with one row
+    per entry of the sequence m0s, all from one e1*e1 and one e1*e2, which
+    are formed in a work array kept between calls (see
+    ``_work.work_array``).  The terms go to ``out`` when given, else to a
+    new array.
     """
     n = e1.shape[-1]
-    single = np.ndim(m0) == 0
-    m0s = [m0] if single else m0
     weights = np.empty((len(m0s),) + (1,) * (e1.ndim - 1) + (n,))
     for row, m in zip(weights, m0s):
         row[..., :m] = 0.5 * n / m
@@ -238,8 +220,7 @@ def _split_terms(e1: np.ndarray, e2: np.ndarray, m0, out: np.ndarray | None = No
     squares, products = work_array("stat.products", (2,) + e1.shape)
     np.multiply(e1, e1, out=squares)
     np.multiply(e1, e2, out=products)
-    d = np.subtract(squares, np.multiply(weights, products, out=out), out=out)
-    return d[0] if single else d
+    return np.subtract(squares, np.multiply(weights, products, out=out), out=out)
 
 
 def bartlett_lrv(q, M: int):
@@ -262,38 +243,30 @@ def bartlett_lrv(q, M: int):
     return np.maximum(total, 0.0)
 
 
-def _check_centering(centering: str) -> None:
-    if centering not in ("segment", "global"):
-        raise ValueError(f"unknown centering {centering!r} (use 'segment' or 'global')")
+def demeaned_split_terms(d: np.ndarray, m0s, centering: str = "segment") -> np.ndarray:
+    """Center the split-sample moment terms in place, along the last axis, before variance estimation.
 
-
-def demeaned_split_terms(d: np.ndarray, m0, centering: str = "segment",
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Center the split-sample moment terms, along the last axis, before variance estimation.
-
-    ``"segment"`` removes each segment's own mean, which is what keeps the
-    Bartlett normalizer consistent (see the module docstring); ``"global"``
-    removes the single full-sample mean, the literal textbook form.  A
-    sequence of m0 goes with terms that have a leading axis of one row per
-    m0, as ``_split_terms`` makes them.  The result goes to ``out`` when
-    given, which may be ``d`` itself, else to a new array.
+    ``d`` has a leading axis of one row per entry of the sequence m0s, as
+    ``_split_terms`` makes it, and is returned.  ``"segment"`` removes each
+    segment's own mean, which is what keeps the Bartlett normalizer
+    consistent (see the module docstring); ``"global"`` removes the single
+    full-sample mean, the literal textbook form.
     """
-    _check_centering(centering)
-    if centering == "segment":
-        q = np.empty_like(d) if out is None else out
-        by_m0 = [(d, q, m0)] if np.ndim(m0) == 0 else zip(d, q, m0)
-        n = d.shape[-1]
-        for terms, centred, m in by_m0:
-            # add.reduce / count is np.mean's arithmetic without its Python overhead
-            for part, count in ((np.s_[..., :m], m), (np.s_[..., m:], n - m)):
-                np.subtract(terms[part], np.add.reduce(terms[part], axis=-1, keepdims=True) / count,
-                            out=centred[part])
-        return q
-    return np.subtract(d, np.mean(d, axis=-1, keepdims=True), out=out)
+    if centering == "global":
+        return np.subtract(d, np.mean(d, axis=-1, keepdims=True), out=d)
+    if centering != "segment":
+        raise ValueError(f"unknown centering {centering!r} (use 'segment' or 'global')")
+    n = d.shape[-1]
+    for terms, m in zip(d, m0s):
+        # add.reduce / count is np.mean's arithmetic without its Python overhead
+        for part, count in ((np.s_[..., :m], m), (np.s_[..., m:], n - m)):
+            np.subtract(terms[part], np.add.reduce(terms[part], axis=-1, keepdims=True) / count,
+                        out=terms[part])
+    return d
 
 
-def split_statistic(e1, e2, m0, M: int, centering: str = "segment") -> tuple:
-    """(statistic, dbar, omega2) of every forecast-error pair along the last axis.
+def split_statistic(e1, e2, m0s, M: int, centering: str = "segment") -> tuple:
+    """(statistic, dbar, omega2) of every forecast-error pair along the last axis, one row per m0.
 
     The numerator is the mean of the split-sample moment terms; the
     normalizer is the Bartlett long-run variance of the same terms after
@@ -302,25 +275,23 @@ def split_statistic(e1, e2, m0, M: int, centering: str = "segment") -> tuple:
     studentization is numerically meaningless and the statistic is NaN.
     Every entry depends on its own pair only.
 
-    ``m0`` is one split location, or a sequence of them; the three results
-    then gain a leading axis with one row per m0, and row c is bit for bit
-    the result for m0[c] alone.  e1*e1 and e1*e2 are formed once for every
+    ``m0s`` is a sequence of split locations.  The three results have a
+    leading axis with one row per m0, and row c is bit for bit the result
+    of a call with ``[m0s[c]]``.  e1*e1 and e1*e2 are formed once for every
     m0, and the terms of every m0 are centred in place in a work array kept
     between calls.  A caller that wants a block's terms to stay in cache
     passes the pairs a block at a time (as the Monte Carlo engine does).
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
-    single = np.ndim(m0) == 0
-    m0s = [m0] if single else list(m0)
     n = e1.shape[-1]
     d = _split_terms(e1, e2, m0s, out=work_array("stat.terms", (len(m0s),) + e1.shape))
     dbar = np.add.reduce(d, axis=-1) / n
-    omega2 = bartlett_lrv(demeaned_split_terms(d, m0s, centering, out=d), M)
+    omega2 = bartlett_lrv(demeaned_split_terms(d, m0s, centering), M)
     studentizable = omega2 > OMEGA2_FLOOR * (1.0 + dbar * dbar)
     statistic = np.divide(math.sqrt(n) * dbar, np.sqrt(omega2),
                           out=np.full_like(dbar, np.nan), where=studentizable)
-    return (statistic[0], dbar[0], omega2[0]) if single else (statistic, dbar, omega2)
+    return statistic, dbar, omega2
 
 
 def encompassing_test(
@@ -331,8 +302,11 @@ def encompassing_test(
 ) -> EncompassingResult:
     """Run the split-sample encompassing test on one forecast-error pair.
 
-    The statistic comes from ``split_statistic``, centred segment-wise by
-    default.
+    The one scalar form of ``split_statistic``: it passes the single split
+    location as ``[m0]`` and takes row 0.  The terms are centred
+    segment-wise by default.  The result also reports each model's mean
+    squared error and the plain sample moment (1/n) sum e1^2 - (1/n) sum
+    e1 e2, which is degenerate under nesting and so never studentized.
 
     Raises
     ------
@@ -343,10 +317,10 @@ def encompassing_test(
     InvalidSplit, BandwidthOutOfRange
         Propagated from the split and bandwidth resolution.
     """
-    n = fes.n
+    e1, e2, n = fes.e1, fes.e2, fes.n
     m0 = split.m0(n)
     M = hac.resolve(n)
-    statistic, dbar, omega2 = (float(v) for v in split_statistic(fes.e1, fes.e2, m0, M, centering))
+    statistic, dbar, omega2 = (float(v[0]) for v in split_statistic(e1, e2, [m0], M, centering))
     if math.isnan(statistic):
         raise DegenerateVariance(f"long-run variance {omega2:g} too small to studentize")
     p_value = min(max(ndtr(-statistic), 0.0), 1.0)
@@ -355,9 +329,9 @@ def encompassing_test(
         p_value=p_value,
         dbar=dbar,
         omega2=omega2,
-        mse1=sample_mse(fes.e1),
-        mse2=sample_mse(fes.e2),
-        classic_moment=classic_moment(fes),
+        mse1=float(np.mean(e1 * e1)),
+        mse2=float(np.mean(e2 * e2)),
+        classic_moment=float((np.sum(e1 * e1) - np.sum(e1 * e2)) / n),
         n=n,
         m0=m0,
         M=M,

@@ -137,6 +137,10 @@ class CountryStudyConfig:
     include_own_country: bool = True  # global average includes the target country
 
     def __post_init__(self):
+        for name in ("h", "p2", "p_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.h < 1 or self.p2 < 0 or self.p_max < 0:
             raise ValueError("need h >= 1, p2 >= 0, p_max >= 0")
         unit_fraction(self.pi0, "pi0")

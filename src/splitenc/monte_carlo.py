@@ -125,25 +125,20 @@ def _first_origin(dgp, pi0: float) -> tuple:
     return k0, n
 
 
-def _spec_digest(spec, names=None) -> int:
-    """Canonical digest of a DGP spec: its type name and each field's name and float64 bytes.
+def _stream_digest(spec) -> int:
+    """The digest that keys a replication's stream: the spec's fields that its draws depend on.
 
-    ``names`` restricts the digest to those fields, in that order.  The
-    spec holds an ndarray (``sigma``), so the frozen dataclass itself is
-    not hashable; equal specs give equal digests in every process (adding
-    0.0 maps -0.0 to 0.0).
+    It hashes the spec's type name, then the name and float64 bytes of each
+    stream field (``DGP1_STREAM_FIELDS`` or ``DGP2_PANEL_FIELDS``) in order.
+    A dgp1 spec holds an ndarray (``sigma``), so the frozen dataclass itself
+    is not hashable; equal fields give equal digests in every process
+    (adding 0.0 maps -0.0 to 0.0).
     """
     digest = hashlib.sha256(type(spec).__name__.encode())
-    for name in names or [f.name for f in fields(spec)]:
+    for name in DGP2_PANEL_FIELDS if isinstance(spec, Dgp2Spec) else DGP1_STREAM_FIELDS:
         digest.update(name.encode())
         digest.update((np.asarray(getattr(spec, name), dtype=np.float64) + 0.0).tobytes())
     return int.from_bytes(digest.digest(), "little")
-
-
-def _stream_digest(spec) -> int:
-    """The digest that keys a replication's stream: the spec's fields that its draws depend on."""
-    names = DGP2_PANEL_FIELDS if isinstance(spec, Dgp2Spec) else DGP1_STREAM_FIELDS
-    return _spec_digest(spec, names)
 
 
 # per spec class, the fields that y adds to the draws, with T and burn_in (the draws' length)
@@ -411,9 +406,20 @@ def _tasks(groups, reps, base_seed, workers) -> list:
 
 
 def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
-    """Statistics of every (cell, replication) as a (cells, reps) array; NaN marks a failure."""
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    """Statistics of every (cell, replication) as a (cells, reps) array; NaN marks a failure.
+
+    reps, base_seed and workers are checked first, as their config keys and
+    options are, and a bad one is named.
+    """
+    checked = []
+    for name, check, value in (("reps", replication_count, reps),
+                               ("base_seed", seed_value, base_seed),
+                               ("workers", worker_count, workers)):
+        try:
+            checked.append(check(value))
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    reps, base_seed, workers = checked
     tasks = _tasks(_design_groups(cells), reps, base_seed, workers)
     if workers <= 1:
         results = [run_replication(task) for task in tasks]
@@ -460,7 +466,8 @@ def _run_experiment(kind: str, cells, reps, base_seed, workers) -> McReport:
                 reliable=(failures / reps) < FAILURE_SHARE_LIMIT,
             )
         )
-    return McReport(cells=tuple(out), reps=reps, base_seed=base_seed, kind=kind)
+    # _run_cells took base_seed as a whole number: the report shows the seed it ran
+    return McReport(cells=tuple(out), reps=reps, base_seed=int(base_seed), kind=kind)
 
 
 def _check_beta2(kind: str, name: str, beta2: float) -> None:
@@ -564,7 +571,7 @@ def replication_count(value) -> int:
 
 def worker_count(value) -> int:
     """A worker-process count of at least 1 (option ``--threads``)."""
-    workers = int(value)
+    workers = _whole(value)
     if workers < 1:
         raise ValueError(f"must be at least 1, got {workers}")
     return workers

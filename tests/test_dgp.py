@@ -210,6 +210,25 @@ def test_own_spec_checks(spec_cls, field, value, message):
         spec_cls(**{**size, field: value})
 
 
+@pytest.mark.parametrize("spec_cls, field, value", [
+    (Dgp1Spec, "T", 100.5), (Dgp1Spec, "T", 100.0), (Dgp1Spec, "h", 1.5), (Dgp1Spec, "h", True),
+    (Dgp1Spec, "burn_in", 10.5), (Dgp1Spec, "burn_in", False), (Dgp2Spec, "T", 100.5),
+    (Dgp2Spec, "N", 20.5), (Dgp2Spec, "N", True),
+])
+def test_integer_fields_rejected_at_construction(spec_cls, field, value):
+    # T, h, burn_in and N size arrays and slices: a float or a bool would pass the
+    # range checks and fail later, inside a simulation, with a raw TypeError
+    size = {"T": 100, "N": 10} if spec_cls is Dgp2Spec else {"T": 100}
+    with pytest.raises(InvalidSpec, match=f"^{field} must be an integer$"):
+        spec_cls(**{**size, field: value})
+
+
+def test_numpy_integer_fields_accepted():
+    spec = Dgp2Spec(T=np.int64(100), N=np.int32(10), h=np.int64(2), burn_in=np.int64(0))
+    assert spec.T == 100 and spec.N == 10
+    assert Dgp1Spec(T=np.int64(100), h=np.int64(3)).h == 3
+
+
 _DGP1_DESIGN = st.tuples(st.integers(1, 12), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),
                          st.floats(-1.0, 1.0))  # h, theta, beta1, beta2
 

@@ -24,11 +24,9 @@ from splitenc.enc_test import (
     SplitSpec,
     _split_terms,
     bartlett_lrv,
-    classic_moment,
     demeaned_split_terms,
     encompassing_test,
     local_power_stationary,
-    sample_mse,
     split_statistic,
 )
 from splitenc.errors import (
@@ -67,34 +65,46 @@ def _random_pair(seed, n):
     return g.standard_normal(n), g.standard_normal(n)
 
 
+def _diagnostics(e1, e2):
+    """(mse1, mse2, classic_moment) of the test result, each checked bit for bit
+    against its direct formula."""
+    e1, e2 = np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)
+    res = encompassing_test(ForecastErrorSet(e1, e2), SplitSpec(0.40), HacConfig())
+    assert res.mse1 == float(np.mean(e1 * e1))
+    assert res.mse2 == float(np.mean(e2 * e2))
+    assert res.classic_moment == float((np.sum(e1 * e1) - np.sum(e1 * e2)) / e1.shape[0])
+    return res.mse1, res.mse2, res.classic_moment
+
+
 class TestSampleMse:
+    """The result's mse1 and mse2: the mean squared error of each error vector."""
+
     def test_trivial_values(self):
-        assert sample_mse([0.0, 0.0, 0.0]) == 0.0
-        assert sample_mse([1.0, -1.0, 1.0, -1.0]) == 1.0
-        assert sample_mse([3.0, 4.0]) == 12.5
+        assert _diagnostics(np.tile([3.0, 4.0], 6), np.zeros(12))[:2] == (12.5, 0.0)
+        assert _diagnostics(np.tile([3.0, 4.0], 6), np.tile([1.0, -1.0], 6))[1] == 1.0
 
 
 class TestClassicMoment:
+    """The result's classic_moment: (1/n) sum e1^2 - (1/n) sum e1 e2, reported raw."""
+
     def test_identical_forecasts_zero(self):
         e = np.linspace(-2, 2, 10)
-        assert classic_moment(ForecastErrorSet(e, e)) == 0.0
+        assert _diagnostics(e, e)[2] == 0.0
 
     def test_unit_gap(self):
-        fes = ForecastErrorSet(np.ones(10), np.zeros(10))
-        assert classic_moment(fes) == 1.0
+        # sum e1 e2 = 0, so the moment is the mean of e1^2 = 1
+        assert _diagnostics(np.ones(10), np.tile([1.0, -1.0], 5))[2] == 1.0
 
     def test_distributive_identity_exact_on_integers(self):
         # integer-valued errors make both float evaluations exact
         g = np.random.default_rng(5)
         e1 = g.integers(-5, 6, size=20).astype(float)
         e2 = g.integers(-5, 6, size=20).astype(float)
-        fes = ForecastErrorSet(e1, e2)
-        assert classic_moment(fes) == np.mean(e1 * (e1 - e2))
+        assert _diagnostics(e1, e2)[2] == np.mean(e1 * (e1 - e2))
 
     def test_distributive_identity_floats(self):
         e1, e2 = _random_pair(6, 20)
-        fes = ForecastErrorSet(e1, e2)
-        assert_allclose(classic_moment(fes), np.mean(e1 * (e1 - e2)),
+        assert_allclose(_diagnostics(e1, e2)[2], np.mean(e1 * (e1 - e2)),
                         rtol=1e-13, atol=1e-15)
 
 
@@ -155,14 +165,14 @@ class TestSplitMomentTerms:
         # tiny instance small enough to check by hand against both forms
         e1 = np.array([1.0, 1.0, 1.0, 1.0])
         e2 = np.array([1.0, 0.0, 0.0, 0.0])
-        d = _split_terms(e1, e2, m0=1)
+        d = _split_terms(e1, e2, [1])[0]
         assert_array_equal(d, [-1.0, 1.0, 1.0, 1.0])
         assert_array_equal(d, split_terms_direct(e1, e2, 1))
         assert np.mean(d) == dbar_direct(e1, e2, 1) == 0.5
 
     def test_constant_errors_balance_to_zero(self):
         # dyadic weights (n=12, m0=4) make the cancellation exact
-        d = _split_terms(np.full(12, 1.0), np.full(12, 1.0), SplitSpec(0.40).m0(12))
+        d = _split_terms(np.full(12, 1.0), np.full(12, 1.0), [SplitSpec(0.40).m0(12)])[0]
         assert np.mean(d) == 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(10, 120),
@@ -175,7 +185,7 @@ class TestSplitMomentTerms:
             m0 = split.m0(n)
         except InvalidSplit:
             return
-        d = _split_terms(e1, e2, m0)
+        d = _split_terms(e1, e2, [m0])[0]
         assert_allclose(d, split_terms_direct(e1, e2, m0), rtol=0, atol=1e-12)
         assert_allclose(np.mean(d), dbar_direct(e1, e2, m0), rtol=0, atol=1e-12)
 
@@ -300,8 +310,8 @@ class TestEncompassingTest:
         res = encompassing_test(ForecastErrorSet(e1, e2), SplitSpec(0.40), HacConfig())
         assert_allclose(res.statistic,
                         math.sqrt(res.n) * res.dbar / math.sqrt(res.omega2), rtol=1e-12)
-        assert res.mse1 == sample_mse(e1)
-        assert res.mse2 == sample_mse(e2)
+        assert res.mse1 == np.mean(e1 * e1)
+        assert res.mse2 == np.mean(e2 * e2)
         assert 0.0 <= res.p_value <= 1.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(12, 150),
@@ -318,7 +328,7 @@ class TestEncompassingTest:
         except InvalidSplit:
             return
         M = max(1, n // 10)
-        statistic, dbar, omega2 = split_statistic(e1, e2, m0, M, centering)
+        statistic, dbar, omega2 = (r[0] for r in split_statistic(e1, e2, [m0], M, centering))
         assert statistic.shape == dbar.shape == omega2.shape == (rows,)
         for b in range(rows):
             oracle = statistic_direct(e1[b], e2[b], m0, M, centering)
@@ -329,7 +339,7 @@ class TestEncompassingTest:
     def test_batched_statistic_masks_degenerate_rows_only(self):
         e1, e2 = np.stack([GOLDEN_E1, np.zeros(12), GOLDEN_E1, np.ones(12)]), \
             np.stack([GOLDEN_E2, np.zeros(12), GOLDEN_E2, np.ones(12)])
-        statistic, _, _ = split_statistic(e1, e2, 4, 2)
+        statistic = split_statistic(e1, e2, [4], 2)[0][0]
         assert np.isnan(statistic[[1, 3]]).all()
         res = encompassing_test(ForecastErrorSet(GOLDEN_E1, GOLDEN_E2), SplitSpec(0.40),
                                 HacConfig(bandwidth=2))
@@ -337,7 +347,18 @@ class TestEncompassingTest:
 
     def test_demeaned_split_terms_unknown_centering(self):
         with pytest.raises(ValueError):
-            demeaned_split_terms(np.zeros(10), 4, centering="other")
+            demeaned_split_terms(np.zeros((1, 10)), [4], centering="other")
+
+    @pytest.mark.parametrize("centering", ["segment", "global"])
+    def test_demeaned_split_terms_centre_in_place(self, centering):
+        e1, e2 = _random_pair(7, 30)
+        d = _split_terms(e1, e2, [9, 20])
+        terms = d.copy()
+        assert demeaned_split_terms(d, [9, 20], centering) is d
+        for row, centred, m in zip(terms, d, [9, 20]):
+            parts = [row[:m], row[m:]] if centering == "segment" else [row]
+            assert_allclose(centred, np.concatenate([p - np.mean(p) for p in parts]),
+                            rtol=0, atol=1e-14)
 
 
 def _statistic_bytes(result):
@@ -361,8 +382,8 @@ class TestStatisticOverSplits:
         together = split_statistic(e1, e2, m0s, M, centering)
         assert all(r.shape == (len(m0s), rows) for r in together)
         for c, m0 in enumerate(m0s):
-            alone = split_statistic(e1, e2, m0, M, centering)
-            assert _statistic_bytes(r[c] for r in together) == _statistic_bytes(alone)
+            alone = split_statistic(e1, e2, [m0], M, centering)
+            assert _statistic_bytes(r[c] for r in together) == _statistic_bytes(r[0] for r in alone)
         if rows:
             b = int(g.integers(rows))
             single = split_statistic(e1[b], e2[b], m0s, M, centering)
@@ -373,7 +394,7 @@ class TestStatisticOverSplits:
         e1, e2 = g.standard_normal((2, 2, 3, 40))
         statistic, dbar, omega2 = split_statistic(e1, e2, (10, 25), 3)
         assert statistic.shape == dbar.shape == omega2.shape == (2, 2, 3)
-        assert statistic[1].tobytes() == split_statistic(e1, e2, 25, 3)[0].tobytes()
+        assert statistic[1].tobytes() == split_statistic(e1, e2, [25], 3)[0][0].tobytes()
 
     def test_threads_give_the_same_bytes(self):
         # each thread keeps its own work arrays: more threads than cores, switching often

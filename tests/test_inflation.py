@@ -514,6 +514,13 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=r"^need h >= 1, p2 >= 0, p_max >= 0$"):
             CountryStudyConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("h", 1.5), ("p2", 1.5), ("p_max", 2.5),
+                                              ("h", True), ("p_max", 4.0)])
+    def test_lag_counts_and_horizon_must_be_integers(self, field, value):
+        # they slice the panel: a float or a bool would stop run_study part way
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            CountryStudyConfig(**{field: value})
+
     @pytest.mark.parametrize("mu0_list", [(0.40, 0.45, 0.40), (0.40, 0.4000001)])
     def test_mu0_list_sharing_a_label_rejected(self, mu0_list):
         # the p-value columns are labelled p_mu0_{mu0:g}

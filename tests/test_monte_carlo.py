@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import textwrap
 import tracemalloc
 
@@ -111,6 +112,33 @@ class TestExperiments:
         assert c.failures == 0 and c.reliable
         assert c.mc_se == pytest.approx(
             math.sqrt(c.rejection_frequency * (1 - c.rejection_frequency) / 25))
+
+    @pytest.mark.parametrize("reps, base_seed, workers, message", [
+        (3, 1, 0, "workers must be at least 1, got 0"),
+        (3, 1, 2.5, "workers must be an integer, got 2.5"),
+        (3, 1, True, "workers must be an integer, got True"),
+        (2.5, 1, 1, "reps must be an integer, got 2.5"),
+        (True, 1, 1, "reps must be an integer, got True"),
+        (3, -1, 1, "base_seed must be non-negative, got -1"),
+        (3, 1.5, 1, "base_seed must be an integer, got 1.5"),
+    ])
+    def test_counts_checked_before_any_work(self, monkeypatch, reps, base_seed, workers,
+                                            message):
+        def no_work(*args):
+            raise AssertionError("work started before the counts were checked")
+
+        monkeypatch.setattr(mc, "_design_groups", no_work)
+        for run, beta2 in ((run_size_experiment, 0.0), (run_power_experiment, 0.3),
+                           (lambda cells, *a: mc.collect_statistics(cells[0], *a), 0.0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run([_cell(T=100, beta2=beta2)], reps, base_seed, workers)
+
+    def test_whole_float_counts_run_as_integers(self):
+        cells = [_cell(T=100)]
+        report = run_size_experiment(cells, reps=3.0, base_seed=7.0, workers=1.0)
+        assert report.reps == 3 and report.base_seed == 7
+        expected = run_size_experiment(cells, reps=3, base_seed=7)
+        assert render_report(report, "markdown") == render_report(expected, "markdown")
 
     def test_worker_count_invariance(self):
         cells = [_cell(T=100, mu0=m) for m in (0.40, 0.45)]
@@ -311,12 +339,17 @@ class TestDesignGroups:
             row = mc._run_cells(grid, 20, 13, 1)[index]
             assert row.tobytes() == alone.tobytes()
 
-    def test_spec_digest_is_canonical(self):
-        base = mc._spec_digest(Dgp1Spec(T=100))
-        assert mc._spec_digest(Dgp1Spec(T=100, beta2=-0.0)) == base
-        for other in (Dgp1Spec(T=101), Dgp1Spec(T=100, sigma=SIGMA2),
-                      Dgp1Spec(T=100, burn_in=201), Dgp2Spec(T=100, N=10)):
-            assert mc._spec_digest(other) != base
+    def test_stream_digest_is_canonical(self):
+        base = mc._stream_digest(Dgp1Spec(T=100, rho=0.0))
+        assert mc._stream_digest(Dgp1Spec(T=100, rho=-0.0)) == base
+        assert mc._stream_digest(Dgp2Spec(T=100, N=10, rho_i=-0.0)) == \
+            mc._stream_digest(Dgp2Spec(T=100, N=10, rho_i=0.0))
+        for other in (Dgp1Spec(T=101, rho=0.0), Dgp1Spec(T=100, rho=0.0, sigma=SIGMA2),
+                      Dgp1Spec(T=100, rho=0.0, burn_in=201), Dgp2Spec(T=100, N=10)):
+            assert mc._stream_digest(other) != base
+        # the digest keys every recorded stream: its low 64 bits as recorded
+        assert mc._stream_digest(Dgp1Spec(T=100)) % 2**64 == 0x33fc5a09f705e32d
+        assert mc._stream_digest(Dgp2Spec(T=100, N=10)) % 2**64 == 0x4559258f80b0d012
 
     @pytest.mark.parametrize("family", sorted(_STREAM_KEYS))
     def test_stream_key_is_the_draw_fields(self, family):
@@ -327,11 +360,10 @@ class TestDesignGroups:
         for name, value in design_fields.items():
             other = dataclasses.replace(spec, **{name: value})
             assert mc._stream_digest(other) == key
-            assert mc._spec_digest(other) != mc._spec_digest(spec)
+            assert mc._y_key(other) != mc._y_key(spec)
         assert set(changed) == set(stream_fields)
         for name, value in changed.items():
             assert mc._stream_digest(dataclasses.replace(spec, **{name: value})) != key
-        assert key != mc._spec_digest(spec)
         # the other family's spec has the same T and burn_in
         assert key not in [mc._stream_digest(other) for other, *_ in _STREAM_KEYS.values()
                            if other is not spec]
@@ -659,7 +691,7 @@ class TestDesignGroups:
             assert row.tobytes() == _row_alone(cell, 300, 23).tobytes()
 
     def test_no_replication_rejected(self):
-        with pytest.raises(ValueError, match="^need at least one replication$"):
+        with pytest.raises(ValueError, match="^reps must be at least 1, got 0$"):
             mc._run_cells([_cell()], 0, 1, 1)
 
 
