@@ -398,22 +398,29 @@ def estimate_factor(X) -> np.ndarray:
     degeneracy decision.
 
     Raises DegenerateSpectrum when the top eigenvalue is not simple to
-    working precision (the direction is then not identified).  The
-    demeaned panel and the Gram matrix live in work buffers kept between
-    calls (see ``_work.work_array``): allocated afresh at N = T = 500 they
-    fault in about 1000 pages, a fifth of the call.  The result never
-    refers to them.
+    working precision (the direction is then not identified).
+
+    The panel is demeaned in place.  A writeable float64 X that is C- or
+    F-contiguous is overwritten with its demeaned columns, whether the call
+    returns or raises, so a caller that needs the panel afterwards passes a
+    copy.  Any other input (another dtype, a strided, reversed or read-only
+    view) is copied first, laid out as X - X.mean(axis=0) would be, and is
+    left as it was; BLAS rounds the products of the two layouts
+    differently, so every layout gives the bits of that expression.  The
+    Gram matrix lives in a work buffer kept between calls (see
+    ``_work.work_array``): allocated afresh at N = T = 500 it faults in
+    about 500 pages.  The result never refers to it or to X.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 2:
         raise ValueError("X must be a T x N panel with T >= 2 and N >= 2")
     T, N = X.shape
-    # X itself is left as it was: Xd is the one copy of the panel, laid out
-    # as X is (as X - mean would be), since BLAS rounds the products of the
-    # two layouts differently.  Use the smaller of the two Gram matrices;
-    # the non-zero spectra coincide and the eigenvectors map through Xd.
-    order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
-    Xd = np.subtract(X, X.mean(axis=0), out=work_array("factor.demeaned", (T, N), order))
+    mean = X.mean(axis=0)  # the mean of X - X.mean(axis=0), taken before any copy
+    if not (X.flags.writeable and (X.flags.c_contiguous or X.flags.f_contiguous)):
+        X = X.copy(order="F" if abs(X.strides[0]) < abs(X.strides[1]) else "C")
+    Xd = np.subtract(X, mean, out=X)
+    # Use the smaller of the two Gram matrices; the non-zero spectra
+    # coincide and the eigenvectors map through Xd.
     k = min(T, N)
     gram = work_array("factor.gram", (k, k))
     A = np.matmul(Xd.T, Xd, out=gram) if N < T else np.matmul(Xd, Xd.T, out=gram)

@@ -46,6 +46,8 @@ group.  Every step of a task acts on one replication at a time, so
 reports are bit-identical across worker counts, task packings and
 execution orders, and a cell's statistics do not change when it runs
 alone, in a reordered grid or beside other cells, of its group or not.
+A run holds numpy's OpenBLAS at one thread (see ``_run_cells``), so the
+factor step's products round alike whatever the host's core count.
 All designs and mu0 of a stream group see common random numbers: cells
 that differ in h, alpha, beta1, beta2, theta or mu0 are dependent within
 a replication, while each cell's own law is unchanged.
@@ -405,11 +407,55 @@ def _tasks(groups, reps, base_seed, workers) -> list:
             for start in range(0, total, size)]
 
 
+_openblas = None  # (setter, getter) of numpy's OpenBLAS thread count, () if not found
+
+
+def _blas_threads(count: int = 1):
+    """Set numpy's OpenBLAS to ``count`` threads; returns its count before, or None if not found.
+
+    The library is looked up once, on first use.  ctypes opens the one
+    numpy has already loaded (``numpy.libs/libscipy_openblas64_*``), so
+    the setter acts on the copy numpy's matmul calls.  scipy bundles a copy
+    of its own, which only the dense eigensolver fallback of
+    ``dgp.estimate_factor`` calls, and it is left alone: that fallback ran
+    on none of the 4000 panels of tables 3 and 5 at 1000 replications.
+    """
+    global _openblas
+    if _openblas is None:
+        import ctypes
+        import glob
+
+        _openblas = ()
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+            try:
+                lib = ctypes.CDLL(path)
+                setter = lib.scipy_openblas_set_num_threads64_
+                getter = lib.scipy_openblas_get_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            _openblas = (setter, getter)
+            break
+    if not _openblas:
+        return None
+    setter, getter = _openblas
+    before = getter()
+    setter(count)
+    return before
+
+
 def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     """Statistics of every (cell, replication) as a (cells, reps) array; NaN marks a failure.
 
     reps, base_seed and workers are checked first, as their config keys and
-    options are, and a bad one is named.
+    options are, and a bad one is named.  The run holds numpy's OpenBLAS at
+    one thread, in this process and in every pool worker, and gives this
+    process its count back afterwards, also when the run raises: with it a
+    factor step's bits do not depend on the host's core count, and the pool
+    workers' BLAS threads do not wait on each other.  Where the library or
+    its setter is not found, BLAS runs as it is set.
     """
     checked = []
     for name, check, value in (("reps", replication_count, reps),
@@ -421,16 +467,25 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
             raise ValueError(f"{name} {exc}") from None
     reps, base_seed, workers = checked
     tasks = _tasks(_design_groups(cells), reps, base_seed, workers)
-    if workers <= 1:
-        results = [run_replication(task) for task in tasks]
-    else:
-        # imported here, not at module import: only a pooled run needs it
-        from concurrent.futures import ProcessPoolExecutor
+    before = _blas_threads(1)
+    try:
+        if workers <= 1:
+            results = [run_replication(task) for task in tasks]
+        else:
+            # imported here, not at module import: only a pooled run needs it
+            from concurrent.futures import ProcessPoolExecutor
 
-        # a fork-started pool launches all its processes at the first submit, so
-        # start no more than there are tasks or CPUs; the tasks stay cut by workers
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
-            results = list(pool.map(run_replication, tasks))
+            # a fork-started pool launches all its processes at the first submit, so
+            # start no more than there are tasks or CPUs this process may run on; the
+            # tasks stay cut by workers
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus),
+                                     initializer=_blas_threads) as pool:
+                results = list(pool.map(run_replication, tasks))
+    finally:
+        if before is not None:
+            _blas_threads(before)
     stats = np.full((len(cells), reps), np.nan)
     for task, blocks in zip(tasks, results):
         for (designs, part, _), block in zip(task, blocks):

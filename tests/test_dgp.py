@@ -367,7 +367,7 @@ class TestEstimateFactor:
 
     def test_sign_convention(self, rng):
         X = rng.standard_normal((80, 12))
-        f_hat = estimate_factor(X)
+        f_hat = estimate_factor(X.copy())
         assert f_hat @ X[:, 0] >= 0.0
 
     def test_column_shifts_do_not_matter(self, rng):
@@ -419,7 +419,7 @@ class TestEstimateFactor:
             X[:, 0] = 3.0
         with pytest.MonkeyPatch.context() as m:
             calls = _count_exact_calls(m)
-            fast = estimate_factor(X)
+            fast = estimate_factor(X.copy())
         assert calls == []
         assert_allclose(fast, _exact_only(X), rtol=0.0, atol=1e-12)
 
@@ -460,7 +460,8 @@ class TestPanelKernel:
         assert (factor is None) == (oracle is None)
         if factor is not None:
             assert factor.tobytes() == oracle.tobytes()
-        assert sim["X"].tobytes() == panel.tobytes()  # the argument is left as it was
+        # the contiguous panel is demeaned in place, returned or raised
+        assert sim["X"].tobytes() == (panel - panel.mean(axis=0)).tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 80),
            st.one_of(st.just(0.0), st.floats(-0.99, 0.99)), st.floats(0.0, 1.0))
@@ -494,26 +495,40 @@ class TestPanelKernel:
         spec = Dgp2Spec(T=T, N=N, loading_std=1e-6, rho_i=0.0)
         X = simulate_dgp2(spec, RngStream(3, 1))["X"]
         calls = _count_exact_calls(monkeypatch)
-        assert estimate_factor(X).tobytes() == estimate_factor_copying(X).tobytes()
+        assert estimate_factor(X.copy()).tobytes() == estimate_factor_copying(X).tobytes()
         assert calls == [(min(N, T), min(N, T))]
 
-    @pytest.mark.parametrize("layout", [
-        np.ascontiguousarray,
-        np.asfortranarray,
-        lambda P: P[::2, ::3],
-        lambda P: P[::-1],
-        lambda P: np.asfortranarray(P)[:, 1::2],
+    @pytest.mark.parametrize("layout, in_place", [
+        (np.ascontiguousarray, True),
+        (np.asfortranarray, True),
+        (lambda P: P[::2, ::3], False),
+        (lambda P: P[::-1], False),
+        (lambda P: np.asfortranarray(P)[:, 1::2], False),
     ], ids=["C", "F", "strided", "reversed-rows", "F-strided"])
     @given(st.integers(0, 2**32 - 1), st.integers(20, 90), st.integers(20, 90))
     @settings(max_examples=15, deadline=None)
-    def test_any_memory_layout_matches_oracle(self, layout, seed, T, N):
-        # the demeaned copy follows X's layout, which BLAS rounds differently
+    def test_any_memory_layout_matches_oracle(self, layout, in_place, seed, T, N):
+        # the demeaned panel follows X's layout, which BLAS rounds differently
         g = np.random.default_rng(seed)
-        X = layout(np.outer(g.standard_normal(T), 1.0 + g.random(N))
-                   + 0.3 * g.standard_normal((T, N)))
-        panel = X.tobytes()
-        assert estimate_factor(X).tobytes() == estimate_factor_copying(X).tobytes()
-        assert X.tobytes() == panel
+        P = np.outer(g.standard_normal(T), 1.0 + g.random(N)) + 0.3 * g.standard_normal((T, N))
+        X, original = layout(P.copy()), layout(P)
+        assert (X.flags.c_contiguous or X.flags.f_contiguous) == in_place
+        assert estimate_factor(X).tobytes() == estimate_factor_copying(original).tobytes()
+        # a contiguous panel is demeaned in place; any other input is left as it was
+        expected = original - original.mean(axis=0) if in_place else original
+        assert X.tobytes() == expected.tobytes()
+
+    def test_read_only_and_other_dtype_panels_are_left_as_they_were(self):
+        X = simulate_dgp2(Dgp2Spec(T=60, N=40), RngStream(4, 2))["X"]
+        expected = estimate_factor_copying(X).tobytes()
+        frozen = X.copy()
+        frozen.flags.writeable = False
+        single = X.astype(np.float32)
+        kept = single.copy()
+        assert estimate_factor(frozen).tobytes() == expected
+        assert frozen.tobytes() == X.tobytes()
+        assert estimate_factor(single).tobytes() == estimate_factor_copying(single).tobytes()
+        assert single.tobytes() == kept.tobytes()
 
     def test_degenerate_panel_matches_oracle(self):
         f1 = np.array([1.0, -1.0, 1.0, -1.0])
@@ -524,11 +539,14 @@ class TestPanelKernel:
             estimate_factor(X)
 
     def test_results_do_not_share_the_work_buffers(self):
-        # the demeaned panel and Gram matrix are kept between calls; results must not alias them
+        # the Gram matrix is kept between calls, and the panel is demeaned in place;
+        # results must alias neither
         panels = [simulate_dgp2(Dgp2Spec(T=60, N=N), RngStream(4, N))["X"] for N in (40, 60, 80)]
-        first = [estimate_factor(X) for X in panels]
+        copies = [X.copy() for X in panels]
+        first = [estimate_factor(X) for X in copies]
+        assert not any(np.shares_memory(f, X) for f, X in zip(first, copies))
         kept = [f.copy() for f in first]
-        again = [estimate_factor(X) for X in panels[::-1]][::-1]
+        again = [estimate_factor(X.copy()) for X in panels[::-1]][::-1]
         for f, k, a in zip(first, kept, again):
             assert f.tobytes() == k.tobytes() == a.tobytes()
 

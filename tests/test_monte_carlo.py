@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 
@@ -729,22 +733,32 @@ class TestTasks:
         assert stats.tobytes() == collect_statistics(_cell(T=100), reps=30, base_seed=9).tobytes()
 
     @pytest.mark.parametrize("workers, cpus, started", [
-        (5000, 2, 2),  # never more processes than CPUs
-        (5000, None, 1),  # an unknown CPU count starts one
+        (5000, 2, 2),  # never more processes than the CPUs this process may use
+        (5000, None, 1),  # no affinity mask and an unknown CPU count start one
         (5000, 64, 30),  # nor more than tasks: 30 one-replication tasks
         (3, 8, 3),
     ])
     def test_pool_starts_at_most_one_process_per_cpu_and_task(self, monkeypatch, workers,
                                                                cpus, started):
+        # cpus is the size of the affinity mask on a host of 64 CPUs
+        self._check_pool_size(monkeypatch, workers, cpus, 64 if cpus else None, started)
+
+    @pytest.mark.parametrize("cpus, started", [(2, 2), (64, 30)])
+    def test_pool_takes_the_cpu_count_without_an_affinity_mask(self, monkeypatch, cpus, started):
+        self._check_pool_size(monkeypatch, 5000, None, cpus, started)
+
+    @staticmethod
+    def _check_pool_size(monkeypatch, workers, affinity, cpus, started):
         # a fork-started pool launches max_workers processes at its first submit; the
-        # stand-in records that number and runs the tasks in this process
+        # stand-in records that number and the workers' initializer, and runs the
+        # tasks in this process
         import concurrent.futures
 
         launched = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                launched.append(max_workers)
+            def __init__(self, max_workers, initializer):
+                launched.append((max_workers, initializer))
 
             def __enter__(self):
                 return self
@@ -756,11 +770,15 @@ class TestTasks:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        if affinity is None:
+            monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
         real, tasks = mc._tasks, []
         monkeypatch.setattr(mc, "_tasks", lambda *args: tasks.extend(real(*args)) or tasks)
         stats = mc._run_cells([_cell(T=100)], 30, 9, workers)
-        assert launched == [started]
+        assert launched == [(started, mc._blas_threads)]
         assert len(tasks) == min(workers, 30)  # the tasks are cut by workers as before
         assert stats.tobytes() == mc._run_cells([_cell(T=100)], 30, 9, 1).tobytes()
 
@@ -792,6 +810,125 @@ class TestTasks:
         assert serial.tobytes() == pooled.tobytes()
         for cell, row in zip(cells, serial):
             assert row.tobytes() == _row_alone(cell, 300, 23).tobytes()
+
+
+_PIN_PRELUDE = """\
+import hashlib, json
+import numpy as np
+import splitenc.monte_carlo as mc
+from splitenc.dgp import Dgp2Spec
+
+# N = T = 97: the smallest square panel found whose statistics differ between one
+# and two OpenBLAS threads when nothing pins them (at N = T <= 96 they do not)
+CELLS = [mc.McCell(dgp=Dgp2Spec(T=97, N=97, h=1), mu0=m) for m in (0.35, 0.45)]
+REPS, SEED = 4, 7
+
+
+def digest(stats):
+    return hashlib.sha256(stats.tobytes()).hexdigest()
+
+
+def out_of_engine():
+    # run_replication on the grid's one task, outside _run_cells and so with BLAS as set
+    ((key, designs),) = mc._design_groups(CELLS)
+    (block,) = mc.run_replication([(designs, range(REPS), (SEED, key))])
+    return block
+"""
+
+
+def _pin_child(code, threads):
+    """The JSON that ``code``, after _PIN_PRELUDE, prints in a fresh process whose
+    inherited OPENBLAS_NUM_THREADS is ``threads``."""
+    src = str(pathlib.Path(mc.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PIN_PRELUDE + textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture
+def numpy_openblas():
+    before = mc._blas_threads(1)
+    if before is None:
+        pytest.skip("numpy's bundled OpenBLAS thread-count setter was not found")
+    mc._blas_threads(before)
+
+
+@pytest.mark.usefixtures("numpy_openblas")
+class TestBlasThreads:
+    """_run_cells holds numpy's OpenBLAS at one thread, so dgp2 bits do not depend on the host."""
+
+    def test_dgp2_bits_do_not_depend_on_inherited_blas_threads(self):
+        code = """
+            stats = mc._run_cells(CELLS, REPS, SEED, 1)
+            print(json.dumps([digest(stats), bool(np.isfinite(stats).all())]))
+        """
+        one, two = _pin_child(code, 1), _pin_child(code, 2)
+        assert one == two and one[1]
+
+    def test_engine_bits_equal_the_computation_under_the_same_pin(self):
+        got = _pin_child("""
+            stats = mc._run_cells(CELLS, REPS, SEED, 1)
+            before = mc._blas_threads(1)
+            alone = out_of_engine()
+            mc._blas_threads(before)
+            print(json.dumps([digest(stats), digest(alone)]))
+        """, 2)
+        assert got[0] == got[1]
+
+    def test_dgp2_bits_same_for_one_and_two_workers(self):
+        got = _pin_child("""
+            print(json.dumps([digest(mc._run_cells(CELLS, REPS, SEED, workers))
+                              for workers in (1, 2)]))
+        """, 2)
+        assert got[0] == got[1]
+
+    def test_callers_thread_count_restored_also_when_the_run_raises(self):
+        got = _pin_child("""
+            mc._blas_threads(2)
+            setter, getter = mc._openblas
+            seen, real = [], mc.run_replication
+
+            def spy(task):
+                seen.append(getter())
+                return real(task)
+
+            def fails(task):
+                seen.append(getter())
+                raise RuntimeError("injected")
+
+            mc.run_replication = spy
+            mc._run_cells(CELLS, REPS, SEED, 1)
+            after = getter()
+            mc.run_replication, raised = fails, False
+            try:
+                mc._run_cells(CELLS, REPS, SEED, 1)
+            except RuntimeError:
+                raised = True
+            print(json.dumps({"seen": seen, "after": after, "raised": raised,
+                              "after_raise": getter()}))
+        """, 2)
+        assert got == {"seen": [1, 1], "after": 2, "raised": True, "after_raise": 2}
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    def test_failed_lookup_runs_with_blas_as_set(self, missing):
+        # without the setter, _run_cells computes what run_replication computes
+        # with the inherited thread count, as it did before the pin
+        got = _pin_child(f"""
+            import ctypes
+
+            def not_found(path):
+                if {missing!r} == "library":
+                    raise OSError(path)
+                return object()  # a library without the symbols
+
+            ctypes.CDLL = not_found
+            stats = mc._run_cells(CELLS, REPS, SEED, 1)
+            print(json.dumps([digest(stats), digest(out_of_engine()), mc._openblas == ()]))
+        """, 2)
+        assert got[0] == got[1] and got[2]
 
 
 def _blocked_grid():
