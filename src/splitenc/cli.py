@@ -11,8 +11,9 @@ inflation    run the country-level inflation study on a CSV panel
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical
 degeneracy.  A bad option value fails while the arguments are parsed,
 naming the option, before anything is printed on stdout; parsed values
-that contradict one another (``inflation --start`` after ``--end``, a
-country named twice) are rejected next, also before stdout, with exit 2.
+that contradict one another (``inflation --mu0`` values that share a
+label, ``--start`` after ``--end``, a country named twice) are rejected
+next, also before stdout, with exit 2.
 Each command imports the modules it runs when it runs.  Every run echoes
 its resolved configuration before results;
 ``--out`` writes the primary artifact to a file (byte-identical across
@@ -180,8 +181,12 @@ def _cmd_local_power(args) -> int:
 
 
 def _check_inflation_options(args) -> None:
-    """Reject --start after --end, and a country named twice in --countries."""
+    """Reject --mu0 values that share a label, --start after --end, and a country named twice."""
     from .inflation import parse_quarter
+    try:
+        distinct_mu0_list(args.mu0)
+    except SplitEncError as exc:
+        raise ValidationError(f"--mu0: {exc}") from None
     if args.start is not None and args.end is not None \
             and parse_quarter(args.start) > parse_quarter(args.end):
         raise ValidationError(f"--start {args.start} is later than --end {args.end}")
@@ -280,17 +285,6 @@ _QUARTER = _option_type(_quarter)
 _OUT = _option_type(_out_path)
 
 
-class _DistinctMu0(argparse.Action):
-    """Stores a --mu0 list whose values print distinctly (see distinct_mu0_list)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            distinct_mu0_list(values)
-        except SplitEncError as exc:
-            raise argparse.ArgumentError(self, str(exc)) from None
-        setattr(namespace, self.dest, values)
-
-
 def _add_common(parser) -> None:
     parser.add_argument("--format", choices=["csv", "json", "markdown"],
                         default="markdown")
@@ -345,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_int_at_least(1), default=4)
     p.add_argument("--p2", type=_int_at_least(0), default=4)
     p.add_argument("--p-max", type=_int_at_least(0), default=8)
-    p.add_argument("--mu0", type=_SPLIT, nargs="+", action=_DistinctMu0, default=[0.40, 0.45])
+    p.add_argument("--mu0", type=_SPLIT, nargs="+", default=[0.40, 0.45])
     p.add_argument("--pi0", type=_FRACTION, default=0.25)
     p.add_argument("--countries", nargs="+", default=None)
     p.add_argument("--start", type=_QUARTER, default=None, help="first quarter, e.g. 1970Q1")

@@ -63,8 +63,9 @@ class ForecastErrorSet:
     Index i of both vectors refers to the same target date k0 + h + i (with
     1-based time and forecasts starting at origin k0), so n = T - h - k0 + 1
     when the errors come from a sample of length T.  h and k0 describe where
-    the errors come from: they are checked to be positive, but the
-    statistic depends on e1 and e2 alone.
+    the errors come from: they are checked to be positive integers (a
+    bool is not one; a numpy integer is), but the statistic depends on e1
+    and e2 alone.
     """
 
     e1: np.ndarray
@@ -81,8 +82,9 @@ class ForecastErrorSet:
             raise InsufficientData(f"need at least {MIN_FORECAST_ERRORS} forecast errors")
         if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
             raise ValueError("forecast errors must be finite")
-        if self.h < 1 or self.k0 < 1:
-            raise ValueError("h and k0 must be positive integers")
+        for value in (self.h, self.k0):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError("h and k0 must be positive integers")
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
 
@@ -155,7 +157,8 @@ def unit_fraction(value, name: str = "") -> float:
 class HacConfig:
     """Bartlett bandwidth policy: fixed M, or M = max(1, floor(c * n^(1/3))) with finite c > 0.
 
-    A fixed M is a whole number of at least 1, given as an int or a whole float.
+    A fixed M is a whole number of at least 1, given as an int or a whole
+    float; neither M nor c may be a bool.
     """
 
     bandwidth: int | None = None
@@ -167,7 +170,7 @@ class HacConfig:
             raise BandwidthOutOfRange(f"fixed bandwidth must be a whole number, got {M}")
         if M is not None and M < 1:
             raise BandwidthOutOfRange(f"fixed bandwidth must be >= 1, got {M}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
+        if isinstance(self.c, bool) or not (math.isfinite(self.c) and self.c > 0.0):
             raise BandwidthOutOfRange(f"bandwidth c must be finite and positive, got {self.c}")
 
     def resolve(self, n: int) -> int:

@@ -8,15 +8,17 @@ Cells are grouped three ways:
   every dgp1 spec with the same ``dgp.DGP1_STREAM_FIELDS`` (T, rho, sigma,
   burn_in), or every dgp2 spec on one panel (the same
   ``dgp.DGP2_PANEL_FIELDS``: N, T, alpha1, rho_i, loading_std, burn_in);
-* a design is one spec and one pi0 within a group;
+* a design is one spec, one pi0 and one bandwidth M within a group;
 * a cell is one mu0 of a design.
 
-A design keeps its first forecast origin k0 = floor(T * pi0) and, per
-bandwidth M, its cells' split locations m0, all resolved before any
+A design keeps its first forecast origin k0 = floor(T * pi0), its
+bandwidth M and its cells' split locations m0, all resolved before any
 replication runs.  The groups' replications, taken in group order, are cut
 into tasks of at most TASK_REPLICATIONS (250), and of fewer when that
 would leave a pool worker without a task: a task holds a run of
-replications (a part) of one group or of several.  One
+replications (a part) of one group or of several.  A run uses
+min(workers, tasks, CPUs in its affinity mask) processes: at most one runs
+every task in the calling process, more start a pool of that size.  One
 ``run_replication`` call computes a whole task as (replications, T)
 arrays.  One simulate step serves both families: it gives a part's
 disturbance draws, predictor path (dgp1: x; dgp2: the factor) and extra
@@ -25,12 +27,12 @@ dgp2 one replication at a time, simulating and factoring each panel once.
 Every design builds its y from those draws with ``dgp.outcome``, from one
 MA path per part, h and theta.  The designs of a task that differ only in
 their stream fields (the same family, T, burn_in, h, beta1, beta2, theta,
-alpha, k0 and m0s per M) run as one: one ``outcome`` call covers all of
+alpha, k0, M and m0s) run as one: one ``outcome`` call covers all of
 them, and their replications are then cut into row blocks of
 max(1, _ROW_BLOCK // T), so that a block's running sums and split terms
 stay in cache.  Per block, one fit of the recursive expanding-window
 forecasts from both nested models starting at k0, and one split-statistic
-call per bandwidth, cover every mu0 of every design.
+call, cover every mu0 of every design.
 The test is one-sided, so a cell's replication rejects when its statistic
 exceeds the normal critical value at the cell's level.
 
@@ -189,26 +191,25 @@ class McCell:
 
 @dataclass(frozen=True)
 class _Design:
-    """One spec and one pi0 of a stream group, with its cells resolved (``McCell.resolve``).
+    """One spec, pi0 and bandwidth M of a stream group, its cells resolved (``McCell.resolve``).
 
-    ``y_key`` is the spec's ``_y_key``.  ``bandwidths`` maps each
-    bandwidth M of the cells, in order of first appearance, to the (index,
-    split location m0) of each of its cells.
+    ``y_key`` is the spec's ``_y_key``.  ``members`` lists the (index,
+    split location m0) of each of its cells, in cell order.
     """
 
     spec: Dgp1Spec | Dgp2Spec
     k0: int
+    M: int
     y_key: tuple
-    bandwidths: dict = field(default_factory=dict)
+    members: list = field(default_factory=list)
 
     def cells(self) -> list:
         """The cells' indices, in the order of the design's rows of a run_replication block."""
-        return [i for members in self.bandwidths.values() for i, _ in members]
+        return [i for i, _ in self.members]
 
     def shape(self) -> tuple:
-        """What designs that run as one share: y from the draws, k0 and the m0s of each M."""
-        return self.y_key, self.k0, tuple(
-            (M, tuple(m0 for _, m0 in members)) for M, members in self.bandwidths.items())
+        """What designs that run as one share: y from the draws, k0, M and the m0s."""
+        return self.y_key, self.k0, self.M, tuple(m0 for _, m0 in self.members)
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def _run_shape(design, reused, built) -> None:
     block.  The stacked y is the reused ys, then one ``outcome`` of the
     stacked draws.  Its replications run in blocks of max(1, _ROW_BLOCK // T),
     so that a block's running sums and split terms stay in cache: each block
-    gets its finiteness mask, one fit and one statistic call per M.  The
+    gets its finiteness mask, one fit and one statistic call.  The
     statistics go to the parts' blocks once, at the end.
     """
     ys = [y for y, _, _ in reused]
@@ -307,7 +308,8 @@ def _run_shape(design, reused, built) -> None:
                           _stack([p for _, p, *_ in built])))
     members = [member[-2:] for member in reused + built]  # (extra, rows) in stacked order
     y, extra = _stack(ys), _stack([extra for extra, _ in members])
-    stats = np.full((len(design.cells()), len(y)), np.nan)
+    m0s = [m0 for _, m0 in design.members]
+    stats = np.full((len(m0s), len(y)), np.nan)
     step = max(1, _ROW_BLOCK // y.shape[1])
     for start in range(0, len(y), step):
         a, b = y[start:start + step], extra[start:start + step]
@@ -315,9 +317,7 @@ def _run_shape(design, reused, built) -> None:
         # the fit reads its rows and writes none, so when every row is finite it takes views
         e1, e2 = _forecast_error_pair(*((a, b) if finite.all() else (a[finite], b[finite])),
                                       design.spec.h, design.k0)
-        stats[:, start:start + step][:, finite] = np.concatenate(
-            [split_statistic(e1, e2, [m0 for _, m0 in cells], M)[0]
-             for M, cells in design.bandwidths.items()])
+        stats[:, start:start + step][:, finite] = split_statistic(e1, e2, m0s, design.M)[0]
     column = 0
     for _, rows in members:
         rows[:] = stats[:, column:column + rows.shape[1]]
@@ -335,8 +335,7 @@ def run_replication(parts) -> list:
     designs of every part that share a shape (``_Design.shape``) then run
     as one: one ``outcome`` call on their stacked draws (a part's simulated
     spec reuses its y), then, per row block (``_run_shape``), one
-    nested-pair fit and one statistic call per bandwidth M over all their
-    cells.
+    nested-pair fit and one statistic call over all their cells.
     Replication r draws from its own stream, keyed by (key, r), and every
     step acts on one replication at a time, so an entry does not depend on
     which replications or parts share the call.  A replication whose
@@ -372,8 +371,9 @@ def _design_groups(cells) -> list:
 
     A group holds the cells whose specs draw the same random numbers (the
     same dgp1 stream fields; one dgp2 panel), split into designs of one
-    spec and one pi0 (``_Design``).  This is where every cell is resolved,
-    once; a cell that does not resolve (``McCell.resolve``) joins no group.
+    spec, one pi0 and one bandwidth M (``_Design``).  This is where every
+    cell is resolved, once; a cell that does not resolve
+    (``McCell.resolve``) joins no group.
     """
     keys, groups = {}, {}  # keys: (stream digest, y key) per distinct spec object
     for i, cell in enumerate(cells):
@@ -385,8 +385,8 @@ def _design_groups(cells) -> list:
         if id(spec) not in keys:
             keys[id(spec)] = (_stream_digest(spec), _y_key(spec))
         stream, y = keys[id(spec)]
-        design = groups.setdefault(stream, {}).setdefault((y, cell.pi0), _Design(spec, k0, y))
-        design.bandwidths.setdefault(M, []).append((i, m0))
+        design = groups.setdefault(stream, {}).setdefault((y, cell.pi0, M), _Design(spec, k0, M, y))
+        design.members.append((i, m0))
     return [(stream, list(designs.values())) for stream, designs in groups.items()]
 
 
@@ -450,7 +450,11 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     """Statistics of every (cell, replication) as a (cells, reps) array; NaN marks a failure.
 
     reps, base_seed and workers are checked first, as their config keys and
-    options are, and a bad one is named.  The run holds numpy's OpenBLAS at
+    options are, and a bad one is named.  The tasks are cut by workers, and
+    the run uses min(workers, tasks, CPUs this process may run on)
+    processes: at most one runs every task here, and more start a pool of
+    that size (a fork-started pool launches all its processes at the first
+    submit).  The run holds numpy's OpenBLAS at
     one thread, in this process and in every pool worker, and gives this
     process its count back afterwards, also when the run raises: with it a
     factor step's bits do not depend on the host's core count, and the pool
@@ -467,21 +471,17 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
             raise ValueError(f"{name} {exc}") from None
     reps, base_seed, workers = checked
     tasks = _tasks(_design_groups(cells), reps, base_seed, workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(workers, len(tasks), cpus or 1)
     before = _blas_threads(1)
     try:
-        if workers <= 1:
+        if processes <= 1:
             results = [run_replication(task) for task in tasks]
         else:
             # imported here, not at module import: only a pooled run needs it
             from concurrent.futures import ProcessPoolExecutor
 
-            # a fork-started pool launches all its processes at the first submit, so
-            # start no more than there are tasks or CPUs this process may run on; the
-            # tasks stay cut by workers
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus),
-                                     initializer=_blas_threads) as pool:
+            with ProcessPoolExecutor(max_workers=processes, initializer=_blas_threads) as pool:
                 results = list(pool.map(run_replication, tasks))
     finally:
         if before is not None:
@@ -706,10 +706,14 @@ def load_experiment_config(path) -> ExperimentConfig:
     Omitted keys take the defaults of the DGP spec, McCell and HacConfig.
     Unknown keys, bad values, an empty list, infeasible cells and a beta2
     that breaks the kind's rule (size: 0, power: > 0) raise ConfigError with
-    their key path.
+    their key path.  A cell that does not resolve names the key of the
+    value it fails on: pi0 for its forecast origin, mu0 for its split, and
+    bandwidth or bandwidth_c, whichever the config sets, for its bandwidth.
     """
     # imported here, not at module import: only the mc commands read a config
     import yaml
+
+    from .errors import BandwidthOutOfRange, InvalidSplit
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -765,6 +769,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         else:
             fixed[key] = _convert(f"dgp.{key}", converters[key], value)
     keys = [key for key in grid_keys if key in grid]
+    # the experiment key of each error a cell's resolve raises
+    unresolved = {InvalidSplit: "mu0", InsufficientData: "pi0",
+                  BandwidthOutOfRange: "bandwidth_c" if "bandwidth_c" in exp else "bandwidth"}
     cells = []
     for point in itertools.product(*(grid[key] for key in keys)):
         kwargs = {**fixed, **dict(zip(keys, point))}
@@ -780,6 +787,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             try:
                 cell.resolve()
             except SplitEncError as exc:
-                raise ConfigError("experiment.pi0", f"cell {cell.label}: {exc}") from None
+                raise ConfigError(f"experiment.{unresolved[type(exc)]}",
+                                  f"cell {cell.label}: {exc}") from None
             cells.append(cell)
     return ExperimentConfig(kind=kind, cells=tuple(cells), reps=reps, seed=seed)

@@ -150,7 +150,8 @@ class TestHacConfig:
             HacConfig(bandwidth=0)
         with pytest.raises(BandwidthOutOfRange):
             HacConfig(c=-1.0)
-        for c in (math.inf, math.nan):  # resolve would overflow on inf and fail on nan
+        # resolve would overflow on inf and fail on nan, and take True as c = 1
+        for c in (math.inf, math.nan, True):
             with pytest.raises(BandwidthOutOfRange, match="finite and positive"):
                 HacConfig(c=c)
         # int() would overflow on inf, fail on nan, and truncate 2.5 and True to 2 and 1
@@ -549,6 +550,8 @@ class TestForecastErrorSet:
             ForecastErrorSet(np.full(10, np.nan), np.zeros(10))
         fes = ForecastErrorSet(np.zeros(12), np.zeros(12), h=4, k0=30)
         assert fes.n == 12
+        fes = ForecastErrorSet(np.zeros(12), np.zeros(12), h=np.int64(4), k0=np.int32(30))
+        assert (fes.h, fes.k0) == (4, 30)
 
     @pytest.mark.parametrize("e1, e2, h, k0, error, message", [
         (np.zeros(9), np.zeros(9), 1, 1, InsufficientData, "need at least 10 forecast errors"),
@@ -559,7 +562,9 @@ class TestForecastErrorSet:
          "forecast errors must be finite"),
         (np.zeros(10), np.zeros(10), 0, 1, ValueError, "h and k0 must be positive integers"),
         (np.zeros(10), np.zeros(10), 1, 0, ValueError, "h and k0 must be positive integers"),
-    ], ids=["short", "lengths", "matrix", "inf", "h", "k0"])
+        (np.zeros(10), np.zeros(10), 1.5, 1, ValueError, "h and k0 must be positive integers"),
+        (np.zeros(10), np.zeros(10), 1, True, ValueError, "h and k0 must be positive integers"),
+    ], ids=["short", "lengths", "matrix", "inf", "h", "k0", "h-fraction", "k0-bool"])
     def test_each_check_names_its_rule(self, e1, e2, h, k0, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             ForecastErrorSet(e1, e2, h=h, k0=k0)

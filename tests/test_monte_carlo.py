@@ -603,7 +603,8 @@ class TestDesignGroups:
         assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
 
     def test_design_with_two_bandwidths(self, monkeypatch):
-        # one statistic call per bandwidth of a design; rows as for each cell alone
+        # a spec and pi0 with two bandwidths are two designs, one statistic call each;
+        # rows as for each cell alone
         hacs = [HacConfig(bandwidth=2), HacConfig(c=1.0), HacConfig(bandwidth=2), HacConfig()]
         cells = [_cell(T=120, mu0=m, hac=hac) for m, hac in zip((0.3, 0.4, 0.45, 0.6), hacs)]
         alone = [mc._run_cells([cell], 12, 23, 1)[0] for cell in cells]
@@ -732,26 +733,40 @@ class TestTasks:
                                                                     [range(15, 30)]]
         assert stats.tobytes() == collect_statistics(_cell(T=100), reps=30, base_seed=9).tobytes()
 
-    @pytest.mark.parametrize("workers, cpus, started", [
+    def test_grid_without_a_resolved_cell_runs_alike_on_two_workers(self):
+        # k0 = floor(60 * 0.02) = 1 fits no model: the cell runs no task and fails every rep
+        cells = [McCell(dgp=Dgp1Spec(T=60, h=1), mu0=0.45, pi0=0.02)]
+        pooled = run_size_experiment(cells, reps=8, base_seed=2, workers=2)
+        serial = run_size_experiment(cells, reps=8, base_seed=2, workers=1)
+        assert render_report(pooled, "csv") == render_report(serial, "csv")  # NaN != NaN
+        assert [cell.failures for cell in pooled.cells] == [8]
+
+    def test_empty_grid_on_two_workers_reports_no_cells(self):
+        report = run_size_experiment([], reps=8, base_seed=2, workers=2)
+        assert report.cells == () and report.reps == 8
+
+    @pytest.mark.parametrize("workers, cpus, processes", [
         (5000, 2, 2),  # never more processes than the CPUs this process may use
-        (5000, None, 1),  # no affinity mask and an unknown CPU count start one
+        (5000, None, 1),  # no affinity mask and an unknown CPU count run in this process
         (5000, 64, 30),  # nor more than tasks: 30 one-replication tasks
         (3, 8, 3),
+        (4, 1, 1),  # one usable CPU starts no pool
     ])
     def test_pool_starts_at_most_one_process_per_cpu_and_task(self, monkeypatch, workers,
-                                                               cpus, started):
+                                                               cpus, processes):
         # cpus is the size of the affinity mask on a host of 64 CPUs
-        self._check_pool_size(monkeypatch, workers, cpus, 64 if cpus else None, started)
+        self._check_pool_size(monkeypatch, workers, cpus, 64 if cpus else None, processes)
 
-    @pytest.mark.parametrize("cpus, started", [(2, 2), (64, 30)])
-    def test_pool_takes_the_cpu_count_without_an_affinity_mask(self, monkeypatch, cpus, started):
-        self._check_pool_size(monkeypatch, 5000, None, cpus, started)
+    @pytest.mark.parametrize("cpus, processes", [(2, 2), (64, 30)])
+    def test_pool_takes_the_cpu_count_without_an_affinity_mask(self, monkeypatch, cpus,
+                                                               processes):
+        self._check_pool_size(monkeypatch, 5000, None, cpus, processes)
 
     @staticmethod
-    def _check_pool_size(monkeypatch, workers, affinity, cpus, started):
+    def _check_pool_size(monkeypatch, workers, affinity, cpus, processes):
         # a fork-started pool launches max_workers processes at its first submit; the
         # stand-in records that number and the workers' initializer, and runs the
-        # tasks in this process
+        # tasks in this process.  A run of one process starts no pool.
         import concurrent.futures
 
         launched = []
@@ -778,7 +793,7 @@ class TestTasks:
         real, tasks = mc._tasks, []
         monkeypatch.setattr(mc, "_tasks", lambda *args: tasks.extend(real(*args)) or tasks)
         stats = mc._run_cells([_cell(T=100)], 30, 9, workers)
-        assert launched == [(started, mc._blas_threads)]
+        assert launched == ([(processes, mc._blas_threads)] if processes > 1 else [])
         assert len(tasks) == min(workers, 30)  # the tasks are cut by workers as before
         assert stats.tobytes() == mc._run_cells([_cell(T=100)], 30, 9, 1).tobytes()
 
@@ -804,7 +819,8 @@ class TestTasks:
         tasks = mc._tasks(mc._design_groups(cells), 300, 23, 1)
         assert [len(task) for task in tasks] == [1, 2, 2, 2, 1]
         design_parts = sum(len(designs) for task in tasks for designs, _, _ in task)
-        assert sum(rows) == 300 * 7 and len(rows) < design_parts
+        # the mixed-bandwidth cell is a design of its own, fitted apart from the fifth cell's
+        assert sum(rows) == 300 * 8 and len(rows) < design_parts
         assert np.isfinite(serial).all()
         pooled = mc._run_cells(cells, 300, 23, 2)
         assert serial.tobytes() == pooled.tobytes()
@@ -1117,6 +1133,26 @@ class TestConfigLoading:
             load_experiment_config(path)
         assert err.value.key_path == "experiment.pi0"
         assert "dgp1,h=1,T=150,rho=0.25,mu0=0.45" in str(err.value)
+
+    @pytest.mark.parametrize("experiment, T, stderr", [
+        ({"bandwidth": 500}, 100, "error: experiment.bandwidth: cell dgp1,h=1,T=100,rho=0.25,"
+         "mu0=0.45: bandwidth M=500 outside [1, 74]"),
+        ({"bandwidth_c": 100.0}, 100, "error: experiment.bandwidth_c: cell dgp1,h=1,T=100,"
+         "rho=0.25,mu0=0.45: bandwidth M=421 outside [1, 74]"),
+        ({"mu0": [0.1], "pi0": 0.7}, 60, "error: experiment.mu0: cell dgp1,h=1,T=60,rho=0.25,"
+         "mu0=0.1: m0=1 outside [2, 16] at n=18"),
+        ({"pi0": 0.9}, 60, "error: experiment.pi0: cell dgp1,h=1,T=60,rho=0.25,mu0=0.45: "
+         "k0=54 leaves 6 forecast errors (need at least 10)"),
+    ], ids=["bandwidth", "bandwidth_c", "mu0", "pi0"])
+    def test_unresolved_cell_names_the_key_it_fails_on(self, tmp_path, capsys, experiment, T,
+                                                       stderr):
+        raw = {"experiment": {"kind": "size", "mu0": [0.45], **experiment},
+               "dgp": {"family": "dgp1", "T": T}}
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["mc-size", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == stderr + "\n"
 
     @pytest.mark.parametrize("reps", [0, -3])
     def test_reps_below_one_rejected(self, tmp_path, reps):
