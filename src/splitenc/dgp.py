@@ -241,41 +241,47 @@ def outcome(spec, w: np.ndarray, predictor: np.ndarray) -> np.ndarray:
     Dgp1Spec (which has no intercept) or the factor f for a Dgp2Spec.
     ``w`` is the spec's MA(h-1) disturbance, ``ma_path(innov, spec.theta,
     spec.h)`` of the draws ``innov``.  ``w`` and ``predictor`` hold one
-    replication per row of (..., burn_in + T) arrays, built from
-    simulate_dgp1's "eps" and "x_path" or simulate_dgp2's "w_innov" and
-    "f_path".  Neither is written.  Every step acts on one row at a time,
-    so a row is the same bits whatever rows share the call.  The draws
-    depend on the stream fields alone, so one replication's draws give the
-    y of every spec that shares them.
+    replication per row of (..., burn_in + T) arrays: the eps and x_path
+    of ``dgp1_draws``, or the w_innov and f_path of ``dgp2_draws``.
+    Neither is written.  Every step acts on one row at a time, so a row is
+    the same bits whatever rows share the call.  The draws depend on the
+    stream fields alone, so one replication's draws give the y of every
+    spec that shares them.  This is the one place y is built: the simulate
+    functions and the replication engine both call it.
     """
     drive = w + spec.alpha if isinstance(spec, Dgp2Spec) else w.copy()
     drive[..., spec.h:] += spec.beta2 * predictor[..., :-spec.h]  # p_{t-h} enters once it exists
     return _h_step_ar(drive, spec.beta1, spec.h)[..., spec.burn_in:]
 
 
-def simulate_dgp1(spec: Dgp1Spec, rng) -> dict:
-    """Simulate the predictive-regression design; returns {"y", "x", "eps", "x_path"}.
+def dgp1_draws(spec: Dgp1Spec, streams) -> tuple:
+    """(eps, x_path) of the predictive-regression design, row b from ``streams[b]``.
 
-    ``rng`` is one RngStream, giving paths of length T, or a sequence of
-    them, giving (len(rng), T) arrays whose row b is the path of stream b.
-    Each stream fills its own row of the normal draws, and every later step
-    acts on one row at a time, so a row is the same bits whatever streams
-    share the call.  "eps" and "x_path" are the y shocks and the predictor
-    path from t = 0, burn-in included: with them ``ma_path`` and ``outcome``
-    give the y of any spec that shares this one's DGP1_STREAM_FIELDS.
+    eps are the y shocks and x_path the predictor path, both (len(streams),
+    burn_in + T) from t = 0, burn-in included.  Each stream fills its own
+    row of the normal draws, and every later step acts on one row at a
+    time, so a row is the same bits whatever streams share the call.  With
+    ``ma_path`` and ``outcome`` they give the y of any spec that shares
+    this one's DGP1_STREAM_FIELDS.
     """
-    single = isinstance(rng, RngStream)
-    streams = [rng] if single else rng
     total = spec.burn_in + spec.T
     normals = np.empty((len(streams), total, 2))
     for row, stream in zip(normals, streams):
         stream.generator().standard_normal(out=row)
     shocks = normals @ np.linalg.cholesky(spec.sigma).T
     eps = np.ascontiguousarray(shocks[..., 0])  # a copy: the caller keeps eps, not the v half
-    x_path = _ar1_path(shocks[..., 1], spec.rho)
+    return eps, _ar1_path(shocks[..., 1], spec.rho)
+
+
+def simulate_dgp1(spec: Dgp1Spec, rng: RngStream) -> dict:
+    """Simulate the predictive-regression design; returns {"y", "x"}, paths of length T.
+
+    The draws of the one stream ``rng`` (``dgp1_draws``), then y from them
+    (``outcome``).
+    """
+    eps, x_path = dgp1_draws(spec, [rng])
     y = outcome(spec, ma_path(eps, spec.theta, spec.h), x_path)
-    out = {"y": y, "x": x_path[:, spec.burn_in:], "eps": eps, "x_path": x_path}
-    return {name: path[0] for name, path in out.items()} if single else out
+    return {"y": y[0], "x": x_path[0, spec.burn_in:]}
 
 
 _PANEL_BLOCK = 1 << 15  # panel entries (256 KB) whose common component is formed at once
@@ -302,15 +308,14 @@ def _assemble_panel(E: np.ndarray, f: np.ndarray, lam: np.ndarray, rho: float) -
         block += np.multiply.outer(f[start:start + rows], lam, out=common[:len(block)])
 
 
-def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
-    """Simulate the factor-augmented design; returns {"y", "X", "f_true", "f_path", "w_innov"}.
+def dgp2_draws(spec: Dgp2Spec, rng: RngStream) -> tuple:
+    """(X, f_path, w_innov) of the factor-augmented design from one stream.
 
-    "X" is the T x N observed panel from which the factor proxy is to be
-    extracted, "f_true" the latent factor path (for diagnostics only).
-    "f_path" is that path from t = 0, burn-in included, and "w_innov" the
-    burn_in + T standard normals behind the disturbances w: with them
-    ``ma_path`` and ``outcome`` give the y of any spec that shares this
-    one's panel.
+    X is the T x N observed panel from which the factor proxy is to be
+    extracted, f_path the latent factor path and w_innov the standard
+    normals behind the disturbances w, both of length burn_in + T from
+    t = 0, burn-in included.  With ``ma_path`` and ``outcome`` they give
+    the y of any spec that shares this one's panel.
     The idiosyncratic AR(rho_i) columns need no burn-in: their first row is
     drawn from the stationary law N(0, 1/(1 - rho_i^2)), so every row has
     that law exactly; ``burn_in`` applies to y and f only.
@@ -325,11 +330,20 @@ def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
     f = _ar1_path(g.standard_normal(total), spec.alpha1)
     X = g.standard_normal((spec.T, spec.N))
     X[0] /= np.sqrt(1.0 - spec.rho_i * spec.rho_i)
-    f_true = f[spec.burn_in:]
-    _assemble_panel(X, f_true, lam, spec.rho_i)
-    w_innov = g.standard_normal(total)
+    _assemble_panel(X, f[spec.burn_in:], lam, spec.rho_i)
+    return X, f, g.standard_normal(total)
+
+
+def simulate_dgp2(spec: Dgp2Spec, rng: RngStream) -> dict:
+    """Simulate the factor-augmented design; returns {"y", "X", "f_true"}.
+
+    The draws of ``rng`` (``dgp2_draws``), then y from them (``outcome``).
+    "X" is the T x N observed panel, "f_true" the latent factor path after
+    the burn-in (for diagnostics only).
+    """
+    X, f, w_innov = dgp2_draws(spec, rng)
     y = outcome(spec, ma_path(w_innov, spec.theta, spec.h), f)
-    return {"y": y, "X": X, "f_true": f_true, "f_path": f, "w_innov": w_innov}
+    return {"y": y, "X": X, "f_true": f[spec.burn_in:]}
 
 
 def _power_top_eigenvector(A: np.ndarray):

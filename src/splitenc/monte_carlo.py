@@ -20,12 +20,13 @@ replications (a part) of one group or of several.  A run uses
 min(workers, tasks, CPUs in its affinity mask) processes: at most one runs
 every task in the calling process, more start a pool of that size.  One
 ``run_replication`` call computes a whole task as (replications, T)
-arrays.  One simulate step serves both families: it gives a part's
-disturbance draws, predictor path (dgp1: x; dgp2: the factor) and extra
-regressor (dgp1: x; dgp2: the estimated factor), dgp1 in one batch and
-dgp2 one replication at a time, simulating and factoring each panel once.
-Every design builds its y from those draws with ``dgp.outcome``, from one
-MA path per part, h and theta.  The designs of a task that differ only in
+arrays.  One simulate step serves both families, and it gives draws
+only: a part's disturbance draws, predictor path (dgp1: x; dgp2: the
+factor) and extra regressor (dgp1: x; dgp2: the estimated factor), dgp1
+in one batch and dgp2 one replication at a time, drawing and factoring
+each panel once.  Every design builds its y from those draws with
+``dgp.outcome``, from one MA path per part, h and theta: that is the one
+y path of the engine.  The designs of a task that differ only in
 their stream fields (the same family, T, burn_in, h, beta1, beta2, theta,
 alpha, k0, M and m0s) run as one: one ``outcome`` call covers all of
 them, and their replications are then cut into row blocks of
@@ -83,11 +84,14 @@ from .dgp import (
     Dgp1Spec,
     Dgp2Spec,
     RngStream,
+    dgp1_draws,
+    dgp2_draws,
     estimate_factor,
     ma_path,
     outcome,
-    simulate_dgp1,
-    simulate_dgp2,
+    # the engine runs the draws functions; perfbench/mc.py wraps these names in this module
+    simulate_dgp1,  # noqa: F401
+    simulate_dgp2,  # noqa: F401
 )
 from .enc_test import (
     MIN_FORECAST_ERRORS,
@@ -259,55 +263,52 @@ def _forecast_error_pair(y, extra, h: int, k0: int):
 
 
 def _simulate(dgp, streams) -> tuple:
-    """(y, innov, predictor, extra) of a part of a stream group, row b from stream b.
+    """(innov, predictor, extra) of a part of a stream group, row b from stream b.
 
-    y is the simulated spec's outcome; innov and predictor are the
-    disturbance draws and predictor path from t = 0 (dgp1: eps and x;
-    dgp2: w and the factor f), from which ``ma_path`` and ``outcome``
-    give the y of every spec of the group; extra is the regressor of the
-    larger model (dgp1: x; dgp2: the estimated factor, NaN where it is not
-    identified).  dgp1
-    simulates every stream in one call.  dgp2 simulates and factors one
-    stream at a time, and each panel dies with its factor call, so one
-    T x N panel is alive at once (a 250-stream batch would hold 250).
+    innov and predictor are the disturbance draws and predictor path from
+    t = 0 (dgp1: eps and x; dgp2: w and the factor f), from which
+    ``ma_path`` and ``outcome`` give the y of every spec of the group;
+    extra is the regressor of the larger model (dgp1: x; dgp2: the
+    estimated factor, NaN where it is not identified).  dgp1 draws every
+    stream in one call.  dgp2 draws and factors one stream at a time, and
+    each panel dies with its factor call, so one T x N panel is alive at
+    once (a 250-stream batch would hold 250).
     """
     if isinstance(dgp, Dgp1Spec):
-        sim = simulate_dgp1(dgp, streams)
-        return sim["y"], sim["eps"], sim["x_path"], sim["x"]
-    y, extra = np.empty((2, len(streams), dgp.T))
+        eps, x_path = dgp1_draws(dgp, streams)
+        return eps, x_path, x_path[:, dgp.burn_in:]
+    extra = np.empty((len(streams), dgp.T))
     innov, predictor = np.empty((2, len(streams), dgp.burn_in + dgp.T))
     for b, stream in enumerate(streams):
-        sim = simulate_dgp2(dgp, stream)
-        y[b], innov[b], predictor[b] = sim["y"], sim["w_innov"], sim["f_path"]
+        X, predictor[b], innov[b] = dgp2_draws(dgp, stream)
         try:
-            extra[b] = estimate_factor(sim.pop("X"))
+            extra[b] = estimate_factor(X)
         except _FAILURES:
             extra[b] = np.nan
-    return y, innov, predictor, extra
+        del X  # the next panel is drawn without this one alive
+    return innov, predictor, extra
 
 
 def _stack(arrays) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _run_shape(design, reused, built) -> None:
+def _run_shape(design, members) -> None:
     """Fill the rows of every design of one shape (``_Design.shape``), a row block at a time.
 
-    ``reused`` holds (y, extra, rows) for each design that is its part's
-    simulated spec, ``built`` (w, predictor, extra, rows) for each other
-    one; rows is the design's (cells, replications) view of its part's
-    block.  The stacked y is the reused ys, then one ``outcome`` of the
-    stacked draws.  Its replications run in blocks of max(1, _ROW_BLOCK // T),
-    so that a block's running sums and split terms stay in cache: each block
-    gets its finiteness mask, one fit and one statistic call.  The
-    statistics go to the parts' blocks once, at the end.
+    ``members`` holds (w, predictor, extra, rows) for each design of the
+    shape: its part's MA path and predictor path, from which one
+    ``outcome`` call on the stacked draws gives every design's y, its
+    part's extra regressor, and rows, the design's (cells, replications)
+    view of its part's block.  The replications run in blocks of
+    max(1, _ROW_BLOCK // T), so that a block's running sums and split
+    terms stay in cache: each block gets its finiteness mask, one fit and
+    one statistic call.  The statistics go to the parts' blocks once, at
+    the end.
     """
-    ys = [y for y, _, _ in reused]
-    if built:
-        ys.append(outcome(design.spec, _stack([w for w, *_ in built]),
-                          _stack([p for _, p, *_ in built])))
-    members = [member[-2:] for member in reused + built]  # (extra, rows) in stacked order
-    y, extra = _stack(ys), _stack([extra for extra, _ in members])
+    y = outcome(design.spec, _stack([w for w, *_ in members]),
+                _stack([p for _, p, *_ in members]))
+    extra = _stack([extra for *_, extra, _ in members])
     m0s = [m0 for _, m0 in design.members]
     stats = np.full((len(m0s), len(y)), np.nan)
     step = max(1, _ROW_BLOCK // y.shape[1])
@@ -319,7 +320,7 @@ def _run_shape(design, reused, built) -> None:
                                       design.spec.h, design.k0)
         stats[:, start:start + step][:, finite] = split_statistic(e1, e2, m0s, design.M)[0]
     column = 0
-    for _, rows in members:
+    for *_, rows in members:
         rows[:] = stats[:, column:column + rows.shape[1]]
         column += rows.shape[1]
 
@@ -330,12 +331,12 @@ def run_replication(parts) -> list:
     A part is (designs, reps, key): a stream group's resolved designs
     (``_Design``), a run of its replications and its key (base seed,
     stream digest).  A block's rows follow each design's cells
-    (``_Design.cells``) in that order.  Each part is simulated once, and
-    its specs with one (h, theta) share one MA path (``ma_path``).  The
-    designs of every part that share a shape (``_Design.shape``) then run
-    as one: one ``outcome`` call on their stacked draws (a part's simulated
-    spec reuses its y), then, per row block (``_run_shape``), one
-    nested-pair fit and one statistic call over all their cells.
+    (``_Design.cells``) in that order.  Each part's draws are made once
+    (``_simulate``), and its specs with one (h, theta) share one MA path
+    (``ma_path``).  The designs of every part that share a shape
+    (``_Design.shape``) then run as one: one ``outcome`` call on their
+    stacked draws gives every y, then, per row block (``_run_shape``), one
+    nested-pair fit and one statistic call cover all their cells.
     Replication r draws from its own stream, keyed by (key, r), and every
     step acts on one replication at a time, so an entry does not depend on
     which replications or parts share the call.  A replication whose
@@ -345,24 +346,19 @@ def run_replication(parts) -> list:
     """
     blocks, shapes = [], {}
     for designs, reps, key in parts:
-        simulated = designs[0].spec
-        y, innov, predictor, extra = _simulate(simulated, [RngStream(key, rep) for rep in reps])
+        innov, predictor, extra = _simulate(designs[0].spec, [RngStream(key, rep) for rep in reps])
         block = np.full((sum(len(design.cells()) for design in designs), len(reps)), np.nan)
         blocks.append(block)
         paths, first = {}, 0
         for design in designs:
             spec, count = design.spec, len(design.cells())
-            rows = block[first:first + count]
-            first += count
-            _, reused, built = shapes.setdefault(design.shape(), (design, [], []))
-            if spec is simulated:
-                reused.append((y, extra, rows))
-                continue
             if (spec.h, spec.theta) not in paths:
                 paths[spec.h, spec.theta] = ma_path(innov, spec.theta, spec.h)
-            built.append((paths[spec.h, spec.theta], predictor, extra, rows))
-    for design, reused, built in shapes.values():
-        _run_shape(design, reused, built)
+            shapes.setdefault(design.shape(), (design, []))[1].append(
+                (paths[spec.h, spec.theta], predictor, extra, block[first:first + count]))
+            first += count
+    for design, members in shapes.values():
+        _run_shape(design, members)
     return blocks
 
 

@@ -21,6 +21,8 @@ from splitenc.dgp import (
     Dgp1Spec,
     Dgp2Spec,
     RngStream,
+    dgp1_draws,
+    dgp2_draws,
     estimate_factor,
     ma_path,
     outcome,
@@ -236,29 +238,30 @@ _DGP1_DESIGN = st.tuples(st.integers(1, 12), st.floats(-0.9, 0.9), st.floats(-0.
 class TestDgp1Outcome:
     @given(st.integers(0, 2**32 - 1), st.integers(50, 160), st.floats(-0.95, 0.95),
            st.sampled_from(["SIGMA1", "SIGMA2"]), st.integers(0, 60),
-           st.lists(_DGP1_DESIGN, min_size=2, max_size=4), st.sampled_from([None, 1, 3]))
+           st.lists(_DGP1_DESIGN, min_size=2, max_size=4), st.sampled_from([1, 3]))
     @settings(max_examples=60, deadline=None)
     def test_outcome_of_any_spec_sharing_the_draws(self, seed, T, rho, sigma, burn_in,
                                                   designs, batch):
-        # spec A is simulated; every design, A included, builds its y from A's draws
+        # one batch of spec A's draws; every design, A included, builds its y from them,
+        # row by row as simulate_dgp1 gives it stream by stream
         specs = [Dgp1Spec(T=T, rho=rho, sigma=getattr(dgp_module, sigma), burn_in=burn_in,
                           h=h, theta=theta, beta1=beta1, beta2=beta2)
                  for h, theta, beta1, beta2 in designs]
-        streams = RngStream(seed, 0) if batch is None else [RngStream(seed, r)
-                                                             for r in range(batch)]
-        shared = simulate_dgp1(specs[0], streams)
-        eps, x_path = shared["eps"].copy(), shared["x_path"].copy()
+        streams = [RngStream(seed, r) for r in range(batch)]
+        shared_eps, shared_x_path = dgp1_draws(specs[0], streams)
+        eps, x_path = shared_eps.copy(), shared_x_path.copy()
+        x = shared_x_path[:, burn_in:]
         for spec in specs:
-            y = outcome(spec, ma_path(shared["eps"], spec.theta, spec.h), shared["x_path"])
-            alone = simulate_dgp1(spec, streams)
-            assert y.tobytes() == alone["y"].tobytes()
-            assert alone["x"].tobytes() == shared["x"].tobytes()
-            oracle = [simulate_dgp1_filters(spec, seed, r) for r in range(batch or 1)]
+            y = outcome(spec, ma_path(shared_eps, spec.theta, spec.h), shared_x_path)
+            alone = [simulate_dgp1(spec, stream) for stream in streams]
+            assert y.tobytes() == np.stack([a["y"] for a in alone]).tobytes()
+            assert np.stack([a["x"] for a in alone]).tobytes() == x.tobytes()
+            oracle = [simulate_dgp1_filters(spec, seed, r) for r in range(batch)]
             assert np.stack([o["y"] for o in oracle]).tobytes() == y.tobytes()
-            assert np.stack([o["x"] for o in oracle]).tobytes() == shared["x"].tobytes()
+            assert np.stack([o["x"] for o in oracle]).tobytes() == x.tobytes()
             # the draws the designs share are never written
-            assert shared["eps"].tobytes() == eps.tobytes()
-            assert shared["x_path"].tobytes() == x_path.tobytes()
+            assert shared_eps.tobytes() == eps.tobytes()
+            assert shared_x_path.tobytes() == x_path.tobytes()
 
 
 class TestHStepAr:
@@ -558,10 +561,10 @@ class TestPanelKernel:
         base = Dgp2Spec(T=60, N=12, h=2, burn_in=30)
         other = Dgp2Spec(T=60, N=12, burn_in=30, h=h, beta1=beta1, beta2=beta2, alpha=alpha,
                          theta=theta)
-        sims = [simulate_dgp2(base, RngStream(seed, r)) for r in range(3)]
+        draws = [dgp2_draws(base, RngStream(seed, r)) for r in range(3)]
         alone = [simulate_dgp2(other, RngStream(seed, r)) for r in range(3)]
-        rows = outcome(other, ma_path(np.stack([s["w_innov"] for s in sims]), theta, h),
-                       np.stack([s["f_path"] for s in sims]))
-        for sim, single, row in zip(sims, alone, rows):
-            assert single["X"].tobytes() == sim["X"].tobytes()
+        rows = outcome(other, ma_path(np.stack([w_innov for *_, w_innov in draws]), theta, h),
+                       np.stack([f_path for _, f_path, _ in draws]))
+        for (X, _, _), single, row in zip(draws, alone, rows):
+            assert single["X"].tobytes() == X.tobytes()
             assert single["y"].tobytes() == row.tobytes()

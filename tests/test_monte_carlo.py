@@ -162,15 +162,14 @@ class TestExperiments:
         assert math.isnan(c.rejection_frequency)
 
     def test_mc_se_uses_completed_replications(self, monkeypatch):
-        simulate = mc.simulate_dgp1
+        draws = mc.dgp1_draws
 
         def every_third_not_finite(spec, streams):
-            sim = simulate(spec, streams)
-            y = sim["y"].copy()
-            y[[s.stream_id % 3 == 0 for s in streams], 10] = np.inf
-            return {**sim, "y": y}
+            eps, x_path = draws(spec, streams)
+            eps[[s.stream_id % 3 == 0 for s in streams], spec.burn_in + 10] = np.inf
+            return eps, x_path
 
-        monkeypatch.setattr(mc, "simulate_dgp1", every_third_not_finite)
+        monkeypatch.setattr(mc, "dgp1_draws", every_third_not_finite)
         c = run_size_experiment([_cell(T=100)], reps=30, base_seed=3).cells[0]
         monkeypatch.undo()
         assert c.failures == 10 and not c.reliable
@@ -381,7 +380,7 @@ class TestDesignGroups:
             "dgp:\n  family: dgp2\n  NT: [[100, 250], [500, 500]]\n  h: 4\n"
             "  beta1: 0.3\n  beta2: 0.3\n  theta: 0.5\n  alpha1: 0.5\n  rho_i: 0.5\n")
         config = load_experiment_config(path)
-        calls = {"run_replication": 0, "simulate_dgp2": 0, "estimate_factor": 0,
+        calls = {"run_replication": 0, "dgp2_draws": 0, "estimate_factor": 0,
                  "_forecast_error_pair": 0}
         for name in calls:
             def counted(*args, _real=getattr(mc, name), _name=name):
@@ -391,10 +390,10 @@ class TestDesignGroups:
         report = run_power_experiment(config.cells, config.reps, config.seed)
         assert len(report.cells) == 8
         assert all(c.failures == 0 for c in report.cells)
-        # one task of both panels, one design per panel: each panel is simulated and
+        # one task of both panels, one design per panel: each panel is drawn and
         # factored per replication, and the panels differ in T, so their designs share
         # no shape and the pair runs once per design
-        assert calls == {"run_replication": 1, "simulate_dgp2": 4, "estimate_factor": 4,
+        assert calls == {"run_replication": 1, "dgp2_draws": 4, "estimate_factor": 4,
                          "_forecast_error_pair": 2}
 
     def test_dgp1_subgrid_simulated_once_per_stream_group(self, tmp_path, monkeypatch):
@@ -407,13 +406,13 @@ class TestDesignGroups:
             "dgp:\n  family: dgp1\n  T: [250, 1000]\n  h: [1, 24]\n  rho: [0.25, 0.95]\n"
             "  beta1: 0.3\n  beta2: 0.0\n  theta: 0.5\n  sigma: sigma1\n")
         config = load_experiment_config(path)
-        calls, pairs, statistics = {"simulate_dgp1": 0}, [], []
-        real_simulate, real_pair = mc.simulate_dgp1, mc._forecast_error_pair
+        calls, pairs, statistics = {"dgp1_draws": 0}, [], []
+        real_draws, real_pair = mc.dgp1_draws, mc._forecast_error_pair
         real_statistic = mc.split_statistic
 
         def counted(spec, streams):
-            calls["simulate_dgp1"] += 1
-            return real_simulate(spec, streams)
+            calls["dgp1_draws"] += 1
+            return real_draws(spec, streams)
 
         def recorded(y, extra, h, k0):
             pairs.append((y.copy(), extra.copy(), h, k0))
@@ -424,29 +423,29 @@ class TestDesignGroups:
             statistics.append((list(m0s), M, result[0]))
             return result
 
-        monkeypatch.setattr(mc, "simulate_dgp1", counted)
+        monkeypatch.setattr(mc, "dgp1_draws", counted)
         monkeypatch.setattr(mc, "_forecast_error_pair", recorded)
         monkeypatch.setattr(mc, "split_statistic", recorded_statistic)
         report = run_size_experiment(config.cells, config.reps, config.seed)
         assert len(report.cells) == 32
         assert all(c.failures == 0 for c in report.cells)
-        assert calls == {"simulate_dgp1": 4}
+        assert calls == {"dgp1_draws": 4}
         # one call per (T, h): the designs of the two rho groups of one T run as one
         assert [len(y) for y, *_ in pairs] == [20] * 4
         assert [stat.shape for *_, stat in statistics] == [(4, 20)] * 4
         assert sorted((y.shape[1], h) for y, _, h, _ in pairs) == [
             (250, 1), (250, 24), (1000, 1), (1000, 24)]
-        # each call's rows are its groups' rows alone, in group order, byte for byte
+        # each call's rows are its groups' rows alone, in group order, byte for byte, as
+        # the public simulate_dgp1 gives them stream by stream
         specs = list({id(cell.dgp): cell.dgp for cell in config.cells}.values())
         for (y, extra, h, k0), (m0s, M, stat) in zip(pairs, statistics):
             alone_y, alone_extra, alone_stat = [], [], []
             for spec in (s for s in specs if (s.T, s.h) == (y.shape[1], h)):
-                streams = [RngStream((config.seed, mc._stream_digest(spec)), r)
-                           for r in range(10)]
-                alone = real_simulate(spec, streams)
-                alone_y.append(alone["y"])
-                alone_extra.append(alone["x"])
-                e1, e2 = real_pair(alone["y"], alone["x"], h, k0)
+                key = (config.seed, mc._stream_digest(spec))
+                alone = [mc.simulate_dgp1(spec, RngStream(key, r)) for r in range(10)]
+                alone_y.append(np.stack([sim["y"] for sim in alone]))
+                alone_extra.append(np.stack([sim["x"] for sim in alone]))
+                e1, e2 = real_pair(alone_y[-1], alone_extra[-1], h, k0)
                 alone_stat.append(real_statistic(e1, e2, m0s, M)[0])
             assert len(alone_y) == 2
             assert y.tobytes() == np.concatenate(alone_y).tobytes()
@@ -454,7 +453,7 @@ class TestDesignGroups:
             assert stat.tobytes() == np.concatenate(alone_stat, axis=1).tobytes()
 
     def test_one_ma_path_per_h_and_theta(self, monkeypatch):
-        # one group of 9 designs, 3 beta2 for each (h, theta); the first is simulated
+        # one group of 9 designs, 3 beta2 for each (h, theta)
         specs = [Dgp1Spec(T=100, h=h, theta=theta, beta2=beta2)
                  for h, theta in ((1, 0.5), (3, 0.5), (3, 0.2)) for beta2 in (0.1, 0.2, 0.3)]
         cells = [McCell(dgp=spec, mu0=0.45) for spec in specs]
@@ -474,8 +473,8 @@ class TestDesignGroups:
         assert pooled.tobytes() == serial.tobytes()
         reversed_grid = mc._run_cells(cells[::-1], reps, seed, 1)[::-1]
         assert reversed_grid.tobytes() == serial.tobytes()
-        # a cell of each h and beta2 in one group: the first spec of the group is simulated,
-        # every other one builds its y from that spec's draws
+        # a cell of each h and beta2 in one group: every design builds its y from the
+        # group's draws
         for label in ("dgp1,h=1,T=140,rho=0.9,beta2=0.2,mu0=0.35",
                       "dgp1,h=3,T=140,rho=0.9,beta2=0.5,mu0=0.45"):
             target = [c.label for c in cells].index(label)
@@ -485,7 +484,7 @@ class TestDesignGroups:
 
     def test_panel_simulated_and_factored_once_per_replication(self, tmp_path, monkeypatch):
         cells, reps, seed = _panel_grid(tmp_path)
-        calls, pairs = {"simulate_dgp2": 0, "estimate_factor": 0}, []
+        calls, pairs = {"dgp2_draws": 0, "estimate_factor": 0}, []
         for name in calls:
             def counted(*args, _real=getattr(mc, name), _name=name):
                 calls[_name] += 1
@@ -500,7 +499,7 @@ class TestDesignGroups:
         monkeypatch.setattr(mc, "_forecast_error_pair", recorded)
         report = run_power_experiment(cells, reps, seed)
         assert all(c.failures == 0 for c in report.cells)
-        assert calls == {"simulate_dgp2": 2 * reps, "estimate_factor": 2 * reps}
+        assert calls == {"dgp2_draws": 2 * reps, "estimate_factor": 2 * reps}
         assert len(pairs) == 12  # one per design: 2 panels x 2 h x 3 beta2, one chunk
         # each design's y and factor against the whole-panel oracle, replication by replication
         designs = list(dict.fromkeys(cell.dgp for cell in cells))
@@ -563,15 +562,15 @@ class TestDesignGroups:
     def test_degenerate_panel_fails_its_replication_in_every_design(self, tmp_path, monkeypatch):
         cells, reps, seed = _panel_grid(tmp_path)
         clean = mc._run_cells(cells, reps, seed, 1)
-        real = mc.simulate_dgp2
+        real = mc.dgp2_draws
 
         def constant_panel_in_rep1_of_wide_panel(spec, stream):
-            sim = real(spec, stream)
+            X, f_path, w_innov = real(spec, stream)
             if spec.N == 64 and stream.stream_id == 1:
-                sim = {**sim, "X": np.ones_like(sim["X"])}  # no simple top eigenvalue
-            return sim
+                X = np.ones_like(X)  # no simple top eigenvalue
+            return X, f_path, w_innov
 
-        monkeypatch.setattr(mc, "simulate_dgp2", constant_panel_in_rep1_of_wide_panel)
+        monkeypatch.setattr(mc, "dgp2_draws", constant_panel_in_rep1_of_wide_panel)
         got = mc._run_cells(cells, reps, seed, 1)
         wide = np.array([c.dgp.N == 64 for c in cells])
         assert np.isnan(got[wide, 1]).all()
@@ -623,18 +622,16 @@ class TestDesignGroups:
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.40, 0.45)]
         other = _cell(T=120, rho=0.9, mu0=0.45)
         clean = mc._run_cells([*group, other], 10, 19, 1)
-        real, seen = mc.simulate_dgp1, []
+        real, seen = mc.dgp1_draws, []
 
         def constant_x_in_rep0_of_first_group(spec, streams):
             seen.append([s.stream_id for s in streams])
-            sim = real(spec, streams)
+            eps, x_path = real(spec, streams)
             if spec.T == 100:
-                x = sim["x"].copy()
-                x[seen[-1].index(0)] = 1.0  # x collinear with the intercept
-                sim = {**sim, "x": x}
-            return sim
+                x_path[seen[-1].index(0), spec.burn_in:] = 1.0  # x collinear with the intercept
+            return eps, x_path
 
-        monkeypatch.setattr(mc, "simulate_dgp1", constant_x_in_rep0_of_first_group)
+        monkeypatch.setattr(mc, "dgp1_draws", constant_x_in_rep0_of_first_group)
         report = run_size_experiment([*group, other], reps=10, base_seed=19)
         assert [c.failures for c in report.cells] == [1, 1, 1, 0]
         # one simulation per (group, chunk); the singular fit is masked, not rerun
@@ -648,18 +645,16 @@ class TestDesignGroups:
         group = [_cell(T=100, mu0=m) for m in (0.30, 0.45)]
         other = _cell(T=120, rho=0.9, mu0=0.45)
         clean = mc._run_cells([*group, other], 10, 29, 1)
-        real = mc.simulate_dgp1
+        real = mc.dgp1_draws
 
-        def nan_in_rep3(spec, rng):
-            sim = real(spec, rng)
-            ids = [rng.stream_id] if isinstance(rng, RngStream) else [s.stream_id for s in rng]
+        def nan_in_rep3(spec, streams):
+            eps, x_path = real(spec, streams)
+            ids = [s.stream_id for s in streams]
             if spec.T == 100 and 3 in ids:
-                y = sim["y"].copy()
-                np.atleast_2d(y)[ids.index(3), 50] = np.nan
-                sim = {**sim, "y": y}
-            return sim
+                eps[ids.index(3), spec.burn_in + 50] = np.nan
+            return eps, x_path
 
-        monkeypatch.setattr(mc, "simulate_dgp1", nan_in_rep3)
+        monkeypatch.setattr(mc, "dgp1_draws", nan_in_rep3)
         report = run_size_experiment([*group, other], reps=10, base_seed=29)
         assert [c.failures for c in report.cells] == [1, 1, 0]
         got = mc._run_cells([*group, other], 10, 29, 1)
@@ -799,10 +794,10 @@ class TestTasks:
 
     def test_grid_with_some_shared_shapes_matches_each_cell_alone(self, monkeypatch):
         cells = [
-            _cell(T=100, mu0=0.40),                 # group (100, 0.25): h=1 simulated
-            _cell(T=100, rho=0.5, h=3, mu0=0.45),   # group (100, 0.5): h=3 simulated
-            _cell(T=100, rho=0.5, mu0=0.40),        # h=1 built: shares the first cell's shape
-            _cell(T=100, h=3, mu0=0.45),            # h=3 built: shares the second cell's shape
+            _cell(T=100, mu0=0.40),                 # group (100, 0.25): h=1
+            _cell(T=100, rho=0.5, h=3, mu0=0.45),   # group (100, 0.5): h=3
+            _cell(T=100, rho=0.5, mu0=0.40),        # h=1: shares the first cell's shape
+            _cell(T=100, h=3, mu0=0.45),            # h=3: shares the second cell's shape
             _cell(T=100, rho=0.9, mu0=0.40),        # group (100, 0.9): a second M below
             _cell(T=100, rho=0.9, mu0=0.40, pi0=0.4),   # another k0: a shape of its own
             _cell(T=120, mu0=0.30),                 # another T: a shape of its own
@@ -950,7 +945,7 @@ class TestBlasThreads:
 def _blocked_grid():
     """A dgp1 and a dgp2 shape, each over 2 stream groups x 30 replications.
 
-    dgp1: 2 groups (rho 0.25, 0.5) x 2 beta2 (one simulated, one built) x 2 mu0;
+    dgp1: 2 groups (rho 0.25, 0.5) x 2 beta2 x 2 mu0;
     dgp2: 2 panels (N 12, 20) x 2 mu0.
     """
     dgp1 = [_cell(T=100, rho=rho, beta2=beta2, mu0=mu0)
@@ -968,36 +963,34 @@ class TestRowBlocks:
         """Replication 3 of the rho=0.25 group has a non-finite x, the kernel declines
         replication 20 of the rho=0.5 group, and the N=20 panel's factor is not identified
         in replication 7; returns the generic fits' call log."""
-        real_sim1, real_sim2, real_kernel = mc.simulate_dgp1, mc.simulate_dgp2, \
+        real_draws1, real_draws2, real_kernel = mc.dgp1_draws, mc.dgp2_draws, \
             mc.nested_pair_forecast_errors
-        declined = real_sim1(Dgp1Spec(T=100, rho=0.5),
-                             [RngStream((5, mc._stream_digest(Dgp1Spec(T=100, rho=0.5))), 20)])
+        spec = Dgp1Spec(T=100, rho=0.5)
+        declined = mc.simulate_dgp1(spec, RngStream((5, mc._stream_digest(spec)), 20))
 
-        def simulate_dgp1(spec, streams):
-            sim = real_sim1(spec, streams)
+        def dgp1_draws(spec, streams):
+            eps, x_path = real_draws1(spec, streams)
             ids = [s.stream_id for s in streams]
             if spec.rho == 0.25 and 3 in ids:
-                x = sim["x"].copy()
-                x[ids.index(3), 40] = np.inf
-                sim = {**sim, "x": x}
-            return sim
+                x_path[ids.index(3), spec.burn_in + 40] = np.inf
+            return eps, x_path
 
-        def simulate_dgp2(spec, stream):
-            sim = real_sim2(spec, stream)
+        def dgp2_draws(spec, stream):
+            X, f_path, w_innov = real_draws2(spec, stream)
             if spec.N == 20 and stream.stream_id == 7:
-                sim = {**sim, "X": np.ones_like(sim["X"])}  # no simple top eigenvalue
-            return sim
+                X = np.ones_like(X)  # no simple top eigenvalue
+            return X, f_path, w_innov
 
         def kernel(y, x, h, k0):
             # the rows of the declined replication are left to the generic path
             e1, e2 = real_kernel(y, x, h, k0)
-            rows = x[:, 0] == declined["x"][0, 0]
+            rows = x[:, 0] == declined["x"][0]
             e1[rows] = e2[rows] = np.nan
             return e1, e2
 
         real_generic, generic = mc._generic_pair, []
-        monkeypatch.setattr(mc, "simulate_dgp1", simulate_dgp1)
-        monkeypatch.setattr(mc, "simulate_dgp2", simulate_dgp2)
+        monkeypatch.setattr(mc, "dgp1_draws", dgp1_draws)
+        monkeypatch.setattr(mc, "dgp2_draws", dgp2_draws)
         monkeypatch.setattr(mc, "nested_pair_forecast_errors", kernel)
         monkeypatch.setattr(mc, "_generic_pair",
                             lambda *args: generic.append(len(args[0])) or real_generic(*args))

@@ -354,23 +354,34 @@ def _kernel_inputs(draw):
     x = z[1]
     rows = y.reshape(-1, T), x.reshape(-1, T)
     if rows[0].shape[0]:
+        faults = []
         for _ in range(draw(st.integers(0, 2))):
             row = draw(st.integers(0, len(rows[0]) - 1))
             # anywhere, or near the end, where only the finiteness check sees it at k0 = T - h
             col = draw(st.one_of(st.integers(0, T - 1), st.integers(T - 2 * h - 1, T - 1)))
             fault = draw(st.sampled_from(["nan", "inf", "-inf", "constant x", "collinear x",
                                           "near-collinear x"]))
+            if fault == "near-collinear x":
+                # 1 - corr^2 near PAIR_RTOL, with x on another scale than y
+                noise = draw(st.sampled_from([1e-2, 1e-4, 2e-4])) * g.standard_normal(T)
+                faults.append((row, fault, (noise, draw(st.sampled_from([1e-3, 3.0])))))
+            elif fault in ("nan", "inf", "-inf"):
+                faults.append((row, fault, (draw(st.integers(0, 1)), col)))
+            else:
+                faults.append((row, fault, ()))
+        # the structural faults first: each is built from its y row before a point fault
+        # can make that row non-finite
+        for row, fault, args in sorted(faults, key=lambda f: f[1] in ("nan", "inf", "-inf")):
             if fault == "constant x":
                 rows[1][row] = 2.0
             elif fault == "collinear x":
                 rows[1][row] = 3.0 * rows[0][row]
             elif fault == "near-collinear x":
-                # 1 - corr^2 near PAIR_RTOL, with x on another scale than y
-                noise = draw(st.sampled_from([1e-2, 1e-4, 2e-4])) * g.standard_normal(T)
-                scale = draw(st.sampled_from([1e-3, 3.0]))
+                noise, scale = args
                 rows[1][row] = scale * (rows[0][row] + noise * rows[0][row].std())
             else:
-                rows[draw(st.integers(0, 1))][row, col] = float(fault)
+                which, col = args
+                rows[which][row, col] = float(fault)
     return y, x, h, k0
 
 
