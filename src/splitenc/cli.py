@@ -36,12 +36,11 @@ from .enc_test import (
     HacConfig,
     LocalPowerInput,
     SplitSpec,
-    distinct_mu0_list,
     encompassing_test,
     local_power_stationary,
     unit_fraction,
 )
-from .errors import NumericalError, ParseError, SplitEncError, ValidationError
+from .errors import InvalidSplit, NumericalError, ParseError, SplitEncError, ValidationError
 from .tables import csv_rows, csv_text, json_text, markdown_text
 
 
@@ -181,12 +180,8 @@ def _cmd_local_power(args) -> int:
 
 
 def _check_inflation_options(args) -> None:
-    """Reject --mu0 values that share a label, --start after --end, and a country named twice."""
+    """Reject --start after --end and a country named twice."""
     from .inflation import parse_quarter
-    try:
-        distinct_mu0_list(args.mu0)
-    except SplitEncError as exc:
-        raise ValidationError(f"--mu0: {exc}") from None
     if args.start is not None and args.end is not None \
             and parse_quarter(args.start) > parse_quarter(args.end):
         raise ValidationError(f"--start {args.start} is later than --end {args.end}")
@@ -198,15 +193,18 @@ def _check_inflation_options(args) -> None:
 
 def _cmd_inflation(args) -> int:
     from .inflation import CountryStudyConfig
+    try:
+        config = CountryStudyConfig(
+            h=args.h, pi0=args.pi0, p2=args.p2, p_max=args.p_max,
+            mu0_list=tuple(args.mu0), hac=HacConfig(c=args.bandwidth_c),
+            include_own_country=not args.exclude_own,
+        )
+    except InvalidSplit as exc:  # --mu0 values that share a label
+        raise ValidationError(f"--mu0: {exc}") from None
     _check_inflation_options(args)
     _echo_config(vars(args))
     panel = load_panel(args.panel_file, countries=args.countries,
                        start=args.start, end=args.end)
-    config = CountryStudyConfig(
-        h=args.h, pi0=args.pi0, p2=args.p2, p_max=args.p_max,
-        mu0_list=tuple(args.mu0), hac=HacConfig(c=args.bandwidth_c),
-        include_own_country=not args.exclude_own,
-    )
     report = run_study(panel, config)
     _emit(report.render(args.format), args.out)
     return 0

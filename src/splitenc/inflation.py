@@ -333,7 +333,10 @@ def country_encompassing(panel: InflationPanel, country: str,
 
     Selects the own-lag count by BIC on the full sample, builds the two
     nested designs, produces expanding-window forecasts of h-quarter
-    annualized inflation from k0 = floor(T_i * pi0), and reports the RMSE
+    annualized inflation from k0 = trim + floor((T_i - trim) * pi0), with
+    trim = max(0, g_first - 1) for g_first the block index of the first
+    global value (trim is 0 unless ``include_own_country`` is False and the
+    other countries start later), and reports the RMSE
     ratio (global over autoregression) plus encompassing p-values per mu0.
     ``global_source`` is the panel's ``_global_inflation_source``; a study
     passes one to every country so the global series is computed once.
@@ -352,7 +355,10 @@ def country_encompassing(panel: InflationPanel, country: str,
         selected = bic_select_lag(pih[1:], h=h, p_max=config.p_max, lag_source=pi1[1:])
         g = global_source(exclude)[b0:b0 + prices.shape[0]]
         bench, large = _country_designs(config, selected, pih, pi1, g)
-        k0 = int(math.floor(prices.shape[0] * config.pi0))
+        # k0 is taken on the quarters from the one before g's first value: under
+        # --exclude-own the designs skip the quarters no other country covers
+        trim = max(0, int(np.argmax(np.isfinite(g))) - 1)
+        k0 = trim + int(math.floor((prices.shape[0] - trim) * config.pi0))
         # the first fit uses the target rows dated first_origin..k0
         if k0 - large.first_origin + 1 < large.n_params:
             raise InsufficientData(

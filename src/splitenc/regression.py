@@ -274,6 +274,13 @@ def bic_select_lag(y, h: int, p_max: int = 8, lag_source=None) -> int:
 
     BIC(p) = n_eff * ln(ssr / n_eff) + (p + 2) * ln(n_eff), counting the
     intercept and the p + 1 lag coefficients.
+
+    Every candidate's SSR comes from one QR factorization of
+    [1, lag_0, ..., lag_{p_max}, targets]: entry j of R's last column is
+    what design column j adds to the fit, so candidate p's SSR is the sum
+    of squares of that column from row p + 2 down.  A candidate with as
+    many coefficients as targets (p + 2 >= n_eff) fits them exactly, with
+    SSR 0 and BIC -inf, so the smallest such p is picked.
     """
     y = np.asarray(y, dtype=float)
     x = y if lag_source is None else np.asarray(lag_source, dtype=float)
@@ -292,15 +299,10 @@ def bic_select_lag(y, h: int, p_max: int = 8, lag_source=None) -> int:
     lag_cols = lag_columns(x, h, p_max, t0)
     if not all(np.all(np.isfinite(col)) for col in lag_cols):
         raise ValueError("lags contain non-finite values on the comparison sample")
-    ones = np.ones(n_eff)
-    best_p, best_bic = 0, np.inf
-    for p in range(p_max + 1):
-        X = np.column_stack([ones] + lag_cols[: p + 1])
-        coef, _, _, _ = np.linalg.lstsq(X, targets, rcond=None)
-        resid = targets - X @ coef
-        ssr = float(resid @ resid)
-        with np.errstate(divide="ignore"):
-            bic = n_eff * np.log(ssr / n_eff) + (p + 2) * np.log(n_eff)
-        if bic < best_bic:
-            best_p, best_bic = p, bic
-    return best_p
+    fit = np.linalg.qr(np.column_stack([np.ones(n_eff)] + lag_cols + [targets]), mode="r")
+    gains = np.zeros(p_max + 3)  # rows past n_eff add nothing
+    gains[:fit.shape[0]] = fit[:, -1] ** 2
+    ssr = np.cumsum(gains[::-1])[::-1][2:]
+    with np.errstate(divide="ignore"):
+        bic = n_eff * np.log(ssr / n_eff) + np.arange(2, p_max + 3) * np.log(n_eff)
+    return int(np.argmin(bic))

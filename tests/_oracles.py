@@ -140,6 +140,36 @@ def expanding_refit_oracle(Z, y, k0_row, n_fits=None):
     return np.array(out)
 
 
+def bic_lag_search(y, h, p_max, lag_source=None):
+    """(pick, BICs) of the lag search by one lstsq fit per candidate p = 0..p_max.
+
+    Every candidate is fit on the targets y[h + p_max:], regressed on an
+    intercept and the lags source[t - h - j], j = 0..p; the first smallest
+    BIC wins.
+    """
+    y = np.asarray(y, dtype=float)
+    x = y if lag_source is None else np.asarray(lag_source, dtype=float)
+    T = y.shape[0]
+    t0 = h + p_max
+    n_eff = T - t0
+    targets = y[t0:]
+    lag_cols = [x[t0 - h - j: T - h - j] for j in range(p_max + 1)]
+    ones = np.ones(n_eff)
+    best_p, best_bic = 0, np.inf
+    bics = []
+    for p in range(p_max + 1):
+        X = np.column_stack([ones] + lag_cols[: p + 1])
+        coef, _, _, _ = np.linalg.lstsq(X, targets, rcond=None)
+        resid = targets - X @ coef
+        ssr = float(resid @ resid)
+        with np.errstate(divide="ignore"):
+            bic = n_eff * np.log(ssr / n_eff) + (p + 2) * np.log(n_eff)
+        bics.append(bic)
+        if bic < best_bic:
+            best_p, best_bic = p, bic
+    return best_p, bics
+
+
 def simulate_dgp1_filters(spec, base_seed, stream_id):
     """The predictive regression of one stream, {"y", "x"}, from whole-path filters.
 

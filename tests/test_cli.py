@@ -426,7 +426,10 @@ class TestInflationCommand:
         rows = _table_body(out).splitlines()[2:]
         assert [row.split(" | ")[0] for row in rows] == ["| aaa", "| bbb", "| ccc"]
         assert "error" not in out
+        # aaa's first origin is taken on its quarters from 1972Q1, k0 = 8 + floor(112 *
+        # 0.25) = 36, which leaves 81 forecasts;
         # bbb loses the forecasts of its targets after 2000Q4; ccc is as before
+        assert rows[0] == "| aaa | 1.083 | 0.170 | 0.120 | 0 | 81 |"
         assert rows[1].endswith(" | 0 | 56 |")
         assert rows[2] == "| ccc | 1.110 | 0.674 | 0.657 | 0 | 72 |"
 

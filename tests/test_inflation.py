@@ -566,7 +566,7 @@ class TestRunStudy:
     @pytest.mark.parametrize("include_own", [True, False])
     def test_global_series_computed_once_per_exclusion(self, monkeypatch, include_own):
         # c01 and c02 start five years late, so without c00 the early quarters
-        # have no contributor, and c00's designs start after them; only c00 fails
+        # have no contributor, and c00's designs and first origin start after them
         base = _ar1_panel(81, C=3, T=120)
         panel = InflationPanel.from_blocks({
             "c00": ("1970Q1", base.prices[:, 0]),
@@ -589,11 +589,17 @@ class TestRunStudy:
                 failures[country] = str(exc)
         assert report.results == tuple(one_by_one)
         assert report.failures == failures
+        assert failures == {}
         if not include_own:
-            # g starts in 1975Q2, so c00's first usable target is its first origin
-            # k0 = 30 and the first fit would have one row for 7 parameters
-            assert failures == {"c00": "country c00: k0=30 leaves too few rows for the first "
-                                       "fit (first usable target 30, 7 parameters with p2=4)"}
+            # g starts in 1975Q2, block index 21, so k0 is taken on the 100 quarters
+            # from 1975Q1: k0 = 20 + floor(100 * 0.25) = 45, with origins 45..116
+            origins = []
+            real_errors = inflation.expanding_window_forecast_errors
+            monkeypatch.setattr(inflation, "expanding_window_forecast_errors",
+                                lambda design, k0: origins.append(k0)
+                                or real_errors(design, k0))
+            assert country_encompassing(panel, "c00", cfg).n_forecasts == 72
+            assert origins == [45, 45]
 
     def test_csv_and_json_round_trip(self, fixture_panel):
         report = run_study(fixture_panel, CountryStudyConfig())

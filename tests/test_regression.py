@@ -11,6 +11,7 @@ from scipy.signal import lfilter
 
 import splitenc.monte_carlo as mc
 from _oracles import (
+    bic_lag_search,
     expanding_refit_oracle,
     nested_pair_forecast_errors_copying,
     ols_normal_equations,
@@ -516,6 +517,35 @@ class TestBicSelectLag:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             bic_select_lag(np.zeros(15), h=1, p_max=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 8), p_max=st.integers(0, 10),
+           extra=st.integers(0, 60), phi=st.floats(-0.9, 0.9), with_source=st.booleans())
+    def test_matches_the_per_candidate_fits(self, seed, h, p_max, extra, phi, with_source):
+        # the pick equals the loop's wherever no candidate interpolates and the loop's
+        # best and runner-up BIC are told apart; where some do, the loop's BICs for
+        # them are rounding noise and the pick is the smallest interpolating p
+        T = p_max + h + 10 + extra
+        e = RngStream(35, seed).generator().standard_normal((2, T))
+        source = lfilter([1.0], [1.0, -0.5], e[1]) if with_source else None
+        drive = e[0] if source is None else e[0] + np.r_[np.zeros(h), source[:-h]]
+        y = lfilter([1.0], [1.0, -phi], drive)
+        got = bic_select_lag(y, h=h, p_max=p_max, lag_source=source)
+        pick, bics = bic_lag_search(y, h, p_max, source)
+        n_eff = T - h - p_max
+        if n_eff <= p_max + 2:
+            assert got == n_eff - 2
+            return
+        best, runner_up = sorted(bics + [np.inf])[:2]
+        if runner_up - best > 1e-9 * (1.0 + abs(best)):
+            assert got == pick
+
+    def test_smallest_interpolating_candidate_wins(self):
+        # n_eff = 10 targets: candidates p = 8, 9, 10 carry 10 to 12 coefficients and fit
+        # them exactly; one lstsq fit per candidate reads their BICs as -639, -651 and
+        # -642, rounding noise, and picks 9
+        y = RngStream(36, 0).generator().standard_normal(21)
+        assert bic_select_lag(y, h=1, p_max=10) == 8
 
     @pytest.mark.parametrize("change, error, message", [
         ({"lag_source": np.zeros(39)}, ValueError, "lag_source must share y's length"),
