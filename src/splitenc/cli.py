@@ -179,20 +179,8 @@ def _cmd_local_power(args) -> int:
     return 0
 
 
-def _check_inflation_options(args) -> None:
-    """Reject --start after --end and a country named twice."""
-    from .inflation import parse_quarter
-    if args.start is not None and args.end is not None \
-            and parse_quarter(args.start) > parse_quarter(args.end):
-        raise ValidationError(f"--start {args.start} is later than --end {args.end}")
-    if args.countries is not None:
-        repeated = sorted({c for c in args.countries if args.countries.count(c) > 1})
-        if repeated:
-            raise ValidationError(f"--countries names {', '.join(repeated)} more than once")
-
-
 def _cmd_inflation(args) -> int:
-    from .inflation import CountryStudyConfig
+    from .inflation import CountryStudyConfig, check_panel_filters
     try:
         config = CountryStudyConfig(
             h=args.h, pi0=args.pi0, p2=args.p2, p_max=args.p_max,
@@ -201,7 +189,7 @@ def _cmd_inflation(args) -> int:
         )
     except InvalidSplit as exc:  # --mu0 values that share a label
         raise ValidationError(f"--mu0: {exc}") from None
-    _check_inflation_options(args)
+    check_panel_filters(args.countries, args.start, args.end, prefix="--")
     _echo_config(vars(args))
     panel = load_panel(args.panel_file, countries=args.countries,
                        start=args.start, end=args.end)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .errors import (
     NonPositivePrice,
     ParseError,
     SplitEncError,
+    ValidationError,
 )
 from .regression import DirectDesign, bic_select_lag, expanding_window_forecast_errors, lag_columns
 from .tables import csv_rows, csv_text, json_text, markdown_text
@@ -61,67 +62,39 @@ def _quarter_label(qidx: int) -> str:
 
 @dataclass(frozen=True)
 class InflationPanel:
-    """Quarterly CPI levels for several countries on a common date axis.
+    """Quarterly CPI levels of several countries, one block of consecutive quarters each.
 
-    ``prices`` is T x C with NaN outside each country's covered block;
-    ``coverage`` marks the observed cells.  Each country's coverage is one
-    contiguous run of quarters, and dates are gap-free and increasing.
+    Built from ``blocks``: {country: (label of the block's first quarter,
+    prices)}, where prices is a non-empty 1-D array of finite, strictly
+    positive levels.  ``countries`` keeps the dict's order, and ``dates``
+    runs from the earliest block start to the latest block end.
     """
 
-    countries: tuple
-    dates: tuple
-    prices: np.ndarray
-    coverage: np.ndarray
+    blocks: InitVar[dict]
+    countries: tuple = field(init=False)
+    dates: tuple = field(init=False)
+    _rows: dict = field(init=False, repr=False)  # country -> (row offset on dates, prices)
 
-    def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=float)
-        coverage = np.asarray(self.coverage, dtype=bool)
-        C = len(self.countries)
-        T = len(self.dates)
-        if prices.shape != (T, C) or coverage.shape != (T, C):
-            raise ValueError("prices/coverage must be T x C aligned with dates and countries")
-        qidx = [parse_quarter(d) for d in self.dates]
-        if any(b - a != 1 for a, b in zip(qidx, qidx[1:])):
-            raise ValueError("dates must be consecutive quarters")
-        for j, name in enumerate(self.countries):
-            obs = np.flatnonzero(coverage[:, j])
-            if obs.size == 0:
-                raise ValueError(f"country {name} has no observations")
-            if obs[-1] - obs[0] + 1 != obs.size:
-                raise ValueError(f"country {name} coverage is not contiguous")
-            vals = prices[obs, j]
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"country {name} has non-finite prices inside coverage")
-            if not np.all(vals > 0.0):
-                raise ValueError(f"country {name} has non-positive prices")
-        object.__setattr__(self, "countries", tuple(self.countries))
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "coverage", coverage)
-
-    @classmethod
-    def from_blocks(cls, blocks: dict) -> "InflationPanel":
-        """Build a panel from {country: (start_label, price_array)} blocks."""
-        starts = {c: parse_quarter(s) for c, (s, _) in blocks.items()}
-        ends = {c: starts[c] + len(p) - 1 for c, (_, p) in blocks.items()}
-        lo, hi = min(starts.values()), max(ends.values())
-        dates = tuple(_quarter_label(q) for q in range(lo, hi + 1))
-        countries = tuple(blocks)
-        T, C = hi - lo + 1, len(countries)
-        prices = np.full((T, C), np.nan)
-        coverage = np.zeros((T, C), dtype=bool)
-        for j, c in enumerate(countries):
-            _, vals = blocks[c]
-            i0 = starts[c] - lo
-            prices[i0:i0 + len(vals), j] = vals
-            coverage[i0:i0 + len(vals), j] = True
-        return cls(countries=countries, dates=dates, prices=prices, coverage=coverage)
+    def __post_init__(self, blocks):
+        starts = {}
+        for name, (label, prices) in blocks.items():
+            prices = np.array(prices, dtype=float)
+            if prices.ndim != 1 or prices.size == 0:
+                raise ValueError(f"country {name} prices must be a non-empty 1-D array")
+            if not np.all((prices > 0.0) & (prices < math.inf)):
+                raise ValueError(f"country {name} prices must be finite and positive")
+            starts[name] = (parse_quarter(label), prices)
+        if not starts:
+            raise ValueError("a panel needs at least one country")
+        lo = min(q for q, _ in starts.values())
+        hi = max(q + len(p) for q, p in starts.values())
+        object.__setattr__(self, "countries", tuple(starts))
+        object.__setattr__(self, "dates", tuple(_quarter_label(q) for q in range(lo, hi)))
+        object.__setattr__(self, "_rows", {c: (q - lo, p) for c, (q, p) in starts.items()})
 
     def block(self, country: str):
-        """(start_row, price_vector) of a country's contiguous coverage."""
-        j = self.countries.index(country)
-        obs = np.flatnonzero(self.coverage[:, j])
-        return int(obs[0]), self.prices[obs[0]: obs[-1] + 1, j]
+        """(row offset on ``dates``, price vector) of a country's block."""
+        return self._rows[country]
 
 
 @dataclass(frozen=True)
@@ -192,22 +165,40 @@ def _read_panel_rows(path):
     return by_country
 
 
+def check_panel_filters(countries=None, start=None, end=None, prefix=""):
+    """(start, end) quarter indices of ``load_panel``'s filters, None where not given.
+
+    ``start`` later than ``end`` and a country named twice in ``countries``
+    raise ValidationError naming the argument, with ``prefix`` before each
+    argument name (the command line passes "--").
+    """
+    q_lo = parse_quarter(start) if start is not None else None
+    q_hi = parse_quarter(end) if end is not None else None
+    if q_lo is not None and q_hi is not None and q_lo > q_hi:
+        raise ValidationError(f"{prefix}start {start} is later than {prefix}end {end}")
+    if countries is not None:
+        repeated = sorted({c for c in countries if countries.count(c) > 1})
+        if repeated:
+            raise ValidationError(f"{prefix}countries names {', '.join(repeated)} more than once")
+    return q_lo, q_hi
+
+
 def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
     """Read and validate a long-format CSV panel.
 
-    Optional filters restrict to the requested countries and quarter range
-    before coverage rules apply.  Each country keeps its longest contiguous
-    block of quarters (earliest on ties) and must retain at least
+    The filters are checked by ``check_panel_filters`` before any row is
+    read.  They restrict the panel to the requested countries and quarter
+    range before coverage rules apply.  Each country keeps its longest
+    contiguous block of quarters (earliest on ties) and must retain at least
     ``MIN_QUARTERS`` of them; at least two countries must survive.
     """
+    q_lo, q_hi = check_panel_filters(countries, start, end)
     by_country = _read_panel_rows(path)
     if countries is not None:
         missing = [c for c in countries if c not in by_country]
         if missing:
             raise CoverageError(f"countries not in file: {', '.join(missing)}")
         by_country = {c: by_country[c] for c in countries}
-    q_lo = parse_quarter(start) if start is not None else None
-    q_hi = parse_quarter(end) if end is not None else None
 
     blocks = {}
     for name, series in by_country.items():
@@ -225,10 +216,10 @@ def load_panel(path, countries=None, start=None, end=None) -> InflationPanel:
                 f"country {name} has {best_len} usable quarters (< {MIN_QUARTERS})"
             )
         kept = qs[best_start: best_start + best_len]
-        blocks[name] = (_quarter_label(kept[0]), np.array([series[q] for q in kept]))
+        blocks[name] = (_quarter_label(kept[0]), [series[q] for q in kept])
     if len(blocks) < 2:
         raise CoverageError("need at least 2 countries after filtering")
-    return InflationPanel.from_blocks(blocks)
+    return InflationPanel(blocks)
 
 
 def annualized_inflation(prices, h: int) -> np.ndarray:
@@ -248,7 +239,7 @@ def annualized_inflation(prices, h: int) -> np.ndarray:
 
 def _qoq_matrix(panel: InflationPanel) -> np.ndarray:
     """Quarter-on-quarter inflation per country on the panel's date axis."""
-    out = np.full(panel.prices.shape, np.nan)
+    out = np.full((len(panel.dates), len(panel.countries)), np.nan)
     for j, country in enumerate(panel.countries):
         i0, prices = panel.block(country)
         out[i0:i0 + prices.shape[0], j] = annualized_inflation(prices, 1)

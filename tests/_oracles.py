@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from splitenc.errors import CoverageError, ParseError
+from splitenc.errors import CoverageError, ParseError, ValidationError
 
 
 def normal_cdf(x: float) -> float:
@@ -325,10 +325,21 @@ def _quarter_index(text):
 def load_panel_rows(path, countries=None, start=None, end=None, min_quarters=80):
     """The panel reader as first written, one row and one quarter label at a time.
 
-    Returns (countries, dates, prices, coverage) of the panel that
-    ``inflation.load_panel`` builds, with NaN prices outside coverage, and
-    raises its error classes with its messages.
+    Returns the blocks {country: (label of the first quarter, prices)} of
+    the panel that ``inflation.load_panel`` builds, in its country order,
+    and raises its error classes with its messages.
     """
+    q_lo = _quarter_index(start) if start is not None else None
+    q_hi = _quarter_index(end) if end is not None else None
+    if q_lo is not None and q_hi is not None and q_hi < q_lo:
+        raise ValidationError(f"start {start} is later than end {end}")
+    if countries is not None:
+        counts = {}
+        for name in countries:
+            counts[name] = counts.get(name, 0) + 1
+        twice = [name for name in sorted(counts) if counts[name] > 1]
+        if twice:
+            raise ValidationError(f"countries names {', '.join(twice)} more than once")
     rows = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -368,8 +379,6 @@ def load_panel_rows(path, countries=None, start=None, end=None, min_quarters=80)
         if missing:
             raise CoverageError(f"countries not in file: {', '.join(missing)}")
         by_country = {c: by_country[c] for c in countries}
-    q_lo = _quarter_index(start) if start is not None else None
-    q_hi = _quarter_index(end) if end is not None else None
 
     blocks = {}
     for name, series in by_country.items():
@@ -387,17 +396,8 @@ def load_panel_rows(path, countries=None, start=None, end=None, min_quarters=80)
                 f"country {name} has {best_len} usable quarters (< {min_quarters})"
             )
         kept = qs[best_start: best_start + best_len]
-        blocks[name] = (kept[0], [series[q] for q in kept])
+        q0 = kept[0]
+        blocks[name] = (f"{q0 // 4}Q{q0 % 4 + 1}", [series[q] for q in kept])
     if len(blocks) < 2:
         raise CoverageError("need at least 2 countries after filtering")
-
-    lo = min(q0 for q0, _ in blocks.values())
-    hi = max(q0 + len(vals) - 1 for q0, vals in blocks.values())
-    dates = tuple(f"{q // 4}Q{q % 4 + 1}" for q in range(lo, hi + 1))
-    prices = np.full((len(dates), len(blocks)), np.nan)
-    coverage = np.zeros((len(dates), len(blocks)), dtype=bool)
-    for j, (q0, vals) in enumerate(blocks.values()):
-        for i, value in enumerate(vals):
-            prices[q0 - lo + i, j] = value
-            coverage[q0 - lo + i, j] = True
-    return tuple(blocks), dates, prices, coverage
+    return blocks

@@ -302,16 +302,23 @@ def test_criterion_11_determinism_across_thread_counts(tmp_path, capsys, data_di
         assert infl[0] == infl[1]
 
 
-def _null_panel(seed, C=8, T=240, phi=0.5):
+def _null_prices(seed, C=8, T=240, phi=0.5):
     g = RngStream(987001, seed).generator()
     eps = g.standard_normal((T, C))
     pi = np.empty((T, C))
     pi[0] = 2.0 + eps[0]
     for t in range(1, T):
         pi[t] = 2.0 * (1 - phi) + phi * pi[t - 1] + eps[t]
-    return InflationPanel.from_blocks(
-        {f"c{i:02d}": ("1970Q1", 100.0 * np.exp(np.cumsum(pi[:, i]) / 400.0))
-         for i in range(C)})
+    return np.column_stack([100.0 * np.exp(np.cumsum(pi[:, i]) / 400.0) for i in range(C)])
+
+
+def _columns_panel(prices):
+    return InflationPanel({f"c{i:02d}": ("1970Q1", prices[:, i])
+                           for i in range(prices.shape[1])})
+
+
+def _null_panel(seed):
+    return _columns_panel(_null_prices(seed))
 
 
 def test_criterion_12_inflation_pipeline(fixture_panel, data_dir):
@@ -332,24 +339,22 @@ def test_criterion_12_inflation_pipeline(fixture_panel, data_dir):
         g = _global_inflation_source(panel)(None)[b0:b0 + len(prices)]
         return _country_designs(cfg, 0, pih, pi1, g)[1], len(prices)
 
-    panel = _null_panel(7)
+    prices = _null_prices(7)
+    panel = _columns_panel(prices)
     large, T_i = large_design(panel)
     k0 = int(T_i * cfg.pi0)
     base_errs = expanding_window_forecast_errors(large, k0)
-    shocked = panel.prices.copy()
+    shocked = prices.copy()
     shocked[-5:, 0] *= 1.04
-    panel_shocked = InflationPanel(countries=panel.countries, dates=panel.dates,
-                                   prices=shocked, coverage=panel.coverage)
+    panel_shocked = _columns_panel(shocked)
     large2, _ = large_design(panel_shocked)
     shocked_errs = expanding_window_forecast_errors(large2, k0)
 
     cfg_full = CountryStudyConfig(h=4, p_max=4)
     base_res = country_encompassing(panel, "c01", cfg_full)
-    scale = np.ones(len(panel.countries))
+    scale = np.ones(prices.shape[1])
     scale[1] = 3.5
-    panel_scaled = InflationPanel(countries=panel.countries, dates=panel.dates,
-                                  prices=panel.prices * scale,
-                                  coverage=panel.coverage)
+    panel_scaled = _columns_panel(prices * scale)
     scaled_res = country_encompassing(panel_scaled, "c01", cfg_full)
 
     # synthetic null calibration: countries are independent, the global

@@ -18,6 +18,7 @@ from splitenc.errors import (
     NonPositivePrice,
     ParseError,
     SplitEncError,
+    ValidationError,
 )
 from splitenc.inflation import (
     CountryStudyConfig,
@@ -41,17 +42,25 @@ def _designs(panel, country, cfg, selected_lag):
     return (*_country_designs(cfg, selected_lag, pih, pi1, g), len(prices))
 
 
-def _ar1_panel(seed, C=4, T=160, phi=0.5, mean=2.0, sd=1.0, start="1970Q1"):
-    """Independent AR(1) quarter-on-quarter inflation per country (null design)."""
+def _ar1_prices(seed, C=4, T=160, phi=0.5, mean=2.0, sd=1.0):
+    """T x C price levels of independent AR(1) quarter-on-quarter inflation (null design)."""
     g = RngStream(seed, 0).generator()
     eps = sd * g.standard_normal((T, C))
     pi = np.empty((T, C))
     pi[0] = mean + eps[0]
     for t in range(1, T):
         pi[t] = mean * (1 - phi) + phi * pi[t - 1] + eps[t]
-    return InflationPanel.from_blocks(
-        {f"c{i:02d}": (start, 100.0 * np.exp(np.cumsum(pi[:, i]) / 400.0))
-         for i in range(C)})
+    return np.column_stack([100.0 * np.exp(np.cumsum(pi[:, i]) / 400.0) for i in range(C)])
+
+
+def _columns_panel(prices):
+    """Countries c00, c01, ... with one block per column of prices, all from 1970Q1."""
+    return InflationPanel({f"c{i:02d}": ("1970Q1", prices[:, i])
+                           for i in range(prices.shape[1])})
+
+
+def _ar1_panel(seed, **kwargs):
+    return _columns_panel(_ar1_prices(seed, **kwargs))
 
 
 class TestAnnualizedInflation:
@@ -81,35 +90,60 @@ class TestAnnualizedInflation:
             annualized_inflation(np.ones(5), h=0)
 
 
-def _two_country_panel(**change):
-    """InflationPanel fields of two countries on 4 quarters, with ``change`` applied."""
-    prices = np.array([[100.0, 50.0], [101.0, 51.0], [102.0, 52.0], [103.0, np.nan]])
-    fields = {"countries": ("a", "b"), "dates": ("1970Q1", "1970Q2", "1970Q3", "1970Q4"),
-              "prices": prices, "coverage": np.isfinite(prices)}
-    return {**fields, **change}
+_PANEL_NAMES = ("aaa", "bbb", "ccc", "ddd")
+_LABEL_STYLES = ("{y}Q{q}", "{y}-Q{q}", "{y}q{q}", " {y}Q{q} ")
+
+
+def _label(q, style):
+    return _LABEL_STYLES[style].format(y=q // 4, q=q % 4 + 1)
+
+
+_TWO_BLOCKS = {"a": ("1970Q1", [100.0, 101.0, 102.0, 103.0]),
+               "b": ("1970Q1", [50.0, 51.0, 52.0])}
 
 
 class TestInflationPanel:
-    @pytest.mark.parametrize("change, message", [
-        ({"countries": ("a",)}, "prices/coverage must be T x C aligned with dates and countries"),
-        ({"coverage": np.ones((3, 2), dtype=bool)},
-         "prices/coverage must be T x C aligned with dates and countries"),
-        ({"dates": ("1970Q1", "1970Q2", "1970Q4", "1971Q1")}, "dates must be consecutive quarters"),
-        ({"coverage": np.array([[1, 0], [1, 0], [1, 0], [1, 0]], dtype=bool)},
-         "country b has no observations"),
-        ({"coverage": np.array([[1, 1], [1, 0], [1, 1], [1, 0]], dtype=bool)},
-         "country b coverage is not contiguous"),
-        ({"coverage": np.ones((4, 2), dtype=bool)}, "country b has non-finite prices inside coverage"),
-        ({"prices": np.array([[100.0, 50.0], [0.0, 51.0], [102.0, 52.0], [103.0, np.nan]])},
-         "country a has non-positive prices"),
-    ], ids=["countries", "coverage-shape", "dates", "empty", "gap", "non-finite", "non-positive"])
-    def test_each_check_names_its_rule(self, change, message):
+    @pytest.mark.parametrize("blocks, message", [
+        ({}, "a panel needs at least one country"),
+        ({**_TWO_BLOCKS, "b": ("1970Q1", [])}, "country b prices must be a non-empty 1-D array"),
+        ({**_TWO_BLOCKS, "b": ("1970Q1", [[50.0, 51.0], [52.0, 53.0]])},
+         "country b prices must be a non-empty 1-D array"),
+        ({**_TWO_BLOCKS, "b": ("1970Q1", [50.0, np.nan, 52.0])},
+         "country b prices must be finite and positive"),
+        ({**_TWO_BLOCKS, "b": ("1970Q1", [50.0, np.inf, 52.0])},
+         "country b prices must be finite and positive"),
+        ({**_TWO_BLOCKS, "a": ("1970Q1", [100.0, 0.0, 102.0])},
+         "country a prices must be finite and positive"),
+        ({**_TWO_BLOCKS, "b": ("1970Q5", [50.0])},
+         "bad quarter label '1970Q5' (expected YYYYQq or YYYY-Qq)"),
+    ], ids=["no-countries", "empty", "2-d", "non-finite", "infinite", "non-positive", "label"])
+    def test_each_check_names_its_rule(self, blocks, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            InflationPanel(**_two_country_panel(**change))
+            InflationPanel(blocks)
 
     def test_valid_fields_load(self):
-        panel = InflationPanel(**_two_country_panel())
+        panel = InflationPanel(_TWO_BLOCKS)
+        assert panel.dates == ("1970Q1", "1970Q2", "1970Q3", "1970Q4")
         assert panel.block("b")[0] == 0 and panel.block("b")[1].tolist() == [50.0, 51.0, 52.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_blocks_come_back_on_the_span_of_their_dates(self, data):
+        names = data.draw(st.permutations(_PANEL_NAMES))[:data.draw(st.integers(1, 4))]
+        starts = {name: 4 * 1990 + data.draw(st.integers(-20, 20)) for name in names}
+        prices = {name: data.draw(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                           min_size=1, max_size=40)) for name in names}
+        styles = {name: data.draw(st.integers(0, len(_LABEL_STYLES) - 1)) for name in names}
+        panel = InflationPanel({name: (_label(starts[name], styles[name]), prices[name])
+                                for name in names})
+        assert panel.countries == tuple(names)
+        lo = min(starts.values())
+        hi = max(starts[name] + len(prices[name]) - 1 for name in names)
+        assert panel.dates == tuple(_label(q, 0) for q in range(lo, hi + 1))
+        for name in names:
+            i0, block = panel.block(name)
+            assert panel.dates[i0] == _label(starts[name], 0)
+            assert block.tobytes() == np.array(prices[name]).tobytes()
 
 
 class TestLoadPanel:
@@ -138,6 +172,18 @@ class TestLoadPanel:
                            start="1972Q1", end="1994Q4")
         assert panel.dates[0] == "1972Q1"
         assert panel.dates[-1] <= "1994Q4"
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"countries": ["aaa", "aaa", "bbb"]}, "countries names aaa more than once"),
+        ({"start": "1990Q1", "end": "1980Q1"}, "start 1990Q1 is later than end 1980Q1"),
+    ], ids=["repeated-country", "start-after-end"])
+    def test_conflicting_filters_rejected_before_any_row_is_read(self, fixture_panel_path,
+                                                                 tmp_path, kwargs, message):
+        # the missing file is never opened: the filters fail first
+        for path in (fixture_panel_path, tmp_path / "missing.csv"):
+            with pytest.raises(ValidationError, match=f"^{message}$") as raised:
+                load_panel(path, **kwargs)
+            assert type(raised.value) is ValidationError
 
     def test_negative_price_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -183,16 +229,10 @@ class TestLoadPanel:
             load_panel(path)
 
 
-_PANEL_NAMES = ("aaa", "bbb", "ccc", "ddd")
-_LABEL_STYLES = ("{y}Q{q}", "{y}-Q{q}", "{y}q{q}", " {y}Q{q} ")
 _BLANK_ROWS = ("", "   ", ",,", " , , ")
 _BAD_FIELDS = ("aaa,1990Q1", "aaa,1990Q1,100,1", " ,1990Q1,100")
 _BAD_LABELS = ("1990Q5", "90Q1", "", "1990Q1x")
 _BAD_PRICES = ("abc", "", "nan", "inf", "-inf", "1e400", "0", "-2.5", "0x10")
-
-
-def _label(q, style):
-    return _LABEL_STYLES[style].format(y=q // 4, q=q % 4 + 1)
 
 
 @st.composite
@@ -233,7 +273,8 @@ def _panel_files(draw):
     kwargs = draw(st.fixed_dictionaries({}, optional={
         "countries": st.lists(st.sampled_from(names), min_size=1, max_size=4)
         | st.just(["aaa", "zzz"]),
-        "start": st.integers(4 * 1989, 4 * 1994).map(lambda q: _label(q, 0)) | st.just("1995Q7"),
+        "start": st.integers(4 * 1989, 4 * 1994).map(lambda q: _label(q, 0))
+        | st.sampled_from(["1995Q7", "2030Q1"]),
         "end": st.integers(4 * 2012, 4 * 2022).map(lambda q: _label(q, 1)),
     }))
     return "country,date,hcpi\n" + "\n".join(lines) + "\n", kwargs
@@ -247,7 +288,7 @@ class TestLoadPanelOracle:
         path = tmp_path_factory.getbasetemp() / "oracle_panel.csv"
         path.write_text(text, encoding="utf-8")
         try:
-            countries, dates, prices, coverage = _oracles.load_panel_rows(path, **kwargs)
+            blocks = _oracles.load_panel_rows(path, **kwargs)
         except (SplitEncError, ValueError) as exc:
             with pytest.raises(type(exc)) as raised:
                 load_panel(path, **kwargs)
@@ -255,10 +296,10 @@ class TestLoadPanelOracle:
             assert str(raised.value) == str(exc)
             return
         panel = load_panel(path, **kwargs)
-        assert panel.countries == countries
-        assert panel.dates == dates
-        assert panel.prices.tobytes() == prices.tobytes()
-        assert_array_equal(panel.coverage, coverage)
+        assert panel.countries == tuple(blocks)
+        for country, (label, prices) in blocks.items():
+            i0, block = panel.block(country)
+            assert (panel.dates[i0], block.tolist()) == (label, prices)
 
     @pytest.mark.parametrize("rows, message", [
         (["aaa,1970Q2,0", "aaa,1970Q3,abc"], "line 3: price must be positive, got 0"),
@@ -283,7 +324,7 @@ class TestLoadPanelOracle:
 class TestGlobalInflation:
     def test_single_country_equals_own_series(self):
         prices = 100 * np.exp(np.cumsum(np.linspace(1, 4, 90)) / 400)
-        panel = InflationPanel.from_blocks({"solo": ("1980Q1", prices)})
+        panel = InflationPanel({"solo": ("1980Q1", prices)})
         g = _global_inflation_source(panel)(None)
         own = annualized_inflation(prices, 1)
         assert np.isnan(g[0])
@@ -293,7 +334,7 @@ class TestGlobalInflation:
         # one quarter of +2 and -2 annualized quarter-on-quarter inflation
         up = np.array([100.0] * 10 + [100.0 * math.exp(2 / 400)] * 10)
         down = np.array([100.0] * 10 + [100.0 * math.exp(-2 / 400)] * 10)
-        panel = InflationPanel.from_blocks({"up": ("1970Q1", up), "dn": ("1970Q1", down)})
+        panel = InflationPanel({"up": ("1970Q1", up), "dn": ("1970Q1", down)})
         g = _global_inflation_source(panel)(None)
         assert_allclose(g[10], 0.0, atol=1e-12)
         assert_allclose(g[1:10], 0.0, atol=1e-12)
@@ -302,28 +343,28 @@ class TestGlobalInflation:
         g = _global_inflation_source(fixture_panel)(None)
         # spreadsheet-style recomputation: per quarter, average the available
         # log price relatives country by country
-        T, C = fixture_panel.prices.shape
+        T = len(fixture_panel.dates)
         for t in [1, 20, 60, 100, T - 1]:
             vals = []
-            for j in range(C):
-                if fixture_panel.coverage[t, j] and fixture_panel.coverage[t - 1, j]:
-                    vals.append(400.0 * math.log(fixture_panel.prices[t, j]
-                                                 / fixture_panel.prices[t - 1, j]))
+            for country in fixture_panel.countries:
+                b0, prices = fixture_panel.block(country)
+                if b0 < t < b0 + len(prices):
+                    vals.append(400.0 * math.log(prices[t - b0] / prices[t - b0 - 1]))
             assert_allclose(g[t], sum(vals) / len(vals), rtol=1e-12)
 
     def test_interior_empty_quarter_raises(self):
         a = np.full(90, 100.0)
         b = np.full(90, 100.0)
-        panel = InflationPanel.from_blocks({"a": ("1970Q1", a), "b": ("2000Q1", b)})
+        panel = InflationPanel({"a": ("1970Q1", a), "b": ("2000Q1", b)})
         with pytest.raises(EmptyQuarter):
             _global_inflation_source(panel)(None)
 
     def test_exclusion_interior_gap_names_its_quarter(self):
         # b ends in 1984Q4 and c starts in 1985Q1, which has no prior c price
-        base = _ar1_panel(7, C=3, T=120)
-        panel = InflationPanel.from_blocks({"a": ("1970Q1", base.prices[:, 0]),
-                                            "b": ("1970Q1", base.prices[:60, 1]),
-                                            "c": ("1985Q1", base.prices[60:, 2])})
+        base = _ar1_prices(7, C=3, T=120)
+        panel = InflationPanel({"a": ("1970Q1", base[:, 0]),
+                                "b": ("1970Q1", base[:60, 1]),
+                                "c": ("1985Q1", base[60:, 2])})
         source = _global_inflation_source(panel)
         for _ in range(2):  # raised again when repeated
             with pytest.raises(EmptyQuarter, match="^no contributing country at 1985Q1$"):
@@ -334,10 +375,10 @@ class TestGlobalInflation:
     def test_exclusion_with_no_other_country_on_the_block(self):
         # a ends in 1989Q4 and b and c start in 1990Q1: without a, none of a's quarters
         # has a contributor
-        base = _ar1_panel(7, C=3, T=160)
-        panel = InflationPanel.from_blocks({"a": ("1970Q1", base.prices[:80, 0]),
-                                            "b": ("1990Q1", base.prices[80:, 1]),
-                                            "c": ("1990Q1", base.prices[80:, 2])})
+        base = _ar1_prices(7, C=3, T=160)
+        panel = InflationPanel({"a": ("1970Q1", base[:80, 0]),
+                                "b": ("1990Q1", base[80:, 1]),
+                                "c": ("1990Q1", base[80:, 2])})
         cfg = CountryStudyConfig(h=4, p2=4, p_max=2, include_own_country=False)
         with pytest.raises(InsufficientData,
                            match="^country a: no contributing country on any of its quarters$"):
@@ -351,10 +392,10 @@ class TestGlobalInflation:
     def test_exclusion_trims_the_quarters_no_other_country_covers(self, country, first_origin,
                                                                    last_target):
         # a: 1970Q1-1999Q4, b: 1975Q1-1999Q4, c: 1980Q1-2004Q4
-        base = _ar1_panel(7, C=3, T=120)
-        panel = InflationPanel.from_blocks({"a": ("1970Q1", base.prices[:, 0]),
-                                            "b": ("1975Q1", base.prices[:100, 1]),
-                                            "c": ("1980Q1", base.prices[:100, 2])})
+        base = _ar1_prices(7, C=3, T=120)
+        panel = InflationPanel({"a": ("1970Q1", base[:, 0]),
+                                "b": ("1975Q1", base[:100, 1]),
+                                "c": ("1980Q1", base[:100, 2])})
         cfg = CountryStudyConfig(h=4, p2=4, p_max=2, include_own_country=False)
         bench, large, _ = _designs(panel, country, cfg, selected_lag=0)
         assert (large.first_origin, large.last_target) == (first_origin, last_target)
@@ -371,11 +412,11 @@ class TestGlobalInflation:
         prices = 100 * np.exp(np.cumsum(np.sin(np.arange(90)) + 2) / 400)
         own = annualized_inflation(prices, 1)
         # averaging 4 identical values is exact in floats (powers of two)
-        panel4 = InflationPanel.from_blocks(
+        panel4 = InflationPanel(
             {name: ("1975Q1", prices) for name in ("a", "b", "c", "d")})
         assert_array_equal(_global_inflation_source(panel4)(None)[1:], own[1:])
         # odd counts can round the last bit of the mean
-        panel3 = InflationPanel.from_blocks(
+        panel3 = InflationPanel(
             {name: ("1975Q1", prices) for name in ("a", "b", "c")})
         assert_allclose(_global_inflation_source(panel3)(None)[1:], own[1:], rtol=1e-15)
 
@@ -400,7 +441,7 @@ class TestCountryEncompassing:
             for t in range(1, T):
                 G[t] = 0.8 * G[t - 1] + e[t]
             pi = 2.0 + G[:, None] + 1.5 * g.standard_normal((T, C))
-            return InflationPanel.from_blocks(
+            return InflationPanel(
                 {f"c{i:02d}": ("1970Q1", 100.0 * np.exp(np.cumsum(pi[:, i]) / 400.0))
                  for i in range(C)})
 
@@ -415,24 +456,23 @@ class TestCountryEncompassing:
 
     def test_constant_prices_surface_error_with_context(self):
         blocks = {"flat": ("1970Q1", np.full(160, 100.0)),
-                  "ok": ("1970Q1", _ar1_panel(5, C=1).prices[:, 0])}
-        panel = InflationPanel.from_blocks(blocks)
+                  "ok": ("1970Q1", _ar1_prices(5, C=1)[:, 0])}
+        panel = InflationPanel(blocks)
         with pytest.raises(SplitEncError, match="flat"):
             country_encompassing(panel, "flat", CountryStudyConfig(h=4, p_max=2))
 
     def test_no_lookahead_in_forecasts(self):
         # changing the final quarters cannot alter earlier forecast errors
         cfg = CountryStudyConfig(h=4, p_max=0, mu0_list=(0.45,))
-        panel = _ar1_panel(21, C=3)
+        prices = _ar1_prices(21, C=3)
+        panel = _columns_panel(prices)
         bench, large, T_i = _designs(panel, "c00", cfg, selected_lag=0)
         k0 = int(T_i * cfg.pi0)
         e_full = expanding_window_forecast_errors(large, k0)
 
-        prices = panel.prices.copy()
         tail = 6
         prices[-tail:, 0] *= np.exp(np.linspace(0.01, 0.06, tail))  # shock the tail
-        panel2 = InflationPanel(countries=panel.countries, dates=panel.dates,
-                                prices=prices, coverage=panel.coverage)
+        panel2 = _columns_panel(prices)
         bench2, large2, _ = _designs(panel2, "c00", cfg, selected_lag=0)
         e_mod = expanding_window_forecast_errors(large2, k0)
         # errors targeting quarters before the shocked tail are bit-identical
@@ -454,14 +494,12 @@ class TestCountryEncompassing:
                            expanding_window_forecast_errors(bench, k0))
 
     def test_scale_invariance(self):
-        panel = _ar1_panel(41)
+        prices = _ar1_prices(41)
         cfg = CountryStudyConfig(h=4, p_max=4)
-        base = country_encompassing(panel, "c01", cfg)
-        scale = np.ones(len(panel.countries))
+        base = country_encompassing(_columns_panel(prices), "c01", cfg)
+        scale = np.ones(prices.shape[1])
         scale[1] = 7.0
-        scaled_panel = InflationPanel(countries=panel.countries, dates=panel.dates,
-                                      prices=panel.prices * scale,
-                                      coverage=panel.coverage)
+        scaled_panel = _columns_panel(prices * scale)
         scaled = country_encompassing(scaled_panel, "c01", cfg)
         assert scaled.selected_lag == base.selected_lag
         assert_allclose(scaled.rmse_ratio, base.rmse_ratio, rtol=0, atol=1e-10)
@@ -529,10 +567,10 @@ class TestRunStudy:
 
     def test_failures_reported_inline(self):
         blocks = {"flat": ("1970Q1", np.full(160, 100.0))}
-        good = _ar1_panel(71, C=2)
-        for i, c in enumerate(good.countries):
-            blocks[c] = ("1970Q1", good.prices[:, i])
-        panel = InflationPanel.from_blocks(blocks)
+        good = _ar1_prices(71, C=2)
+        for i in range(2):
+            blocks[f"c{i:02d}"] = ("1970Q1", good[:, i])
+        panel = InflationPanel(blocks)
         report = run_study(panel, CountryStudyConfig(h=4, p_max=2))
         assert set(report.failures) == {"flat"}
         assert len(report.results) == 2
@@ -567,11 +605,11 @@ class TestRunStudy:
     def test_global_series_computed_once_per_exclusion(self, monkeypatch, include_own):
         # c01 and c02 start five years late, so without c00 the early quarters
         # have no contributor, and c00's designs and first origin start after them
-        base = _ar1_panel(81, C=3, T=120)
-        panel = InflationPanel.from_blocks({
-            "c00": ("1970Q1", base.prices[:, 0]),
-            "c01": ("1975Q1", base.prices[:, 1]),
-            "c02": ("1975Q1", base.prices[:, 2]),
+        base = _ar1_prices(81, C=3, T=120)
+        panel = InflationPanel({
+            "c00": ("1970Q1", base[:, 0]),
+            "c01": ("1975Q1", base[:, 1]),
+            "c02": ("1975Q1", base[:, 2]),
         })
         cfg = CountryStudyConfig(h=4, p_max=2, include_own_country=include_own)
         calls = []

@@ -492,21 +492,6 @@ class TestBicSelectLag:
             y[t] = 0.6 * y[t - 3] + e[t]
         assert bic_select_lag(y, h=1, p_max=4) == 2
 
-    def test_common_sample_makes_ssr_nested(self, rng):
-        # on the shared target range, adding lags cannot raise the SSR
-        y = rng.standard_normal(150)
-        p_max, h = 5, 2
-        t0 = h + p_max
-        n_eff = len(y) - t0
-        ssrs = []
-        for p in range(p_max + 1):
-            X = np.column_stack([np.ones(n_eff)]
-                                + [y[t0 - h - j: len(y) - h - j] for j in range(p + 1)])
-            coef = np.linalg.lstsq(X, y[t0:], rcond=None)[0]
-            resid = y[t0:] - X @ coef
-            ssrs.append(float(resid @ resid))
-        assert all(b <= a + 1e-9 for a, b in zip(ssrs, ssrs[1:]))
-
     def test_lag_source_series(self, rng):
         # selecting lags of a different predictor series than the target
         x = rng.standard_normal(300)
