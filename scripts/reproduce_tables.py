@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Run the shipped size/power experiment configs and write their reports.
 
-Full-fidelity runs use 10000 replications per cell.  Serially, all five
-grids take about 6 minutes on a shared 2-vCPU Xeon host (Python 3.11,
-numpy 2.4, scipy 1.17): 40 times the median of three --reps 250 runs per
-table, which took 1.5, 0.8, 2.7, 1.6 and 3.4 s for tables 1 to 5.  The
-first table run carries the one-off import of scipy.signal (0.75-0.81 s
-there, as it pulls in scipy.stats, interpolate and optimize), which the
-40x extrapolation leaves out.  Pass --reps 2000 for a desk-mode pass with
-wider Monte Carlo error, or --only to select specific tables.  Every
-selected config is loaded and checked before the first table runs.
+Full-fidelity runs use 10000 replications per cell.  Serially
+(--threads 1), tables 1 to 5 took 43, 38, 113, 69 and 150 s, 6 min 53 s in
+all, in one run on a shared 2-vCPU Xeon host (Python 3.11.7, numpy 2.4.6,
+scipy 1.17.1); an earlier run on such a host took 7 min 11 s.  At
+--reps 250 they took 1.5, 0.7, 2.2, 1.5 and 2.9 s (median of three runs).
+The first table run carries the one-off import of scipy.signal (1.15-1.19 s
+in a fresh process there, as it pulls in scipy.stats, interpolate and
+optimize).  Pass --reps 2000 for a desk-mode pass with wider Monte Carlo
+error, or --only to select specific tables.  Every selected config is
+loaded and checked before the first table runs.
 
 Usage:
     python scripts/reproduce_tables.py --reps 2000 --out-dir results/

@@ -168,12 +168,17 @@ def _read_panel_rows(path):
 def check_panel_filters(countries=None, start=None, end=None, prefix=""):
     """(start, end) quarter indices of ``load_panel``'s filters, None where not given.
 
-    ``start`` later than ``end`` and a country named twice in ``countries``
-    raise ValidationError naming the argument, with ``prefix`` before each
-    argument name (the command line passes "--").
+    A bad quarter label, ``start`` later than ``end`` and a country named
+    twice in ``countries`` raise ValidationError naming the argument, with
+    ``prefix`` before each argument name (the command line passes "--").
     """
-    q_lo = parse_quarter(start) if start is not None else None
-    q_hi = parse_quarter(end) if end is not None else None
+    bounds = []
+    for name, label in (("start", start), ("end", end)):
+        try:
+            bounds.append(None if label is None else parse_quarter(label))
+        except ValueError as exc:
+            raise ValidationError(f"{prefix}{name}: {exc}") from None
+    q_lo, q_hi = bounds
     if q_lo is not None and q_hi is not None and q_lo > q_hi:
         raise ValidationError(f"{prefix}start {start} is later than {prefix}end {end}")
     if countries is not None:

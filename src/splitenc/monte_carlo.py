@@ -38,9 +38,10 @@ The test is one-sided, so a cell's replication rejects when its statistic
 exceeds the normal critical value at the cell's level.
 
 The forecast errors of the nested pair [1, y_{t-h}] vs [1, y_{t-h}, x_{t-h}]
-come from the closed-form kernel ``regression.nested_pair_forecast_errors``,
-which certifies each replication on its own.  A replication it cannot
-certify runs the two generic ``DirectDesign`` fits on its own.
+come from ``regression.nested_pair_forecast_errors``, which answers every
+replication of a block in one call: from its closed form where it
+certifies the replication, from the two generic fits where it does not,
+and NaN where those fail.
 
 Determinism: the random stream of a replication is keyed by (base seed,
 stream digest, replication id) only, where the stream digest is that of
@@ -55,14 +56,15 @@ All designs and mu0 of a stream group see common random numbers: cells
 that differ in h, alpha, beta1, beta2, theta or mu0 are dependent within
 a replication, while each cell's own law is unchanged.
 
-Failures are masks, not aborts.  Every cell is resolved once, before any
-replication runs: a cell whose forecast origin, split or bandwidth does not
-resolve runs no replication and is NaN throughout.  A replication whose
-dgp2 factor is not identified is NaN in every cell of its group; one whose
-simulated series are not finite or whose generic fit fails (a singular
-window) is NaN in every cell of its design; a degenerate long-run variance
-is NaN in its own entry.  NaN is dropped and counted as a failure, and a
-cell with 1% or more failures is flagged unreliable.
+Failures are masks, not aborts, and NaN is the one failure signal.  Every
+cell is resolved once, before any replication runs: a cell whose forecast
+origin, split or bandwidth does not resolve runs no replication and is NaN
+throughout.  A replication whose dgp2 factor is not identified is NaN in
+every cell of its group.  One whose series have a non-finite entry that a
+fit reads, or whose window is singular, gets NaN errors from the
+nested-pair call and is NaN in every cell of its design.  A degenerate
+long-run variance is NaN in its own entry.  NaN is dropped and counted as
+a failure, and a cell with 1% or more failures is flagged unreliable.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ from .enc_test import (
 # the engine runs split_statistic; perfbench/mc.py wraps this name in this module
 from .enc_test import encompassing_test  # noqa: F401
 from .errors import ConfigError, InsufficientData, SplitEncError
-from .regression import DirectDesign, expanding_window_forecast_errors, nested_pair_forecast_errors
+# the engine runs nested_pair_forecast_errors, which falls back on the generic fits in
+# regression; perfbench/mc.py wraps expanding_window_forecast_errors in this module
+from .regression import expanding_window_forecast_errors, nested_pair_forecast_errors  # noqa: F401
 from .tables import csv_text, json_text, markdown_text
 
 FAILURE_SHARE_LIMIT = 0.01
@@ -238,30 +242,6 @@ class McReport:
     kind: str = ""
 
 
-def _generic_pair(y, extra, h: int, k0: int):
-    """The two generic expanding-window fits of one series pair; raises what they raise."""
-    bench = DirectDesign.from_series(y, y, h=h)
-    large = DirectDesign.from_series(y, np.column_stack([y, extra]), h=h)
-    return expanding_window_forecast_errors(bench, k0), expanding_window_forecast_errors(large, k0)
-
-
-def _forecast_error_pair(y, extra, h: int, k0: int):
-    """Expanding-window errors of the nested pair [1, y_t] vs [1, y_t, extra_t], row by row.
-
-    y and extra are (..., T), and k0 is a resolved first origin (see
-    ``_first_origin``).  The closed-form kernel answers for every row it
-    certifies; each other row runs the two generic fits on its own, and a
-    row whose fits fail stays NaN.
-    """
-    e1, e2 = nested_pair_forecast_errors(y, extra, h, k0)
-    for row in map(tuple, np.argwhere(np.isnan(e1[..., 0]))):
-        try:
-            e1[row], e2[row] = _generic_pair(y[row], extra[row], h, k0)
-        except _FAILURES:
-            pass
-    return e1, e2
-
-
 def _simulate(dgp, streams) -> tuple:
     """(innov, predictor, extra) of a part of a stream group, row b from stream b.
 
@@ -302,23 +282,20 @@ def _run_shape(design, members) -> None:
     part's extra regressor, and rows, the design's (cells, replications)
     view of its part's block.  The replications run in blocks of
     max(1, _ROW_BLOCK // T), so that a block's running sums and split
-    terms stay in cache: each block gets its finiteness mask, one fit and
-    one statistic call.  The statistics go to the parts' blocks once, at
-    the end.
+    terms stay in cache: each block gets one nested-pair call and one
+    statistic call, both on views of its rows.  The statistics go to the
+    parts' blocks once, at the end.
     """
     y = outcome(design.spec, _stack([w for w, *_ in members]),
                 _stack([p for _, p, *_ in members]))
     extra = _stack([extra for *_, extra, _ in members])
     m0s = [m0 for _, m0 in design.members]
-    stats = np.full((len(m0s), len(y)), np.nan)
+    stats = np.empty((len(m0s), len(y)))
     step = max(1, _ROW_BLOCK // y.shape[1])
     for start in range(0, len(y), step):
-        a, b = y[start:start + step], extra[start:start + step]
-        finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
-        # the fit reads its rows and writes none, so when every row is finite it takes views
-        e1, e2 = _forecast_error_pair(*((a, b) if finite.all() else (a[finite], b[finite])),
-                                      design.spec.h, design.k0)
-        stats[:, start:start + step][:, finite] = split_statistic(e1, e2, m0s, design.M)[0]
+        block = slice(start, start + step)
+        e1, e2 = nested_pair_forecast_errors(y[block], extra[block], design.spec.h, design.k0)
+        stats[:, block] = split_statistic(e1, e2, m0s, design.M)[0]
     column = 0
     for *_, rows in members:
         rows[:] = stats[:, column:column + rows.shape[1]]
@@ -341,8 +318,9 @@ def run_replication(parts) -> list:
     step acts on one replication at a time, so an entry does not depend on
     which replications or parts share the call.  A replication whose
     factor is not identified is NaN in every cell of its group; one whose
-    path is not finite or whose generic fit fails is NaN in every cell of
-    its design; a degenerate variance is NaN in its own entry.
+    nested-pair errors are NaN (a non-finite entry that a fit reads, or a
+    singular window) is NaN in every cell of its design; a degenerate
+    variance is NaN in its own entry.
     """
     blocks, shapes = [], {}
     for designs, reps, key in parts:

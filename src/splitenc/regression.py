@@ -169,35 +169,27 @@ def expanding_window_forecast_errors(design: DirectDesign, k0: int) -> np.ndarra
     return design.targets[j0:] - forecasts
 
 
-def nested_pair_forecast_errors(y, x, h: int, k0: int):
-    """Expanding-window errors of [1, y_{t-h}] and [1, y_{t-h}, x_{t-h}], row by row.
+def _closed_form_pair(y, x, h: int, k0: int):
+    """The closed form of ``nested_pair_forecast_errors``, NaN in every row it does not certify.
 
-    y and x are (..., T) with time along the last axis; each row gives the
-    same (e1, e2) as ``expanding_window_forecast_errors`` on the two
-    ``DirectDesign.from_series`` designs of that row, from one stack of
-    running sums: with a = y_{t-h}, b = x_{t-h} and target t = y_t, the
-    intercept is partialled out through the centred sums, and the 1x1
-    benchmark and 2x2 large systems are solved in closed form at every
-    origin.  a, b and t are first shifted by their means over the first
-    window, which keeps the centring accurate when the series sit far from
-    zero.  Every operation acts on one row at a time, so a row's errors do
-    not depend on the rows beside it.
+    y and x are (..., T) float arrays of one shape, and 3 + h <= k0 <= T - h.
+    From one stack of running sums: with a = y_{t-h}, b = x_{t-h} and
+    target t = y_t, the intercept is partialled out through the centred
+    sums, and the 1x1 benchmark and 2x2 large systems are solved in closed
+    form at every origin.  a, b and t are first shifted by their means over
+    the first window, which keeps the centring accurate when the series sit
+    far from zero.  Every operation acts on one row at a time, so a row's
+    errors do not depend on the rows beside it.
 
     Each row is certified on its own: it is kept only when its inputs and
     errors are finite and every window has caa > PAIR_RTOL * sum(a^2),
     cbb > PAIR_RTOL * sum(b^2) and det = caa*cbb - cab^2 > PAIR_RTOL * caa *
-    cbb.  A row that fails is NaN throughout and is left to the generic
-    path, which solves or raises.  For a k0 or shape the generic path
-    rejects, the result is None.
+    cbb.  A row that fails is NaN throughout.
 
     The rows, running sums and per-origin terms live in work arrays kept
     between calls (see ``_work.work_array``), laid out one quantity after
     another; e1 and e2 are new arrays that never refer to them.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.ndim < 1 or x.shape != y.shape or h < 1 or not 3 + h <= k0 <= y.shape[-1] - h:
-        return None
     batch = y.shape[:-1]
     m = y.shape[-1] - h  # design rows: a = y[:m], b = x[:m], t = y[h:]
     i0 = k0 - h - 1      # last row of the first window
@@ -255,6 +247,40 @@ def nested_pair_forecast_errors(y, x, h: int, k0: int):
         certified &= np.isfinite(errors, out=check[:2]).all(axis=(0, -1))
     errors[:, ~certified] = np.nan
     return errors[0], errors[1]
+
+
+def nested_pair_forecast_errors(y, x, h: int, k0: int):
+    """Expanding-window errors of [1, y_{t-h}] and [1, y_{t-h}, x_{t-h}], row by row.
+
+    y and x are (..., T) with time along the last axis.  Row r of e1 and e2
+    is what ``expanding_window_forecast_errors`` gives on the two
+    ``DirectDesign.from_series`` designs of row r, and NaN throughout where
+    those fits fail: where the row has a non-finite entry that a fit reads
+    (x's last h entries enter none) or a window is singular.  A row that the
+    closed form certifies takes its errors (``_closed_form_pair``); any other
+    row runs the two generic fits on its own.  Rows do not depend on each
+    other.
+
+    Raises ValueError unless y and x share one shape with a time axis and
+    h >= 1, and InsufficientData unless 3 + h <= k0 <= T - h: the origins
+    at which both fits are identified and leave a forecast error.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim < 1 or x.shape != y.shape or h < 1:
+        raise ValueError("need y and x of one (..., T) shape and a horizon h >= 1")
+    if not 3 + h <= k0 <= y.shape[-1] - h:
+        raise InsufficientData(f"k0={k0} outside [3 + h, T - h] = [{3 + h}, {y.shape[-1] - h}]")
+    e1, e2 = _closed_form_pair(y, x, h, k0)
+    for row in map(tuple, np.argwhere(np.isnan(e1[..., 0]))):
+        try:
+            bench = DirectDesign.from_series(y[row], y[row], h=h)
+            large = DirectDesign.from_series(y[row], np.column_stack([y[row], x[row]]), h=h)
+            e1[row], e2[row] = (expanding_window_forecast_errors(bench, k0),
+                                expanding_window_forecast_errors(large, k0))
+        except (ValueError, RankDeficient):  # a non-finite design entry; a singular window
+            pass
+    return e1, e2
 
 
 def lag_columns(series: np.ndarray, h: int, n_lags: int, t0: int) -> list:

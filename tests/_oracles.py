@@ -273,9 +273,10 @@ def estimate_factor_copying(X, gap_rtol=1e-12, power_rtol=1e-14, power_max_iter=
 def nested_pair_forecast_errors_copying(y, x, h, k0, pair_rtol=1e-8):
     """The nested-pair kernel as first written, every step into a new array.
 
-    Same contract as ``regression.nested_pair_forecast_errors``: (e1, e2)
-    per row along the last axis, a row NaN throughout unless certified,
-    and None for a k0 or shape the generic path rejects.
+    Same contract as ``regression._closed_form_pair``: (e1, e2) per row
+    along the last axis, a row NaN throughout unless certified; and None
+    for a k0 or shape that ``regression.nested_pair_forecast_errors``
+    rejects.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -329,8 +330,13 @@ def load_panel_rows(path, countries=None, start=None, end=None, min_quarters=80)
     the panel that ``inflation.load_panel`` builds, in its country order,
     and raises its error classes with its messages.
     """
-    q_lo = _quarter_index(start) if start is not None else None
-    q_hi = _quarter_index(end) if end is not None else None
+    bounds = {}
+    for name, label in (("start", start), ("end", end)):
+        try:
+            bounds[name] = _quarter_index(label) if label is not None else None
+        except ValueError as exc:
+            raise ValidationError(f"{name}: {exc}") from None
+    q_lo, q_hi = bounds["start"], bounds["end"]
     if q_lo is not None and q_hi is not None and q_hi < q_lo:
         raise ValidationError(f"start {start} is later than end {end}")
     if countries is not None:

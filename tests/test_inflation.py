@@ -176,7 +176,9 @@ class TestLoadPanel:
     @pytest.mark.parametrize("kwargs, message", [
         ({"countries": ["aaa", "aaa", "bbb"]}, "countries names aaa more than once"),
         ({"start": "1990Q1", "end": "1980Q1"}, "start 1990Q1 is later than end 1980Q1"),
-    ], ids=["repeated-country", "start-after-end"])
+        ({"start": "1995Q7"}, "start: bad quarter label '1995Q7' \\(expected YYYYQq or YYYY-Qq\\)"),
+        ({"start": "1990Q1", "end": "1994"}, "end: bad quarter label '1994' \\(expected .*\\)"),
+    ], ids=["repeated-country", "start-after-end", "bad-start", "bad-end"])
     def test_conflicting_filters_rejected_before_any_row_is_read(self, fixture_panel_path,
                                                                  tmp_path, kwargs, message):
         # the missing file is never opened: the filters fail first
@@ -289,7 +291,7 @@ class TestLoadPanelOracle:
         path.write_text(text, encoding="utf-8")
         try:
             blocks = _oracles.load_panel_rows(path, **kwargs)
-        except (SplitEncError, ValueError) as exc:
+        except SplitEncError as exc:
             with pytest.raises(type(exc)) as raised:
                 load_panel(path, **kwargs)
             assert type(raised.value) is type(exc)

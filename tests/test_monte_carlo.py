@@ -21,6 +21,7 @@ from scipy.stats import norm
 
 import splitenc.dgp as dgp_module
 import splitenc.monte_carlo as mc
+import splitenc.regression as regression
 from _oracles import estimate_factor_copying, simulate_dgp2_copying
 from splitenc.cli import main
 from splitenc.dgp import SIGMA2, Dgp1Spec, Dgp2Spec, RngStream
@@ -215,8 +216,9 @@ class TestExperiments:
             "dgp2": ("power", 2, "NT: [[100, 250], [500, 500]]\n  h: 4\n  beta2: 0.3\n"
                                  "  alpha1: 0.5\n  rho_i: 0.5"),
         }
+        # a row the closed form declines runs the generic fits, the name regression looks up
         fallbacks = []
-        monkeypatch.setattr(mc, "expanding_window_forecast_errors",
+        monkeypatch.setattr(regression, "expanding_window_forecast_errors",
                             lambda design, k0: fallbacks.append(k0))
         for family, (kind, reps, keys) in grids.items():
             path = tmp_path / f"{family}.yaml"
@@ -381,7 +383,7 @@ class TestDesignGroups:
             "  beta1: 0.3\n  beta2: 0.3\n  theta: 0.5\n  alpha1: 0.5\n  rho_i: 0.5\n")
         config = load_experiment_config(path)
         calls = {"run_replication": 0, "dgp2_draws": 0, "estimate_factor": 0,
-                 "_forecast_error_pair": 0}
+                 "nested_pair_forecast_errors": 0}
         for name in calls:
             def counted(*args, _real=getattr(mc, name), _name=name):
                 calls[_name] += 1
@@ -394,7 +396,7 @@ class TestDesignGroups:
         # factored per replication, and the panels differ in T, so their designs share
         # no shape and the pair runs once per design
         assert calls == {"run_replication": 1, "dgp2_draws": 4, "estimate_factor": 4,
-                         "_forecast_error_pair": 2}
+                         "nested_pair_forecast_errors": 2}
 
     def test_dgp1_subgrid_simulated_once_per_stream_group(self, tmp_path, monkeypatch):
         # the mc-dgp1 sub-grid of perfbench/inputs.py: 4 stream groups (T, rho) of 2 h,
@@ -407,7 +409,7 @@ class TestDesignGroups:
             "  beta1: 0.3\n  beta2: 0.0\n  theta: 0.5\n  sigma: sigma1\n")
         config = load_experiment_config(path)
         calls, pairs, statistics = {"dgp1_draws": 0}, [], []
-        real_draws, real_pair = mc.dgp1_draws, mc._forecast_error_pair
+        real_draws, real_pair = mc.dgp1_draws, mc.nested_pair_forecast_errors
         real_statistic = mc.split_statistic
 
         def counted(spec, streams):
@@ -424,7 +426,7 @@ class TestDesignGroups:
             return result
 
         monkeypatch.setattr(mc, "dgp1_draws", counted)
-        monkeypatch.setattr(mc, "_forecast_error_pair", recorded)
+        monkeypatch.setattr(mc, "nested_pair_forecast_errors", recorded)
         monkeypatch.setattr(mc, "split_statistic", recorded_statistic)
         report = run_size_experiment(config.cells, config.reps, config.seed)
         assert len(report.cells) == 32
@@ -490,13 +492,13 @@ class TestDesignGroups:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(mc, name, counted)
-        real_pair = mc._forecast_error_pair
+        real_pair = mc.nested_pair_forecast_errors
 
         def recorded(y, extra, h, k0):
             pairs.append((y.copy(), extra.copy(), h))
             return real_pair(y, extra, h, k0)
 
-        monkeypatch.setattr(mc, "_forecast_error_pair", recorded)
+        monkeypatch.setattr(mc, "nested_pair_forecast_errors", recorded)
         report = run_power_experiment(cells, reps, seed)
         assert all(c.failures == 0 for c in report.cells)
         assert calls == {"dgp2_draws": 2 * reps, "estimate_factor": 2 * reps}
@@ -804,8 +806,8 @@ class TestTasks:
             # a second bandwidth for the fifth cell's design: its m0 layout differs
             _cell(T=100, rho=0.9, mu0=0.45, hac=HacConfig(bandwidth=2)),
         ]
-        real, rows = mc._forecast_error_pair, []
-        monkeypatch.setattr(mc, "_forecast_error_pair",
+        real, rows = mc.nested_pair_forecast_errors, []
+        monkeypatch.setattr(mc, "nested_pair_forecast_errors",
                             lambda y, extra, h, k0: rows.append(len(y)) or real(y, extra, h, k0))
         serial = mc._run_cells(cells, 300, 23, 1)
         monkeypatch.undo()
@@ -960,11 +962,12 @@ class TestRowBlocks:
 
     @pytest.fixture
     def failing_rows(self, monkeypatch):
-        """Replication 3 of the rho=0.25 group has a non-finite x, the kernel declines
+        """Replication 3 of the rho=0.25 group has a non-finite x, the closed form declines
         replication 20 of the rho=0.5 group, and the N=20 panel's factor is not identified
-        in replication 7; returns the generic fits' call log."""
-        real_draws1, real_draws2, real_kernel = mc.dgp1_draws, mc.dgp2_draws, \
-            mc.nested_pair_forecast_errors
+        in replication 7; returns the generic fits' call log, two fits per declined row."""
+        real_draws1, real_draws2 = mc.dgp1_draws, mc.dgp2_draws
+        real_kernel = regression._closed_form_pair
+        real_fit = regression.expanding_window_forecast_errors
         spec = Dgp1Spec(T=100, rho=0.5)
         declined = mc.simulate_dgp1(spec, RngStream((5, mc._stream_digest(spec)), 20))
 
@@ -982,35 +985,35 @@ class TestRowBlocks:
             return X, f_path, w_innov
 
         def kernel(y, x, h, k0):
-            # the rows of the declined replication are left to the generic path
+            # the rows of the declined replication are left to the generic fits
             e1, e2 = real_kernel(y, x, h, k0)
             rows = x[:, 0] == declined["x"][0]
             e1[rows] = e2[rows] = np.nan
             return e1, e2
 
-        real_generic, generic = mc._generic_pair, []
+        generic = []
         monkeypatch.setattr(mc, "dgp1_draws", dgp1_draws)
         monkeypatch.setattr(mc, "dgp2_draws", dgp2_draws)
-        monkeypatch.setattr(mc, "nested_pair_forecast_errors", kernel)
-        monkeypatch.setattr(mc, "_generic_pair",
-                            lambda *args: generic.append(len(args[0])) or real_generic(*args))
+        monkeypatch.setattr(regression, "_closed_form_pair", kernel)
+        monkeypatch.setattr(regression, "expanding_window_forecast_errors",
+                            lambda design, k0: generic.append(k0) or real_fit(design, k0))
         return generic
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_small_blocks_match_each_cell_alone(self, monkeypatch, failing_rows, workers):
         cells = _blocked_grid()
         alone = [_row_alone(cell, 30, 5) for cell in cells]  # one block per call
-        assert len(failing_rows) == 4  # each cell of the declined replication's group
-        real, rows = mc._forecast_error_pair, []
-        monkeypatch.setattr(mc, "_forecast_error_pair",
+        assert len(failing_rows) == 2 * 4  # each cell of the declined replication's group
+        real, rows = mc.nested_pair_forecast_errors, []
+        monkeypatch.setattr(mc, "nested_pair_forecast_errors",
                             lambda y, extra, h, k0: rows.append(len(y)) or real(y, extra, h, k0))
         monkeypatch.setattr(mc, "_ROW_BLOCK", 1500)  # 15 rows at T=100, 25 at T=60
         got = mc._run_cells(cells, 30, 5, workers)
         if workers == 1:
             # one task: 2 dgp1 shapes of 60 rows in 4 blocks and one dgp2 shape in 3, each
-            # block without its non-finite rows
-            assert rows == [14, 15, 15, 15] * 2 + [25, 24, 10]
-            assert len(failing_rows) == 6  # and once per design of that group
+            # block with its non-finite rows, which come back NaN
+            assert rows == [15, 15, 15, 15] * 2 + [25, 25, 10]
+            assert len(failing_rows) == 2 * 6  # and once per design of that group
         for cell, row, single in zip(cells, got, alone):
             assert row.tobytes() == single.tobytes()
         assert np.isnan(got[:4, 3]).all() and np.isnan(got[-2:, 7]).all()
@@ -1021,8 +1024,8 @@ class TestRowBlocks:
         # 300 replications at T=150 run as tasks of 250 and 50 rows, in blocks of 218
         cells = [_cell(T=150, mu0=m) for m in (0.3, 0.4, 0.45, 0.6)]
         assert mc.TASK_REPLICATIONS > mc._ROW_BLOCK // 150 == 218
-        real, rows = mc._forecast_error_pair, []
-        monkeypatch.setattr(mc, "_forecast_error_pair",
+        real, rows = mc.nested_pair_forecast_errors, []
+        monkeypatch.setattr(mc, "nested_pair_forecast_errors",
                             lambda y, extra, h, k0: rows.append(len(y)) or real(y, extra, h, k0))
         blocked = mc._run_cells(cells, 300, 8, 1)
         assert rows == [218, 32, 50]

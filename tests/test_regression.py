@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import lfilter
 
 import splitenc.monte_carlo as mc
+import splitenc.regression as regression
 from _oracles import (
     bic_lag_search,
     expanding_refit_oracle,
@@ -18,7 +19,6 @@ from _oracles import (
 )
 from splitenc.dgp import Dgp1Spec, RngStream
 from splitenc.errors import InsufficientData, RankDeficient
-from splitenc.monte_carlo import _forecast_error_pair
 from splitenc.regression import (
     DirectDesign,
     bic_select_lag,
@@ -209,8 +209,8 @@ def _oracle_errors(design, k0):
 
 
 def _uncertified(pair):
-    """Whether the kernel left every error of a 1-D pair to the generic path (all NaN)."""
-    return pair is not None and all(np.isnan(e).all() for e in pair)
+    """Whether every error of a 1-D pair is NaN."""
+    return all(np.isnan(e).all() for e in pair)
 
 
 def _error_repr(call):
@@ -230,8 +230,8 @@ class TestNestedPairKernel:
         assume(k0 <= T - h)
         z = lfilter([1.0], [1.0, -rho], np.random.default_rng(seed).standard_normal((T, 2)), axis=0)
         y, x = z[:, 0] + shift, z[:, 1] + shift
-        pair = nested_pair_forecast_errors(y, x, h, k0)
-        assert pair is not None  # certified on every draw
+        pair = regression._closed_form_pair(y, x, h, k0)
+        assert not np.isnan(pair[0]).any()  # certified on every draw
         floor = 1e-12 * (1.0 + np.max(np.abs(y)))
         for e, design in zip(pair, _generic_designs(y, x, h)):
             oracle = _oracle_errors(design, k0)
@@ -246,8 +246,8 @@ class TestNestedPairKernel:
         # enough at a mean of 1e5, where the uncentred Gram loses ~5 digits
         z = lfilter([1.0], [1.0, -0.9], np.random.default_rng(seed).standard_normal((300, 2)), axis=0)
         y, x = z[:, 0] + 1e5, z[:, 1] + 1e5
-        pair = nested_pair_forecast_errors(y, x, 4, 75)
-        assert pair is not None
+        pair = regression._closed_form_pair(y, x, 4, 75)
+        assert not np.isnan(pair[0]).any()
         for e, design in zip(pair, _generic_designs(y, x, 4)):
             oracle = _oracle_errors(design, 75)
             generic = expanding_window_forecast_errors(design, 75)
@@ -259,8 +259,8 @@ class TestNestedPairKernel:
         g = np.random.default_rng(3)
         y = g.standard_normal(250)
         x = 3.0 * y + eps * g.standard_normal(250)
-        assert _uncertified(nested_pair_forecast_errors(y, x, 1, 62))
-        got = _forecast_error_pair(y, x, 1, 62)
+        assert _uncertified(regression._closed_form_pair(y, x, 1, 62))
+        got = nested_pair_forecast_errors(y, x, 1, 62)
         for a, b in zip(got, _generic_pair(y, x, 1, 62)):
             assert a.tobytes() == b.tobytes()
 
@@ -268,13 +268,15 @@ class TestNestedPairKernel:
         g = np.random.default_rng(5)
         y, x = g.standard_normal((4, 250)), g.standard_normal((4, 250))
         x[2] = 3.0 * y[2] + 1e-5 * g.standard_normal(250)  # near-collinear row
-        singles = [_forecast_error_pair(y[b], x[b], 1, 62) for b in range(4)]
-        generic_rows = []
-        real = mc._generic_pair
-        monkeypatch.setattr(mc, "_generic_pair",
-                            lambda *args: generic_rows.append(args[0]) or real(*args))
-        e1, e2 = _forecast_error_pair(y, x, 1, 62)
-        assert len(generic_rows) == 1 and generic_rows[0].tobytes() == y[2].tobytes()
+        singles = [nested_pair_forecast_errors(y[b], x[b], 1, 62) for b in range(4)]
+        fitted = []
+        real = regression.expanding_window_forecast_errors
+        monkeypatch.setattr(regression, "expanding_window_forecast_errors",
+                            lambda design, k0: fitted.append(design) or real(design, k0))
+        e1, e2 = nested_pair_forecast_errors(y, x, 1, 62)
+        # the benchmark's and the large model's fit of row 2, and no other
+        assert [design.n_params for design in fitted] == [2, 3]
+        assert all(design.targets.tobytes() == y[2, 1:].tobytes() for design in fitted)
         for b, (s1, s2) in enumerate(singles):
             assert e1[b].tobytes() == s1.tobytes() and e2[b].tobytes() == s2.tobytes()
         for a, b in zip((e1[2], e2[2]), _generic_pair(y[2], x[2], 1, 62)):
@@ -293,42 +295,62 @@ class TestNestedPairKernel:
                 y_bad[pos] = bad
                 cases.append((y_bad, x_bad))
                 cases.append((y, np.where(np.arange(T) == pos, bad, x_bad)))
-        singular = []
+        singular = 0
         for yc, xc in cases:
-            assert _uncertified(nested_pair_forecast_errors(yc, xc, h, k0))
+            assert _uncertified(regression._closed_form_pair(yc, xc, h, k0))
             expected = _error_repr(lambda: _generic_pair(yc, xc, h, k0))
             if np.isfinite(yc).all() and np.isfinite(xc).all():
                 assert expected[0] is RankDeficient
                 assert re.fullmatch(r"(zero regressor column|cross-product matrix singular)"
                                     r" in window ending at t=\d+", expected[1])
-                singular.append((yc, xc))
+                singular += 1
             else:
-                # not a numerical failure: the engine drops non-finite rows before fitting
                 assert expected == (ValueError, "design entries must be finite")
-                assert _error_repr(lambda: _forecast_error_pair(yc, xc, h, k0)) == expected
-        # a singular fit is a mask: exactly its rows stay NaN, beside a certified row
-        ys = np.stack([y] + [yc for yc, _ in singular])
-        xs = np.stack([g.standard_normal(T)] + [xc for _, xc in singular])
-        e1, e2 = _forecast_error_pair(ys, xs, h, k0)
-        assert len(singular) == 6
+            # either way the row fails, and NaN says so
+            assert _uncertified(nested_pair_forecast_errors(yc, xc, h, k0))
+        # exactly the failed rows are NaN, beside a certified row
+        ys = np.stack([y] + [yc for yc, _ in cases])
+        xs = np.stack([g.standard_normal(T)] + [xc for _, xc in cases])
+        e1, e2 = nested_pair_forecast_errors(ys, xs, h, k0)
+        assert singular == 6
         assert np.isnan(e1[1:]).all() and np.isnan(e2[1:]).all()
         assert np.isfinite(e1[0]).all() and np.isfinite(e2[0]).all()
-        for got, alone in zip((e1[0], e2[0]), _forecast_error_pair(ys[0], xs[0], h, k0)):
+        for got, alone in zip((e1[0], e2[0]), nested_pair_forecast_errors(ys[0], xs[0], h, k0)):
             assert got.tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("h", [1, 4])
+    def test_non_finite_x_past_every_fit_is_answered(self, monkeypatch, h):
+        # x's last h entries enter neither fit, so faults there leave a row's errors alone,
+        # whether the closed form certifies the row or the generic fits answer it
+        T, k0 = 200, 50
+        g = np.random.default_rng(h)
+        y, x = g.standard_normal((2, 3, T))
+        clean = nested_pair_forecast_errors(y, x, h, k0)
+        x[0, T - h:], x[1, T - 1], x[2, T - h] = np.nan, np.inf, -np.inf
+        for e, want in zip(nested_pair_forecast_errors(y, x, h, k0), clean):
+            assert np.isfinite(e).all() and e.tobytes() == want.tobytes()
+        monkeypatch.setattr(regression, "_closed_form_pair",
+                            lambda y, x, h, k0: np.full((2,) + y.shape[:-1] + (T - h - k0 + 1,),
+                                                        np.nan))
+        e1, e2 = nested_pair_forecast_errors(y, x, h, k0)
+        for b in range(3):
+            for got, want in zip((e1[b], e2[b]), _generic_pair(y[b], x[b], h, k0)):
+                assert got.tobytes() == want.tobytes()
+
     # at T=100, h=4 the large model needs 3 + h <= k0 <= T - h
-    @pytest.mark.parametrize("k0,certified", [(0, False), (6, False), (7, True), (96, True),
-                                              (97, False), (200, False)])
-    def test_origin_range_of_the_generic_path(self, k0, certified):
+    @pytest.mark.parametrize("k0,accepted", [(0, False), (6, False), (7, True), (96, True),
+                                             (97, False), (200, False)])
+    def test_origin_range_of_the_generic_path(self, k0, accepted):
         g = np.random.default_rng(k0)
         y, x = g.standard_normal(100), g.standard_normal(100)
-        pair = nested_pair_forecast_errors(y, x, 4, k0)
+        got = _error_repr(lambda: nested_pair_forecast_errors(y, x, 4, k0))
         expected = _error_repr(lambda: _generic_pair(y, x, 4, k0))
-        assert (pair is not None) == certified == (expected is None)
-        if certified:
-            assert_allclose(np.concatenate(pair), np.concatenate(_generic_pair(y, x, 4, k0)),
-                            rtol=0, atol=1e-12)
+        assert (got is None) == accepted == (expected is None)
+        if accepted:
+            assert_allclose(np.concatenate(nested_pair_forecast_errors(y, x, 4, k0)),
+                            np.concatenate(_generic_pair(y, x, 4, k0)), rtol=0, atol=1e-12)
         else:
+            assert got[0] is expected[0] is InsufficientData
             # the engine resolves k0 first, so it never asks the kernel for this origin
             with pytest.raises(InsufficientData):
                 mc._first_origin(Dgp1Spec(T=100, h=4), k0 / 100)
@@ -387,13 +409,40 @@ def _kernel_inputs(draw):
 
 
 class TestNestedPairOracle:
-    """The kernel in kept work arrays against the kernel as first written, bit for bit."""
+    """The closed form in kept work arrays against the kernel as first written, bit for bit,
+    and each row of the public function against the path that answers it."""
 
     @given(_kernel_inputs())
     @settings(max_examples=120, deadline=None)
     def test_same_bytes_as_the_copying_kernel(self, inputs):
-        expected = _pair_bytes(nested_pair_forecast_errors_copying(*inputs))
-        assert _pair_bytes(nested_pair_forecast_errors(*inputs)) == expected
+        expected = nested_pair_forecast_errors_copying(*inputs)
+        if expected is None:  # a k0 outside [3 + h, T - h]: the public function raises
+            with pytest.raises(InsufficientData):
+                nested_pair_forecast_errors(*inputs)
+        else:
+            assert _pair_bytes(regression._closed_form_pair(*inputs)) == _pair_bytes(expected)
+
+    @given(_kernel_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_each_row_is_the_closed_form_the_generic_fits_or_nan(self, inputs):
+        y, x, h, k0 = inputs
+        closed = nested_pair_forecast_errors_copying(*inputs)
+        assume(closed is not None)
+        e1, e2 = nested_pair_forecast_errors(*inputs)
+        assert e1.shape == e2.shape == closed[0].shape
+        failed = np.full(e1.shape[-1], np.nan)
+        for row in np.ndindex(y.shape[:-1]):
+            if not np.isnan(closed[0][row][0]):  # certified
+                expected = closed[0][row], closed[1][row]
+            elif np.isfinite(y[row]).all() and np.isfinite(x[row][:y.shape[-1] - h]).all():
+                try:
+                    expected = _generic_pair(y[row], x[row], h, k0)
+                except RankDeficient:
+                    expected = failed, failed
+            else:  # an entry that a fit reads is not finite
+                expected = failed, failed
+            assert e1[row].tobytes() == expected[0].tobytes()
+            assert e2[row].tobytes() == expected[1].tobytes()
 
     @pytest.mark.parametrize("h", [2, 5])
     def test_rows_at_the_certification_edges(self, h):
@@ -406,15 +455,19 @@ class TestNestedPairOracle:
                                             (3.0, 1e-2), (3.0, 2e-4), (3.0, 1e-5)]):
             x[row] = scale * (y[row] + eps * g.standard_normal(T))
         y[6, T - h], x[7, T - 2 * h], y[8, T - 2], x[9, T - h - 2] = np.nan, np.inf, -np.inf, np.nan
-        pair = nested_pair_forecast_errors(y, x, h, k0)
+        pair = regression._closed_form_pair(y, x, h, k0)
         assert _pair_bytes(pair) == _pair_bytes(nested_pair_forecast_errors_copying(y, x, h, k0))
         uncertified = np.isnan(pair[0][:, 0])
         assert uncertified[6:].all() and not uncertified[[0, 3]].any() and uncertified[2]
+        # every fault above sits in an entry that a fit reads; the declined rows are fitted
+        failed = np.isnan(nested_pair_forecast_errors(y, x, h, k0)[0][:, 0])
+        assert failed[6:].all() and not failed[:6].any()
 
     @pytest.mark.parametrize("shape", [(7, 300), (2, 3, 300), (300,)])
-    def test_mismatched_shapes_give_none(self, shape):
+    def test_mismatched_shapes_raise(self, shape):
         y = np.zeros(shape)
-        assert nested_pair_forecast_errors(y, y[..., :-1], 1, 80) is None
+        with pytest.raises(ValueError, match="one \\(\\.\\.\\., T\\) shape"):
+            nested_pair_forecast_errors(y, y[..., :-1], 1, 80)
         assert nested_pair_forecast_errors_copying(y, y[..., :-1], 1, 80) is None
 
     def test_results_do_not_share_the_work_arrays(self):
