@@ -8,9 +8,13 @@ scipy 1.17.1); an earlier run on such a host took 7 min 11 s.  At
 --reps 250 they took 1.5, 0.7, 2.2, 1.5 and 2.9 s (median of three runs).
 The first table run carries the one-off import of scipy.signal (1.15-1.19 s
 in a fresh process there, as it pulls in scipy.stats, interpolate and
-optimize).  Pass --reps 2000 for a desk-mode pass with wider Monte Carlo
-error, or --only to select specific tables.  Every selected config is
-loaded and checked before the first table runs.
+optimize).  A pooled run imports it before it forks, so its workers
+inherit it: with --threads 2 the five tables at --reps 250 took 10.6-11.0 s
+in all (three runs), against 15.8-16.8 s when every worker of every
+table's pool imported it again, and 10.6-11.6 s serially.  Pass --reps
+2000 for a desk-mode pass with wider Monte Carlo error, or --only to
+select specific tables.  Every selected config is loaded and checked
+before the first table runs.
 
 Usage:
     python scripts/reproduce_tables.py --reps 2000 --out-dir results/

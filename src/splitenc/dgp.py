@@ -189,9 +189,9 @@ DGP1_STREAM_FIELDS = ("T", "rho", "sigma", "burn_in")
 DGP2_PANEL_FIELDS = ("N", "T", "alpha1", "rho_i", "loading_std", "burn_in")
 
 
-# scipy is imported where a path is filtered or the eigensolver falls back,
-# not at module import: it is the slowest import of the package, and the
-# commands that simulate nothing (test, inflation, local-power) never need it.
+# scipy.signal, the package's one scipy import, is imported where a path is
+# filtered, not at module import: it is the slowest import of the package, and
+# the commands that simulate nothing (test, inflation, local-power) never need it.
 
 def _ar1_path(innov: np.ndarray, coeff: float, axis: int = -1) -> np.ndarray:
     # x_t = coeff * x_{t-1} + innov_t with x_0 = 0, along the given axis
@@ -382,13 +382,10 @@ def _power_top_eigenvector(A: np.ndarray):
 
 
 def _exact_top_eigenvector(A: np.ndarray) -> np.ndarray:
-    """Top eigenvector by a dense solver; raises DegenerateSpectrum if not simple."""
-    from scipy.linalg import eigh
-
-    n = A.shape[0]
-    vals, vecs = eigh(A, subset_by_index=[n - 2, n - 1])
+    """Top eigenvector by numpy's dense solver; raises DegenerateSpectrum if not simple."""
+    vals, vecs = np.linalg.eigh(A)
     top = vals[-1]
-    if top <= 0.0 or (top - vals[0]) <= EIGENGAP_RTOL * top:
+    if top <= 0.0 or (top - vals[-2]) <= EIGENGAP_RTOL * top:
         raise DegenerateSpectrum("top eigenvalue not simple to working precision")
     return vecs[:, -1]
 
@@ -408,8 +405,8 @@ def estimate_factor(X) -> np.ndarray:
     It is kept only when a residual bound certifies that the top eigenvalue
     is simple (see _power_top_eigenvector).  Otherwise, e.g. for a
     pure-noise panel or a tied spectrum, the dense eigensolver
-    (scipy.linalg.eigh) computes the top pair exactly and makes the
-    degeneracy decision.
+    (numpy.linalg.eigh, on the OpenBLAS that a run pins to one thread)
+    computes the top pair exactly and makes the degeneracy decision.
 
     Raises DegenerateSpectrum when the top eigenvalue is not simple to
     working precision (the direction is then not identified).

@@ -355,13 +355,9 @@ def country_encompassing(panel: InflationPanel, country: str,
         # --exclude-own the designs skip the quarters no other country covers
         trim = max(0, int(np.argmax(np.isfinite(g))) - 1)
         k0 = trim + int(math.floor((prices.shape[0] - trim) * config.pi0))
-        # the first fit uses the target rows dated first_origin..k0
-        if k0 - large.first_origin + 1 < large.n_params:
-            raise InsufficientData(
-                f"k0={k0} leaves too few rows for the first fit (first usable target "
-                f"{large.first_origin}, {large.n_params} parameters with p2={config.p2})")
-        e1 = expanding_window_forecast_errors(bench, k0)
+        # the larger design first: an origin it admits, the nested one admits too
         e2 = expanding_window_forecast_errors(large, k0)
+        e1 = expanding_window_forecast_errors(bench, k0)
         fes = ForecastErrorSet(e1, e2, h=h, k0=k0)
         results = [encompassing_test(fes, SplitSpec(mu0), config.hac) for mu0 in config.mu0_list]
         return CountryResult(

@@ -106,9 +106,10 @@ from .enc_test import (
 # the engine runs split_statistic; perfbench/mc.py wraps this name in this module
 from .enc_test import encompassing_test  # noqa: F401
 from .errors import ConfigError, InsufficientData, SplitEncError
-# the engine runs nested_pair_forecast_errors, which falls back on the generic fits in
-# regression; perfbench/mc.py wraps expanding_window_forecast_errors in this module
-from .regression import expanding_window_forecast_errors, nested_pair_forecast_errors  # noqa: F401
+from .regression import forecast_origins, nested_pair_forecast_errors
+# nested_pair_forecast_errors falls back on the generic fits in regression;
+# perfbench/mc.py wraps expanding_window_forecast_errors in this module
+from .regression import expanding_window_forecast_errors  # noqa: F401
 from .tables import csv_text, json_text, markdown_text
 
 FAILURE_SHARE_LIMIT = 0.01
@@ -122,15 +123,13 @@ _FAILURES = (SplitEncError, np.linalg.LinAlgError)
 def _first_origin(dgp, pi0: float) -> tuple:
     """(k0, n): the first forecast origin floor(T * pi0) and the errors it leaves.
 
-    Raises InsufficientData unless both nested fits are identified at k0
-    (the larger model has three coefficients, so k0 >= 3 + h) and the
-    n = T - h - k0 + 1 forecast errors number at least MIN_FORECAST_ERRORS.
+    Raises InsufficientData unless ``regression.forecast_origins`` admits
+    k0 for the larger nested model (3 coefficients, targets dated
+    h + 1..T), which gives n, and the n forecast errors number at least
+    MIN_FORECAST_ERRORS.
     """
-    T, h = dgp.T, dgp.h
-    k0 = int(math.floor(T * pi0))
-    if k0 < 3 + h:
-        raise InsufficientData(f"k0={k0} < 3 + h = {3 + h}")
-    n = T - h - k0 + 1
+    k0 = int(math.floor(dgp.T * pi0))
+    n = forecast_origins(3, dgp.h, dgp.h + 1, dgp.T, k0)
     if n < MIN_FORECAST_ERRORS:
         raise InsufficientData(
             f"k0={k0} leaves {n} forecast errors (need at least {MIN_FORECAST_ERRORS})")
@@ -389,10 +388,10 @@ def _blas_threads(count: int = 1):
 
     The library is looked up once, on first use.  ctypes opens the one
     numpy has already loaded (``numpy.libs/libscipy_openblas64_*``), so
-    the setter acts on the copy numpy's matmul calls.  scipy bundles a copy
-    of its own, which only the dense eigensolver fallback of
-    ``dgp.estimate_factor`` calls, and it is left alone: that fallback ran
-    on none of the 4000 panels of tables 3 and 5 at 1000 replications.
+    the setter acts on the copy that numpy's matmul and linalg calls run
+    on, the dense eigensolver fallback of ``dgp.estimate_factor`` among
+    them.  scipy bundles a copy of its own, which no BLAS call of the
+    package reaches: its one scipy import is ``scipy.signal``.
     """
     global _openblas
     if _openblas is None:
@@ -433,7 +432,8 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
     process its count back afterwards, also when the run raises: with it a
     factor step's bits do not depend on the host's core count, and the pool
     workers' BLAS threads do not wait on each other.  Where the library or
-    its setter is not found, BLAS runs as it is set.
+    its setter is not found, BLAS runs as it is set.  A pooled run imports
+    ``scipy.signal`` before it forks, so no worker imports it again.
     """
     checked = []
     for name, check, value in (("reps", replication_count, reps),
@@ -454,6 +454,10 @@ def _run_cells(cells, reps, base_seed, workers) -> np.ndarray:
         else:
             # imported here, not at module import: only a pooled run needs it
             from concurrent.futures import ProcessPoolExecutor
+
+            # the draws' AR recursions need scipy.signal: imported before the fork, it is
+            # inherited by every worker, which would otherwise import it again (about 1.3 s)
+            import scipy.signal  # noqa: F401
 
             with ProcessPoolExecutor(max_workers=processes, initializer=_blas_threads) as pool:
                 results = list(pool.map(run_replication, tasks))

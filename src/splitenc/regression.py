@@ -107,19 +107,41 @@ def _solve_gram_batch(grams: np.ndarray, crosses: np.ndarray, origin0: int) -> n
         raise RankDeficient(f"zero regressor column in window ending at t={origin0 + t_bad}")
     scale = 1.0 / np.sqrt(diag)
     ge = grams * scale[:, :, None] * scale[:, None, :]
+    rhs = (crosses * scale)[:, :, None]
     try:
         np.linalg.cholesky(ge)
+        coefs = np.linalg.solve(ge, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
+        # rounding can pass an exactly singular window through cholesky to an exact zero pivot
         for i in range(ge.shape[0]):
             try:
                 np.linalg.cholesky(ge[i])
+                np.linalg.solve(ge[i], rhs[i])
             except np.linalg.LinAlgError:
                 raise RankDeficient(
                     f"cross-product matrix singular in window ending at t={origin0 + i}"
                 ) from None
         raise RankDeficient("cross-product matrix singular") from None
-    coefs = np.linalg.solve(ge, (crosses * scale)[:, :, None])[:, :, 0]
     return coefs * scale
+
+
+def forecast_origins(n_params: int, h: int, first_origin: int, last_target: int, k0: int) -> int:
+    """The number of forecast origins k0, ..., last_target - h of an expanding-window fit.
+
+    This is the one rule for the first origin k0: the fit of ``n_params``
+    coefficients on the targets dated first_origin..k0 must be identified
+    (at least n_params of them), and k0 must leave at least one forecast,
+    k0 <= last_target - h.  Returns n = last_target - h - k0 + 1.
+
+    Raises InsufficientData, naming k0, the first usable target, the
+    parameter count and the last origin, for any other k0.
+    """
+    last_origin = last_target - h
+    if k0 - first_origin + 1 < n_params or k0 > last_origin:
+        raise InsufficientData(
+            f"k0={k0} outside [{first_origin + n_params - 1}, {last_origin}] (first usable "
+            f"target {first_origin}, {n_params} parameters, last origin {last_origin})")
+    return last_origin - k0 + 1
 
 
 def expanding_window_coefficients(design: DirectDesign, k0: int) -> np.ndarray:
@@ -133,27 +155,18 @@ def expanding_window_coefficients(design: DirectDesign, k0: int) -> np.ndarray:
     Raises
     ------
     InsufficientData
-        If k0 starts the recursion before the first fit is identified.
+        If ``forecast_origins`` rejects k0: the first fit is not identified
+        or k0 leaves no forecast.
     RankDeficient
         If any window's cross-product matrix is singular (reported with the
         offending origin).
     """
     Z, y = design.regressors, design.targets
-    k = design.n_params
-    last_origin = design.last_target - design.h
-    if k0 < k + design.h:
-        raise InsufficientData(f"k0={k0} < columns + h = {k + design.h}")
-    if k0 > last_origin:
-        raise InsufficientData(f"k0={k0} leaves no forecast origins (last is {last_origin})")
+    n = forecast_origins(design.n_params, design.h, design.first_origin, design.last_target, k0)
     i0 = k0 - design.first_origin  # row index of the target dated k0
-    if i0 + 1 < k:
-        raise InsufficientData(
-            f"first window has {i0 + 1} observations for {k} parameters"
-        )
     grams = np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0)
     crosses = np.cumsum(Z * y[:, None], axis=0)
-    stop = last_origin - design.first_origin + 1
-    return _solve_gram_batch(grams[i0:stop], crosses[i0:stop], origin0=k0)
+    return _solve_gram_batch(grams[i0:i0 + n], crosses[i0:i0 + n], origin0=k0)
 
 
 def expanding_window_forecast_errors(design: DirectDesign, k0: int) -> np.ndarray:
@@ -172,7 +185,8 @@ def expanding_window_forecast_errors(design: DirectDesign, k0: int) -> np.ndarra
 def _closed_form_pair(y, x, h: int, k0: int):
     """The closed form of ``nested_pair_forecast_errors``, NaN in every row it does not certify.
 
-    y and x are (..., T) float arrays of one shape, and 3 + h <= k0 <= T - h.
+    y and x are (..., T) float arrays of one shape, and k0 is an origin
+    that ``forecast_origins`` admits for the larger model.
     From one stack of running sums: with a = y_{t-h}, b = x_{t-h} and
     target t = y_t, the intercept is partialled out through the centred
     sums, and the 1x1 benchmark and 2x2 large systems are solved in closed
@@ -262,15 +276,16 @@ def nested_pair_forecast_errors(y, x, h: int, k0: int):
     other.
 
     Raises ValueError unless y and x share one shape with a time axis and
-    h >= 1, and InsufficientData unless 3 + h <= k0 <= T - h: the origins
-    at which both fits are identified and leave a forecast error.
+    h >= 1, and InsufficientData unless ``forecast_origins`` admits k0 for
+    the larger model (3 coefficients, targets dated h + 1..T), that is
+    3 + h <= k0 <= T - h: the origins at which both fits are identified
+    and leave a forecast error.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.ndim < 1 or x.shape != y.shape or h < 1:
         raise ValueError("need y and x of one (..., T) shape and a horizon h >= 1")
-    if not 3 + h <= k0 <= y.shape[-1] - h:
-        raise InsufficientData(f"k0={k0} outside [3 + h, T - h] = [{3 + h}, {y.shape[-1] - h}]")
+    forecast_origins(3, h, h + 1, y.shape[-1], k0)
     e1, e2 = _closed_form_pair(y, x, h, k0)
     for row in map(tuple, np.argwhere(np.isnan(e1[..., 0]))):
         try:

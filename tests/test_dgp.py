@@ -438,6 +438,21 @@ def _factor_or_none(X):
         return None
 
 
+# The dense fallback runs numpy's eigh (LAPACK syevd) and the oracle scipy's
+# (syevr, the top two pairs only), which round differently: a factor from the
+# fallback matches the oracle to this tolerance, not bit for bit.  Over 1662
+# fallback panels with T = 50..80 the largest gap was 1.9e-13.
+FALLBACK_ATOL = 1e-10
+
+
+def _assert_matches_oracle(factor, oracle, fallback):
+    """Bit for bit on the power-iteration path, within FALLBACK_ATOL after the fallback."""
+    if fallback:
+        assert_allclose(factor, oracle, rtol=0.0, atol=FALLBACK_ATOL)
+    else:
+        assert factor.tobytes() == oracle.tobytes()
+
+
 class TestPanelKernel:
     """The in-place panel kernel against the whole-panel copying oracle, bit for bit."""
 
@@ -459,10 +474,13 @@ class TestPanelKernel:
         for key in ("y", "X", "f_true"):
             assert sim[key].tobytes() == expected[key].tobytes(), key
         panel = sim["X"].copy()
-        factor, oracle = _factor_or_none(sim["X"]), estimate_factor_copying(expected["X"])
+        with pytest.MonkeyPatch.context() as m:
+            calls = _count_exact_calls(m)
+            factor = _factor_or_none(sim["X"])
+        oracle = estimate_factor_copying(expected["X"])
         assert (factor is None) == (oracle is None)
         if factor is not None:
-            assert factor.tobytes() == oracle.tobytes()
+            _assert_matches_oracle(factor, oracle, fallback=bool(calls))
         # the contiguous panel is demeaned in place, returned or raised
         assert sim["X"].tobytes() == (panel - panel.mean(axis=0)).tobytes()
 
@@ -498,7 +516,7 @@ class TestPanelKernel:
         spec = Dgp2Spec(T=T, N=N, loading_std=1e-6, rho_i=0.0)
         X = simulate_dgp2(spec, RngStream(3, 1))["X"]
         calls = _count_exact_calls(monkeypatch)
-        assert estimate_factor(X.copy()).tobytes() == estimate_factor_copying(X).tobytes()
+        _assert_matches_oracle(estimate_factor(X.copy()), estimate_factor_copying(X), fallback=True)
         assert calls == [(min(N, T), min(N, T))]
 
     @pytest.mark.parametrize("layout, in_place", [

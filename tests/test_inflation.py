@@ -597,9 +597,10 @@ class TestRunStudy:
                                                      first_target):
         report = run_study(fixture_panel, CountryStudyConfig(p2=p2))
         assert report.results == ()
+        # the larger design's fit rejects k0 with regression's one origin rule
         assert report.failures["aaa"] == (
-            f"country aaa: k0=30 leaves too few rows for the first fit (first usable "
-            f"target {first_target}, {params} parameters with p2={p2})")
+            f"country aaa: k0=30 outside [{first_target + params - 1}, 116] (first usable "
+            f"target {first_target}, {params} parameters, last origin 116)")
         assert set(report.failures) == set(fixture_panel.countries)
         assert not any(re.search(r"-\d", m) for m in report.failures.values())
 

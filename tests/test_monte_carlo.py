@@ -90,6 +90,24 @@ class TestRunReplication:
         with pytest.raises(BandwidthOutOfRange):
             _cell(T=100, hac=HacConfig(bandwidth=80)).resolve()
 
+    @pytest.mark.parametrize("h", [1, 4])
+    def test_resolve_rejects_every_origin_the_pair_rejects(self, h):
+        # one origin rule: a pi0 whose k0 the nested-pair call rejects fails at resolve,
+        # before any replication, with the same class; 2 + h and 3 + h are its lower edge
+        T = 60
+        y, x = np.random.default_rng(h).standard_normal((2, T))
+        for k0 in range(T):
+            cell = _cell(T=T, h=h, pi0=(k0 + 0.5) / T)  # floor(T * pi0) = k0
+            try:
+                regression.nested_pair_forecast_errors(y, x, h, k0)
+            except InsufficientData:
+                assert k0 < 3 + h or k0 > T - h
+                with pytest.raises(InsufficientData, match=rf"^k0={k0} outside "):
+                    cell.resolve()
+        with pytest.raises(InsufficientData, match=rf"^k0={2 + h} outside \[{3 + h}, "):
+            _cell(T=T, h=h, pi0=(2.5 + h) / T).resolve()
+        assert _cell(T=T, h=h, pi0=(3.5 + h) / T).resolve()[0] == 3 + h
+
     def test_dgp2_pipeline(self):
         cell = McCell(dgp=Dgp2Spec(T=120, N=30, h=1), mu0=0.45, label="d2", group="g")
         stats = _replicate([cell], range(0, 2), 5)

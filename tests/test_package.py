@@ -268,3 +268,27 @@ def test_only_tables_imports_csv():
             if any(name == "csv" or name.startswith("csv.") for name in names):
                 importers.add(path.name)
     assert importers == {"tables.py"}
+
+
+def test_only_scipy_import_is_signal():
+    # the AR recursions need scipy.signal.lfilter; every linear-algebra call runs on
+    # numpy's OpenBLAS, the copy a run pins to one thread, so no scipy.linalg call
+    # can make a result follow the host's core count.  The pooled branch of
+    # _run_cells imports scipy.signal before it forks, for the workers to inherit.
+    imports = set()
+    for path in sorted((ROOT / "src" / "splitenc").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the innermost function around each node; a module-level import has none
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports |= {(path.stem, owner.get(id(node)), name) for name in names
+                        if name.split(".")[0] == "scipy"}
+    assert imports == {("dgp", "_ar1_path", "scipy.signal"),
+                       ("monte_carlo", "_run_cells", "scipy.signal")}

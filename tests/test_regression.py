@@ -24,6 +24,7 @@ from splitenc.regression import (
     bic_select_lag,
     expanding_window_coefficients,
     expanding_window_forecast_errors,
+    forecast_origins,
     nested_pair_forecast_errors,
 )
 
@@ -185,6 +186,69 @@ class TestExpandingWindow:
         d = DirectDesign.from_series(y, x, h=1)
         with pytest.raises(RankDeficient, match="t="):
             expanding_window_coefficients(d, k0=5)
+
+    def test_singular_solve_past_cholesky_is_rank_deficient(self):
+        # x = 3y makes two scaled columns equal: at these seeds cholesky's rounding passes
+        # the window and the solve meets an exact zero pivot, which must not leak a LinAlgError
+        for seed in (60, 74, 96):
+            y = np.random.default_rng(seed).standard_normal(40)
+            d = DirectDesign.from_series(y, np.column_stack([y, 3.0 * y]), h=1)
+            with pytest.raises(RankDeficient, match="t=39"):
+                expanding_window_coefficients(d, k0=39)
+
+
+def _brute_origins(n_params, h, first_origin, last_target, k0):
+    """Forecast origins of an expanding-window fit by counting dates, or None if it has none."""
+    fitted = len(range(first_origin, k0 + 1))  # targets of the first fit
+    origins = len(range(k0, last_target - h + 1))
+    return origins if fitted >= n_params and origins >= 1 else None
+
+
+@st.composite
+def _origin_inputs(draw):
+    """(n_params, h, first_origin, last_target, k0) with last_target and k0 near every edge."""
+    n_params, h = draw(st.integers(1, 15)), draw(st.integers(1, 12))
+    first_origin = draw(st.integers(h + 1, h + 20))
+    lowest = first_origin + n_params - 1  # the least k0 whose first fit is identified
+    # a last target that leaves no origin, exactly one, or more; at least one row
+    last_target = max(first_origin, lowest + h + draw(st.integers(-3, 30)))
+    edge = draw(st.sampled_from([0, first_origin, lowest, last_target - h]))
+    k0 = max(0, edge + draw(st.integers(-2, 2)))
+    return n_params, h, first_origin, last_target, k0
+
+
+class TestForecastOrigins:
+    """The one first-origin rule of an expanding-window fit, against counting dates."""
+
+    @given(_origin_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_the_origins_or_raises(self, inputs):
+        expected = _brute_origins(*inputs)
+        if expected is None:
+            with pytest.raises(InsufficientData, match=rf"^k0={inputs[-1]} outside "):
+                forecast_origins(*inputs)
+        else:
+            assert forecast_origins(*inputs) == expected
+
+    @given(_origin_inputs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_fit_admits_the_origins_the_rule_admits(self, inputs, seed):
+        # the fit states no check of its own: k0 < n_params + h, once checked apart, is
+        # implied by the rule because first_origin >= h + 1
+        n_params, h, first_origin, last_target, k0 = inputs
+        g = np.random.default_rng(seed)
+        m = last_target - first_origin + 1
+        Z = np.column_stack([np.ones(m), g.standard_normal((m, n_params - 1))])
+        design = DirectDesign(Z, g.standard_normal(m), h=h, first_origin=first_origin)
+        expected = _brute_origins(*inputs)
+        try:
+            errors = expanding_window_forecast_errors(design, k0)
+        except InsufficientData:
+            assert expected is None
+        except RankDeficient:  # the origin rule passed; a window's rounding did not
+            assert expected is not None
+        else:
+            assert expected == errors.shape[0]
 
 
 def _generic_designs(y, x, h):
