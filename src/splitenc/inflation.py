@@ -355,7 +355,9 @@ def country_encompassing(panel: InflationPanel, country: str,
         # --exclude-own the designs skip the quarters no other country covers
         trim = max(0, int(np.argmax(np.isfinite(g))) - 1)
         k0 = trim + int(math.floor((prices.shape[0] - trim) * config.pi0))
-        # the larger design first: an origin it admits, the nested one admits too
+        # the larger design first: an origin it admits, the nested one admits too; and the
+        # nested design's first window is a leading block of the larger one's, with the same
+        # Cholesky pivots up to rounding, so it passes the pivot floor when the larger one does
         e2 = expanding_window_forecast_errors(large, k0)
         e1 = expanding_window_forecast_errors(bench, k0)
         fes = ForecastErrorSet(e1, e2, h=h, k0=k0)

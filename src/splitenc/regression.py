@@ -20,6 +20,7 @@ from ._work import work_array
 from .errors import InsufficientData, RankDeficient
 
 PAIR_RTOL = 1e-8  # relative floor on the centred sums certifying the nested-pair kernel
+PIVOT_RTOL = 1e-14  # floor on the squared Cholesky pivots of a generic fit's first window
 
 
 @dataclass(frozen=True)
@@ -95,36 +96,6 @@ class DirectDesign:
         return self.first_origin + self.n_rows - 1
 
 
-def _solve_gram_batch(grams: np.ndarray, crosses: np.ndarray, origin0: int) -> np.ndarray:
-    """Solve G_t b_t = c_t for a stack of Gram systems, one per forecast origin.
-
-    Columns are rescaled to unit Gram diagonal before factoring, which keeps
-    the solve accurate for persistent (poorly scaled) regressors.
-    """
-    diag = np.diagonal(grams, axis1=1, axis2=2)
-    if np.any(diag <= 0.0):
-        t_bad = int(np.argmax(np.any(diag <= 0.0, axis=1)))
-        raise RankDeficient(f"zero regressor column in window ending at t={origin0 + t_bad}")
-    scale = 1.0 / np.sqrt(diag)
-    ge = grams * scale[:, :, None] * scale[:, None, :]
-    rhs = (crosses * scale)[:, :, None]
-    try:
-        np.linalg.cholesky(ge)
-        coefs = np.linalg.solve(ge, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        # rounding can pass an exactly singular window through cholesky to an exact zero pivot
-        for i in range(ge.shape[0]):
-            try:
-                np.linalg.cholesky(ge[i])
-                np.linalg.solve(ge[i], rhs[i])
-            except np.linalg.LinAlgError:
-                raise RankDeficient(
-                    f"cross-product matrix singular in window ending at t={origin0 + i}"
-                ) from None
-        raise RankDeficient("cross-product matrix singular") from None
-    return coefs * scale
-
-
 def forecast_origins(n_params: int, h: int, first_origin: int, last_target: int, k0: int) -> int:
     """The number of forecast origins k0, ..., last_target - h of an expanding-window fit.
 
@@ -158,15 +129,37 @@ def expanding_window_coefficients(design: DirectDesign, k0: int) -> np.ndarray:
         If ``forecast_origins`` rejects k0: the first fit is not identified
         or k0 leaves no forecast.
     RankDeficient
-        If any window's cross-product matrix is singular (reported with the
-        offending origin).
+        If the first window, ending at origin k0, is not identified: a
+        regressor column is zero on it, or a squared pivot of the Cholesky
+        factor of its unit-diagonal cross-product matrix is at most
+        ``PIVOT_RTOL``.  A squared pivot is the share of a column's
+        first-window sum of squares that the earlier columns leave
+        unexplained.  Windows nest, each later one adding outer products to
+        the first, so this one check decides every window.
     """
     Z, y = design.regressors, design.targets
     n = forecast_origins(design.n_params, design.h, design.first_origin, design.last_target, k0)
     i0 = k0 - design.first_origin  # row index of the target dated k0
-    grams = np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0)
-    crosses = np.cumsum(Z * y[:, None], axis=0)
-    return _solve_gram_batch(grams[i0:i0 + n], crosses[i0:i0 + n], origin0=k0)
+    grams = np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0)[i0:i0 + n]
+    crosses = np.cumsum(Z * y[:, None], axis=0)[i0:i0 + n]
+    # columns are rescaled to unit Gram diagonal, which keeps the solve accurate
+    # for persistent (poorly scaled) regressors
+    diag = np.diagonal(grams, axis1=1, axis2=2)
+    if np.any(diag[0] <= 0.0):
+        raise RankDeficient(f"zero regressor column in window ending at t={k0}")
+    scale = 1.0 / np.sqrt(diag)
+    ge = grams * scale[:, :, None] * scale[:, None, :]
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(ge[0]))
+    except np.linalg.LinAlgError:  # not positive definite
+        pivots = np.zeros(1)
+    if not np.all(pivots * pivots > PIVOT_RTOL):  # written so that a NaN fails
+        raise RankDeficient(f"cross-product matrix singular in window ending at t={k0}")
+    try:
+        coefs = np.linalg.solve(ge, (crosses * scale)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # an exact zero pivot by rounding; the batch names no window
+        raise RankDeficient("cross-product matrix singular") from None
+    return coefs * scale
 
 
 def expanding_window_forecast_errors(design: DirectDesign, k0: int) -> np.ndarray:
@@ -270,7 +263,9 @@ def nested_pair_forecast_errors(y, x, h: int, k0: int):
     is what ``expanding_window_forecast_errors`` gives on the two
     ``DirectDesign.from_series`` designs of row r, and NaN throughout where
     those fits fail: where the row has a non-finite entry that a fit reads
-    (x's last h entries enter none) or a window is singular.  A row that the
+    (x's last h entries enter none) or the first window fails the generic
+    fit's pivot floor (``expanding_window_coefficients``), as an exactly
+    collinear x does however rounding factors it.  A row that the
     closed form certifies takes its errors (``_closed_form_pair``); any other
     row runs the two generic fits on its own.  Rows do not depend on each
     other.

@@ -140,6 +140,22 @@ def expanding_refit_oracle(Z, y, k0_row, n_fits=None):
     return np.array(out)
 
 
+def unexplained_shares(Z):
+    """Each column's 1 - R^2 on the columns before it, every column scaled to unit sum of squares.
+
+    One uncentred lstsq fit per column; the first column, with nothing
+    before it, keeps all of its sum of squares.
+    """
+    Z = np.asarray(Z, dtype=float)
+    X = Z / np.sqrt(np.sum(Z * Z, axis=0))
+    shares = [1.0]
+    for j in range(1, X.shape[1]):
+        coef = np.linalg.lstsq(X[:, :j], X[:, j], rcond=None)[0]
+        resid = X[:, j] - X[:, :j] @ coef
+        shares.append(float(resid @ resid) / float(X[:, j] @ X[:, j]))
+    return np.array(shares)
+
+
 def bic_lag_search(y, h, p_max, lag_source=None):
     """(pick, BICs) of the lag search by one lstsq fit per candidate p = 0..p_max.
 

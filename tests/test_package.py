@@ -2,6 +2,7 @@ import ast
 import csv
 import importlib
 import importlib.util
+import math
 import os
 import pathlib
 import re
@@ -24,6 +25,18 @@ def test_readme_library_sketch_imports():
     assert len(names) == 6
     for name in names:
         assert hasattr(splitenc, name), name
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the one-pair workflow as documented, on a simulated series in place of the user's data
+    from splitenc.dgp import Dgp1Spec, RngStream, simulate_dgp1
+
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"\n## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    draw = simulate_dgp1(Dgp1Spec(T=250, rho=0.9), RngStream(7))
+    exec(code, {"load_series": lambda: (draw["y"], draw["x"])})
+    statistic, p_value = map(float, capsys.readouterr().out.split())
+    assert math.isfinite(statistic) and 0.0 <= p_value <= 1.0
 
 
 def test_readme_command_lines_parse(tmp_path, monkeypatch):

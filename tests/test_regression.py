@@ -16,6 +16,7 @@ from _oracles import (
     expanding_refit_oracle,
     nested_pair_forecast_errors_copying,
     ols_normal_equations,
+    unexplained_shares,
 )
 from splitenc.dgp import Dgp1Spec, RngStream
 from splitenc.errors import InsufficientData, RankDeficient
@@ -72,6 +73,23 @@ class TestDirectDesign:
     def test_from_series_rejects(self, y, predictors, h, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             DirectDesign.from_series(y, predictors, h=h)
+
+
+@st.composite
+def _near_collinear_designs(draw):
+    """(design, k0): [1, y, noise..., x] with x = a + c * (an earlier column) + eps * noise."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, h, p = draw(st.integers(30, 300)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    y = g.standard_normal(T)
+    columns = [np.ones(T), y] + list(g.standard_normal((p, T)))
+    eps = 10.0 ** draw(st.floats(-10.0, -3.0))
+    a, c = draw(st.sampled_from([0.0, 1.0, -40.0])), draw(st.sampled_from([0.0, 3.0, -0.5, 1e3]))
+    base = columns[draw(st.integers(0, len(columns) - 1))]
+    x = a + c * base + eps * g.standard_normal(T)
+    design = DirectDesign.from_series(y, np.column_stack(columns[1:] + [x]), h=h)
+    lowest = design.first_origin + design.n_params - 1
+    k0 = min(lowest + draw(st.integers(0, 150)), design.last_target - h)
+    return design, k0
 
 
 class TestExpandingWindow:
@@ -188,13 +206,39 @@ class TestExpandingWindow:
             expanding_window_coefficients(d, k0=5)
 
     def test_singular_solve_past_cholesky_is_rank_deficient(self):
-        # x = 3y makes two scaled columns equal: at these seeds cholesky's rounding passes
-        # the window and the solve meets an exact zero pivot, which must not leak a LinAlgError
+        # x = 3y makes two scaled columns equal: at these seeds cholesky's rounding factors
+        # the first window with a last squared pivot of 1e-16, which the floor must reject
         for seed in (60, 74, 96):
             y = np.random.default_rng(seed).standard_normal(40)
             d = DirectDesign.from_series(y, np.column_stack([y, 3.0 * y]), h=1)
             with pytest.raises(RankDeficient, match="t=39"):
                 expanding_window_coefficients(d, k0=39)
+
+    @pytest.mark.parametrize("T,k0", [(40, 39), (250, 62), (1000, 250)])
+    @pytest.mark.parametrize("c", [3.0, -0.5])
+    def test_collinear_designs_fail_on_their_first_window(self, T, k0, c):
+        # x = c y is collinear with y in every window, however rounding factors it
+        ys = np.stack([np.random.default_rng(seed).standard_normal(T) for seed in range(400)])
+        for y in ys:
+            d = DirectDesign.from_series(y, np.column_stack([y, c * y]), h=1)
+            with pytest.raises(RankDeficient, match=rf" in window ending at t={k0}$"):
+                expanding_window_coefficients(d, k0)
+        e1, e2 = nested_pair_forecast_errors(ys, c * ys, 1, k0)
+        assert np.isnan(e1).all() and np.isnan(e2).all()
+
+    @given(_near_collinear_designs())
+    @settings(max_examples=200, deadline=None)
+    def test_raises_exactly_when_a_first_window_share_is_at_the_floor(self, drawn):
+        design, k0 = drawn
+        first = design.regressors[:k0 - design.first_origin + 1]
+        share = unexplained_shares(first).min()
+        floor = regression.PIVOT_RTOL
+        assume(not floor / 2.0 < share < 2.0 * floor)  # rounding decides there
+        if share <= floor:
+            with pytest.raises(RankDeficient, match=rf" in window ending at t={k0}$"):
+                expanding_window_coefficients(design, k0)
+        else:
+            assert np.isfinite(expanding_window_coefficients(design, k0)).all()
 
 
 def _brute_origins(n_params, h, first_origin, last_target, k0):
@@ -245,7 +289,7 @@ class TestForecastOrigins:
             errors = expanding_window_forecast_errors(design, k0)
         except InsufficientData:
             assert expected is None
-        except RankDeficient:  # the origin rule passed; a window's rounding did not
+        except RankDeficient:  # the origin rule passed; the first window's pivots did not
             assert expected is not None
         else:
             assert expected == errors.shape[0]
